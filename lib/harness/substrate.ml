@@ -53,10 +53,13 @@ let rebatching ?(backup = true) ?on_backup instance =
   }
 
 (* The adaptive algorithms materialize objects on demand; which indices a
-   run reaches depends on contention, so the atomic substrate's fixed
-   array covers the first 16 objects — far beyond anything the
-   experiments' [k] can touch (the race ladder reaches object
-   [~log2 k + O(1)]). *)
+   run reaches depends on contention.  The first 16 objects size the
+   simulated space's dense prefix and the atomic substrate's fixed
+   array (which rejects a probe past its end).  That is not beyond what
+   the experiments' [k] can touch: a process that overshoots the race
+   ladder probes far objects — at k = 131072 up to R_32, high-water
+   mark 1.29e10 — which on the simulated substrate land in the sparse
+   tail of [Sim.Location_space]. *)
 let adaptive_capacity space = Renaming.Object_space.total_size space 16
 
 let adaptive space =

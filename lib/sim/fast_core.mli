@@ -101,7 +101,8 @@ type seq
 val seq_create : ?capacity:int -> algo:Renaming.Fast_algo.t -> unit -> seq
 (** [capacity] dense-preallocates the location space — recommended for
     the bounded-namespace algorithms (e.g. [2n] cells for ReBatching) so
-    the measured loop never materialises a chunk. *)
+    every probe of the measured loop is a flat byte access that never
+    touches the sparse table. *)
 
 val seq_run : seq -> seed:int -> n:int -> unit
 (** Execute [n] processes in pid order; allocation-free.

@@ -18,8 +18,10 @@ val create : ?capacity:int -> unit -> t
     dense flat byte per location for locations [0..capacity-1] — the
     preallocated large-n mode: probes below the boundary never grow or
     allocate backing storage, so a measured sweep is regrow-free.
-    Locations at or above [capacity] fall back to sparse on-demand
-    chunks, as an unbounded space requires. *)
+    Locations at or above [capacity] fall back to a sparse hash table of
+    32-cell bitmap blocks, filled on demand as an unbounded space
+    requires: a far probe costs one table slot (two words), not a
+    zero-filled page. *)
 
 val preallocate : t -> capacity:int -> unit
 (** [preallocate t ~capacity] widens the dense prefix to [capacity]
@@ -33,18 +35,21 @@ val tas : t -> int -> bool
 val release : t -> int -> unit
 (** [release t loc] frees a taken location (no-op if already free) —
     the reset operation long-lived renaming needs to return a name to
-    the pool.  One shared-memory step, like [tas]. *)
+    the pool.  One shared-memory step, like [tas].  Releasing a sparse
+    location that was never probed allocates nothing. *)
 
 val is_taken : t -> int -> bool
 (** Read-only inspection (used by adversaries and assertions, not by
-    algorithms — the model has no read operation). *)
+    algorithms — the model has no read operation).  Allocates nothing. *)
 
 val reset : t -> unit
-(** Frees every location and zeroes the counters. *)
+(** Frees every location, zeroes the counters and drops the sparse
+    table. *)
 
 val clear : t -> unit
-(** Like {!reset}, but keeps the backing storage so a reused space stops
-    allocating once warm — the benchmark-friendly variant. *)
+(** Like {!reset}, but keeps the backing storage (the sparse table and
+    its block keys) so a reused space stops allocating once warm — the
+    benchmark-friendly variant. *)
 
 val probe_count : t -> int
 (** Total number of [tas] calls so far — the total step complexity of
@@ -60,8 +65,9 @@ val high_water_mark : t -> int
 
     O(high-water-mark) structural snapshots, sized for the systematic
     explorer ([Analysis.Explore]) which saves and restores the space on
-    every DFS branch: only the occupied prefix of each allocated chunk
-    is copied, so tiny configurations snapshot in a few dozen bytes. *)
+    every DFS branch: only the occupied part of the dense prefix and the
+    non-empty sparse blocks are copied, so tiny configurations snapshot
+    in a few dozen bytes. *)
 
 type snap
 

@@ -498,6 +498,43 @@ let test_seq_run_allocation_free () =
   if per_op > 0.01 then
     Alcotest.failf "seq_run allocates %.3f words/op (budget 0.01)" per_op
 
+(* The sparse tail at scale: adaptive ReBatching (t0 = 3) at k = 131072
+   overshoots the race ladder up to R_32, probing ~41k 32-cell blocks
+   past the dense prefix at locations up to 1.29e10.  The pinned counts
+   are the sim-sweep benchmark's for seed 2000; a warmed handle re-runs
+   the trial without allocating, and the space costs a table slot per
+   probed block, not a page. *)
+let test_seq_run_sparse_scale () =
+  let k = 131_072 in
+  let spec =
+    Harness.Substrate.adaptive (Renaming.Object_space.create ~t0:3 ())
+  in
+  let q =
+    Sim.Fast_core.seq_create
+      ~capacity:(Harness.Substrate.capacity spec)
+      ~algo:(Harness.Substrate.fast_algo spec)
+      ()
+  in
+  let check_counts label =
+    checki (label ^ ": total steps") 6_161_980
+      (Sim.Fast_core.seq_total_steps q);
+    checki (label ^ ": max steps") 60 (Sim.Fast_core.seq_max_steps q);
+    checki (label ^ ": high-water mark") 12_883_537_505
+      (Sim.Fast_core.seq_space_used q);
+    checki (label ^ ": named") k (Sim.Fast_core.seq_named q)
+  in
+  Sim.Fast_core.seq_run q ~seed:2000 ~n:k;
+  check_counts "cold";
+  let w0 = Gc.minor_words () in
+  Sim.Fast_core.seq_run q ~seed:2000 ~n:k;
+  let w1 = Gc.minor_words () in
+  check_counts "warm";
+  Alcotest.check (Alcotest.float 0.) "minor words in a warm seq_run" 0.
+    (w1 -. w0);
+  let words = Obj.reachable_words (Obj.repr (Sim.Fast_core.seq_space q)) in
+  if words >= 1_000_000 then
+    Alcotest.failf "sparse space holds %d words (budget 1M)" words
+
 let suite =
   [
     ( "fast_core.equivalence",
@@ -521,5 +558,7 @@ let suite =
           test_restart_pid_edges;
         Alcotest.test_case "seq_run is allocation-free" `Quick
           test_seq_run_allocation_free;
+        Alcotest.test_case "sparse tail at k=131072" `Quick
+          test_seq_run_sparse_scale;
       ] );
   ]

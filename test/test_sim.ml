@@ -128,6 +128,148 @@ let qcheck_one_winner_per_location =
         locs;
       true)
 
+(* Model-based: random operation sequences against a Hashtbl of taken
+   locations, on a space created with no dense prefix or with one of
+   [model_dense] cells.  Locations come from that prefix, the near tail
+   just past it, and 256 far blocks spread up to 2^40 — enough distinct
+   blocks to double the sparse table several times.  [Save] keeps a
+   snapshot and a copy of the model; [Restore] returns both to it. *)
+type space_op =
+  | Tas of int
+  | Release of int
+  | Is_taken of int
+  | Clear
+  | Reset
+  | Preallocate of int
+  | Save
+  | Restore
+
+let model_dense = 64
+
+let space_op_gen =
+  let open QCheck.Gen in
+  let loc =
+    frequency
+      [
+        (3, int_range 0 (model_dense - 1));
+        (3, int_range model_dense (model_dense + (32 * 64)));
+        ( 4,
+          map2 (fun i off -> (i * 4_294_967_311) + off) (int_range 0 255)
+            (int_range 0 3) );
+      ]
+  in
+  frequency
+    [
+      (10, map (fun l -> Tas l) loc);
+      (4, map (fun l -> Release l) loc);
+      (3, map (fun l -> Is_taken l) loc);
+      (1, return Clear);
+      (1, return Reset);
+      (1, map (fun c -> Preallocate c) (int_range 0 (model_dense + (32 * 64))));
+      (2, return Save);
+      (2, return Restore);
+    ]
+
+let space_op_print = function
+  | Tas l -> Printf.sprintf "tas %d" l
+  | Release l -> Printf.sprintf "release %d" l
+  | Is_taken l -> Printf.sprintf "is_taken %d" l
+  | Clear -> "clear"
+  | Reset -> "reset"
+  | Preallocate c -> Printf.sprintf "preallocate %d" c
+  | Save -> "save"
+  | Restore -> "restore"
+
+type space_model = {
+  taken : (int, unit) Hashtbl.t;
+  mutable m_probes : int;
+  mutable m_hwm : int;
+}
+
+let qcheck_space_model =
+  let module L = Sim.Location_space in
+  QCheck.Test.make ~name:"location space agrees with a reference model"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(Print.pair Print.int (Print.list space_op_print))
+        Gen.(
+          pair (oneofl [ 0; model_dense ])
+            (list_size (int_range 0 400) space_op_gen)))
+    (fun (capacity, ops) ->
+      let sp = L.create ~capacity () in
+      let m = { taken = Hashtbl.create 64; m_probes = 0; m_hwm = 0 } in
+      let saved = ref None in
+      let touched = Hashtbl.create 64 in
+      let fail op what =
+        QCheck.Test.fail_reportf "after %s: %s" (space_op_print op) what
+      in
+      let bump loc = m.m_hwm <- max m.m_hwm (loc + 1) in
+      let empty () =
+        Hashtbl.reset m.taken;
+        m.m_probes <- 0;
+        m.m_hwm <- 0
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Tas l ->
+            Hashtbl.replace touched l ();
+            m.m_probes <- m.m_probes + 1;
+            bump l;
+            let expect = not (Hashtbl.mem m.taken l) in
+            Hashtbl.replace m.taken l ();
+            if L.tas sp l <> expect then fail op "wrong tas outcome"
+          | Release l ->
+            Hashtbl.replace touched l ();
+            bump l;
+            Hashtbl.remove m.taken l;
+            L.release sp l
+          | Is_taken l ->
+            Hashtbl.replace touched l ();
+            if L.is_taken sp l <> Hashtbl.mem m.taken l then
+              fail op "wrong is_taken"
+          | Clear -> L.clear sp; empty ()
+          | Reset -> L.reset sp; empty ()
+          | Preallocate c -> L.preallocate sp ~capacity:c
+          | Save ->
+            saved := Some (L.save sp, Hashtbl.copy m.taken, m.m_probes, m.m_hwm)
+          | Restore -> (
+            match !saved with
+            | None -> ()
+            | Some (snap, taken, probes, hwm) ->
+              L.restore sp snap;
+              Hashtbl.reset m.taken;
+              Hashtbl.iter (fun l () -> Hashtbl.replace m.taken l ()) taken;
+              m.m_probes <- probes;
+              m.m_hwm <- hwm));
+          if L.probe_count sp <> m.m_probes then fail op "probe count";
+          if L.win_count sp <> Hashtbl.length m.taken then fail op "win count";
+          if L.high_water_mark sp <> m.m_hwm then fail op "high-water mark")
+        ops;
+      Hashtbl.iter
+        (fun l () ->
+          if L.is_taken sp l <> Hashtbl.mem m.taken l then
+            QCheck.Test.fail_reportf "final state differs at %d" l)
+        touched;
+      true)
+
+(* A release or lookup of a never-probed far cell looks, it does not
+   insert: the space's storage is unchanged, even after enough distinct
+   blocks to grow the sparse table were they inserted. *)
+let test_space_far_lookup_allocates_nothing () =
+  let sp = Sim.Location_space.create ~capacity:64 () in
+  ignore (Sim.Location_space.tas sp (1 lsl 33));
+  let before = Obj.reachable_words (Obj.repr sp) in
+  for i = 1 to 64 do
+    Sim.Location_space.release sp ((i lsl 34) + 5);
+    checkb "untouched far cell is free" false
+      (Sim.Location_space.is_taken sp ((i lsl 35) + 7))
+  done;
+  checki "reachable words" before (Obj.reachable_words (Obj.repr sp));
+  checki "wins" 1 (Sim.Location_space.win_count sp);
+  checki "hwm" ((64 lsl 34) + 6) (Sim.Location_space.high_water_mark sp)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler + runner *)
 
@@ -342,6 +484,9 @@ let suite =
         tc "reset" `Quick test_space_reset;
         tc "negative" `Quick test_space_negative;
         QCheck_alcotest.to_alcotest qcheck_one_winner_per_location;
+        QCheck_alcotest.to_alcotest qcheck_space_model;
+        tc "far lookup allocates nothing" `Quick
+          test_space_far_lookup_allocates_nothing;
       ] );
     ( "sim.scheduler",
       [
