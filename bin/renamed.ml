@@ -88,7 +88,9 @@ let shards_t =
   Arg.(
     value & opt int 2
     & info [ "shards" ] ~docv:"N"
-        ~doc:"Worker domains = allocator shards.")
+        ~doc:
+          "Allocator shards: namespace partitions with their own coin \
+           streams, all served by the one serving domain.")
 
 let capacity_t =
   Arg.(
@@ -178,8 +180,9 @@ let cmd =
         "Runs the O(log log n) loose-renaming allocator as a daemon: \
          clients acquire and release names over a length-prefixed binary \
          protocol (or line-JSON — open the connection with '{').  Each \
-         shard is a long-lived ReBatching instance on its own worker \
-         domain over one shared atomic location space.";
+         shard is a long-lived ReBatching instance over its own window \
+         of one shared atomic location space; one select loop reads \
+         requests, runs each acquire inline and writes the replies.";
       `P
         "Every grant carries a lease ($(b,--lease-ttl)); a client that \
          goes silent without disconnecting loses its names to the expiry \

@@ -2693,7 +2693,7 @@ let chaos_cmd =
     let shards_t =
       Arg.(
         value & opt int 2
-        & info [ "shards" ] ~docv:"N" ~doc:"Daemon worker shards.")
+        & info [ "shards" ] ~docv:"N" ~doc:"Daemon allocator shards.")
     in
     let capacity_t =
       Arg.(
@@ -2822,7 +2822,7 @@ let chaos_cmd =
     let shards_t =
       Arg.(
         value & opt int 2
-        & info [ "shards" ] ~docv:"N" ~doc:"Daemon worker shards.")
+        & info [ "shards" ] ~docv:"N" ~doc:"Daemon allocator shards.")
     in
     let capacity_t =
       Arg.(

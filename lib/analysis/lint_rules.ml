@@ -67,9 +67,9 @@ let all =
          happens-before instrumentation and the watchdog";
       banned = [ "Domain.spawn" ];
       applies_to = [];
-      (* service/server.ml: the daemon's serving loop owns its shard
-         worker domains the same way the engine pool owns its workers;
-         it joins them on every exit path. *)
+      (* service/server.ml: [Server.spawn] runs the serving loop on a
+         domain of its own for in-process embedding; [Server.join]
+         joins it.  The loop itself spawns nothing. *)
       allowed = [ "lib/shm/"; "lib/engine/pool.ml"; "lib/service/server.ml" ];
     };
     {

@@ -18,7 +18,7 @@
     takes [now] explicitly, which keeps the structure a pure function
     of its inputs and lets the QCheck race property drive the TTL
     boundary deterministically.  All operations are single-domain (the
-    server's I/O domain owns the table). *)
+    server's serving domain owns the table). *)
 
 type t
 

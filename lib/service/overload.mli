@@ -49,7 +49,8 @@ val create : ?config:config -> queue_bound:int -> unit -> t
 
 val level : t -> level
 val ema_ms : t -> float
-(** Smoothed admission latency (enqueue to worker pickup), ms. *)
+(** Smoothed admission latency (admission to pick-up by the serve
+    pass), ms. *)
 
 val transitions : t -> int
 (** Level changes since creation — the flapping diagnostic. *)

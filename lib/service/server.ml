@@ -79,94 +79,32 @@ let stop h =
 let stop_requested h = Atomic.get h.flag
 
 (* ------------------------------------------------------------------ *)
-(* Cross-domain queues *)
-
-module Q = struct
-  type 'a t = { q : 'a Queue.t; mu : Mutex.t; cv : Condition.t }
-
-  let create () =
-    { q = Queue.create (); mu = Mutex.create (); cv = Condition.create () }
-
-  let push t x =
-    Mutex.lock t.mu;
-    Queue.push x t.q;
-    Condition.signal t.cv;
-    Mutex.unlock t.mu
-
-  let pop_blocking t =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.q do
-      Condition.wait t.cv t.mu
-    done;
-    let x = Queue.pop t.q in
-    Mutex.unlock t.mu;
-    x
-
-  (* Everything queued right now, in order; never blocks. *)
-  let drain t =
-    Mutex.lock t.mu;
-    let out = List.of_seq (Queue.to_seq t.q) in
-    Queue.clear t.q;
-    Mutex.unlock t.mu;
-    out
-
-  (* Pull out every queued element satisfying [p], oldest first,
-     keeping the rest in order.  The admission purge uses this to shed
-     already-expired acquires without disturbing live work. *)
-  let remove_if t p =
-    Mutex.lock t.mu;
-    let all = List.of_seq (Queue.to_seq t.q) in
-    Queue.clear t.q;
-    let removed =
-      List.filter
-        (fun x -> if p x then true else (Queue.push x t.q; false))
-        all
-    in
-    Mutex.unlock t.mu;
-    removed
-end
-
-type job =
-  | Acquire_job of {
-      conn : int;
-      id : int;
-      client : int;
-      token : int;
-      deadline : float;  (* absolute monotonic; infinity = none *)
-      admitted : float;  (* monotonic enqueue time, for queue latency *)
-    }
-  | Release_job of { conn : int; id : int; name : int; drain : bool }
-  | Quit
-
-type done_op =
-  | Did_acquire of {
-      conn : int;
-      id : int;
-      client : int;
-      token : int;
-      name : int option;
-      expired : bool;  (* deadline passed in queue; allocator untouched *)
-      waited_ms : float;  (* enqueue -> worker pickup *)
-    }
-  | Did_release of { conn : int; id : int; name : int; drain : bool }
-
-(* ------------------------------------------------------------------ *)
-(* Connections *)
+(* Connections and admitted work *)
 
 type conn = {
   fd : Unix.file_descr;
   cid : int;
   session : Session.t;
-  mutable inflight : int;
-  mutable closing : bool;  (* close once flushed and drained *)
-  mutable dead : bool;  (* fd closed; record kept for in-flight jobs *)
+  mutable closing : bool;  (* close once flushed *)
+  mutable dead : bool;  (* fd closed, ledger drained *)
   mutable last_progress : float;
       (* monotonic time the peer last drained bytes; the stall clock *)
 }
 
 let out_pending c = Session.out_pending c.session
 
-type phase = Serving | Draining_jobs | Draining_ledgers | Flushing
+(* An admitted acquire, waiting in its shard queue for this tick's
+   serve pass. *)
+type pending = {
+  conn : conn;
+  id : int;
+  client : int;
+  token : int;
+  deadline : float;  (* absolute monotonic; infinity = none *)
+  admitted : float;  (* monotonic admission time, for queue latency *)
+}
+
+type phase = Serving | Flushing
 
 type state = {
   cfg : config;
@@ -175,18 +113,21 @@ type state = {
   journal : Journal.t option;
   recovered : int;  (* grants re-occupied from the journal at boot *)
   handle : handle;
-  workers : job Q.t array;
-  outbox : done_op Q.t;
+  queues : pending Queue.t array;
+      (* admitted acquires per shard: the class the admission bound
+         governs.  Every tick's serve pass empties them.  Releases never
+         queue — they run at once and relieve pressure — so depth, peak
+         and the overload machine all track acquires alone. *)
   wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  conns : (int, conn) Hashtbl.t;
+  conns : (int, conn) Hashtbl.t;  (* live connections by cid *)
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* the same, by fd *)
   started : float;
   scratch : Bytes.t;
+  out : Buffer.t;  (* reply encoding scratch *)
   overload : Overload.t;
   mutable listen_fd : Unix.file_descr option;
   mutable phase : phase;
   mutable next_cid : int;
-  mutable inflight_total : int;
   mutable next_sweep : float;
   mutable conns_served : int;
   mutable requests : int;
@@ -202,13 +143,6 @@ type state = {
   mutable stalled_conns : int;
   mutable queue_peak : int;
   mutable flush_deadline : float;
-  acq_depth : int Atomic.t array;
-      (* queued (not yet picked) acquires per shard: the class the
-         admission bound governs.  Releases share the worker queues but
-         are never refused — they relieve pressure — so depth, peak and
-         the overload machine all track acquires alone.  Incremented by
-         the I/O domain at admission, decremented by the owning worker
-         at pick (or by the admission purge). *)
 }
 
 let now () = Mono.now ()
@@ -216,96 +150,41 @@ let conn_list st = Hashtbl.to_seq_values st.conns |> List.of_seq
 let sweep_period st = Float.max 0.01 (Lease.ttl_s st.leases /. 10.)
 
 (* ------------------------------------------------------------------ *)
-(* Worker domains: each owns one shard and loops on its queue. *)
-
-let worker_loop st i =
-  let q = st.workers.(i) in
-  let continue = ref true in
-  while !continue do
-    match Q.pop_blocking q with
-    | Quit -> continue := false
-    | Acquire_job { conn; id; client; token; deadline; admitted } ->
-      Atomic.decr st.acq_depth.(i);
-      let picked = now () in
-      let waited_ms = Float.max 0. ((picked -. admitted) *. 1000.) in
-      (* Deadline check before the allocator: work the client has
-         already timed out on is shed, not served — executing it would
-         burn a slot nobody will release promptly. *)
-      if picked > deadline then begin
-        Q.push st.outbox
-          (Did_acquire
-             { conn; id; client; token; name = None; expired = true; waited_ms });
-        poke st.wake_w
-      end
-      else begin
-        let name =
-          try Shard.acquire st.pool ~shard:i ~client
-          with e ->
-            st.cfg.log
-              (Printf.sprintf "worker %d: acquire raised %s" i
-                 (Printexc.to_string e));
-            None
-        in
-        Q.push st.outbox
-          (Did_acquire
-             { conn; id; client; token; name; expired = false; waited_ms });
-        poke st.wake_w
-      end
-    | Release_job { conn; id; name; drain } ->
-      (try Shard.release st.pool ~name
-       with e ->
-         st.cfg.log
-           (Printf.sprintf "worker %d: release %d raised %s" i name
-              (Printexc.to_string e)));
-      Q.push st.outbox (Did_release { conn; id; name; drain });
-      poke st.wake_w
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Replies *)
+(* Replies and releases *)
 
 let send_response st c r =
   if not c.dead then begin
-    let b = Buffer.create 64 in
     let mode = Option.value (Session.mode c.session) ~default:Wire.Binary in
-    Wire.encode_response mode b r;
-    Session.queue_out c.session (Buffer.contents b);
+    Buffer.clear st.out;
+    Wire.encode_response mode st.out r;
+    Session.queue_out c.session (Buffer.contents st.out);
     (match r with Wire.Error _ -> st.errors <- st.errors + 1 | _ -> ())
   end
 
-let enqueue_job st ~shard job =
-  st.inflight_total <- st.inflight_total + 1;
-  (match job with
-  | Acquire_job _ -> Atomic.incr st.acq_depth.(shard)
-  | Release_job _ | Quit -> ());
-  Q.push st.workers.(shard) job
+let acquire_error id code msg = Wire.Error { id; op = Wire.Op_acquire; code; msg }
 
-(* Return a cell to the pool through its owner worker without a client
-   reply (lease expiry, rollback, drain). *)
-let enqueue_auto_release st name =
-  match Shard.shard_of_name st.pool name with
-  | None -> st.cfg.log (Printf.sprintf "drain: name %d outside namespace" name)
-  | Some shard ->
-    enqueue_job st ~shard (Release_job { conn = -1; id = 0; name; drain = true })
+(* Return [name]'s cell to the pool. *)
+let release_cell st name =
+  match Shard.release st.pool ~name with
+  | () -> st.releases <- st.releases + 1
+  | exception e ->
+    st.cfg.log
+      (Printf.sprintf "release %d raised %s" name (Printexc.to_string e))
 
-(* Auto-release a name that no live session will ever release (granted
-   to a dead connection, or left on a ledger at shutdown). *)
-let enqueue_drain_release st name =
+(* Auto-release a name that no live session will ever release (left on
+   a dead connection's ledger, or on any ledger at shutdown). *)
+let drain_release st name =
   st.drained_releases <- st.drained_releases + 1;
-  enqueue_auto_release st name
+  release_cell st name
 
 (* ------------------------------------------------------------------ *)
 (* Admission control *)
 
-let settle_conn st cid =
-  match Hashtbl.find_opt st.conns cid with
-  | None -> ()
-  | Some c ->
-    c.inflight <- c.inflight - 1;
-    if c.dead && c.inflight = 0 then Hashtbl.remove st.conns c.cid
-
 let max_queue_depth st =
-  Array.fold_left (fun m d -> max m (Atomic.get d)) 0 st.acq_depth
+  Array.fold_left (fun m q -> max m (Queue.length q)) 0 st.queues
+
+let queues_full st =
+  Array.for_all (fun q -> Queue.length q >= st.cfg.max_queue) st.queues
 
 (* Oldest-expired-first shed: a full shard queue is relieved of every
    queued acquire whose deadline has already passed (the queue keeps
@@ -314,35 +193,22 @@ let max_queue_depth st =
    reaches the allocator. *)
 let purge_expired st ~shard =
   let t = now () in
-  let purged =
-    Q.remove_if st.workers.(shard) (function
-      | Acquire_job { deadline; _ } -> t > deadline
-      | Release_job _ | Quit -> false)
-  in
-  List.iter
-    (function
-      | Acquire_job { conn; id; _ } ->
-        Atomic.decr st.acq_depth.(shard);
-        st.inflight_total <- st.inflight_total - 1;
+  let q = st.queues.(shard) in
+  let live = Queue.create () in
+  Queue.iter
+    (fun p ->
+      if t > p.deadline then begin
         st.shed_expired <- st.shed_expired + 1;
-        (match Hashtbl.find_opt st.conns conn with
-        | Some c when not c.dead ->
-          send_response st c
-            (Wire.Error
-               {
-                 id;
-                 op = Wire.Op_acquire;
-                 code = Wire.err_expired;
-                 msg = "deadline expired in queue";
-               })
-        | _ -> ());
-        settle_conn st conn
-      | Release_job _ | Quit -> ())
-    purged;
-  List.length purged
+        send_response st p.conn
+          (acquire_error p.id Wire.err_expired "deadline expired in queue")
+      end
+      else Queue.push p live)
+    q;
+  Queue.clear q;
+  Queue.transfer live q
 
 (* ------------------------------------------------------------------ *)
-(* Journal + lease plumbing (I/O domain only) *)
+(* Journal + lease plumbing *)
 
 let journal_append st r =
   match st.journal with
@@ -376,20 +242,20 @@ let release_lease st name =
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Tear down a connection's I/O; its record stays in the table until
-   in-flight jobs settle so late completions can be drained. *)
+(* Tear down a connection and return every name on its ledger. *)
 let disconnect st c =
   if not c.dead then begin
     c.dead <- true;
     close_fd c.fd;
+    Hashtbl.remove st.conns c.cid;
+    Hashtbl.remove st.by_fd c.fd;
     Session.clear_out c.session;
     List.iter
       (fun name ->
         Session.note_released c.session name;
         release_lease st name;
-        enqueue_drain_release st name)
-      (Session.held c.session);
-    if c.inflight = 0 then Hashtbl.remove st.conns c.cid
+        drain_release st name)
+      (Session.held c.session)
   end
 
 (* The expiry sweep: the only thing that kills a lease on time grounds.
@@ -400,22 +266,19 @@ let sweep st tnow =
   List.iter
     (fun (name, epoch, holder, _token) ->
       st.expired_leases <- st.expired_leases + 1;
-      (match holder with
-      | Some cid -> (
-        match Hashtbl.find_opt st.conns cid with
-        | Some c when not c.dead -> Session.note_released c.session name
-        | _ -> ())
+      (match Option.bind holder (Hashtbl.find_opt st.conns) with
+      | Some c -> Session.note_released c.session name
       | None -> ());
       (match journal_append st (Journal.Expire { name; epoch }) with
       | Ok () -> ()
       | Error m ->
         st.cfg.log
           (Printf.sprintf "journal: expiry of %d not recorded (%s)" name m));
-      enqueue_auto_release st name)
+      release_cell st name)
     (Lease.expire_due st.leases ~now:tnow)
 
 (* ------------------------------------------------------------------ *)
-(* Request handling (I/O domain only) *)
+(* Request handling *)
 
 let stats_json st =
   let pool_fields = Jsonu.obj (Shard.stats st.pool) in
@@ -451,188 +314,154 @@ let stats_json st =
 
 let handle_request st c (r : Wire.request) =
   st.requests <- st.requests + 1;
-  let id = Wire.request_id r in
-  let op = Wire.request_op r in
-  if st.phase <> Serving then
-    send_response st c
-      (Wire.Error { id; op; code = Wire.err_shutdown; msg = "shutting down" })
-  else
-    match r with
-    | Wire.Acquire { id; client; token; deadline_ms } -> (
-      (* Idempotent retry: a nonzero token still bound to a live lease
-         re-delivers the original grant — but only when that lease is
-         unclaimed (an orphan from recovery or a reply lost in flight to
-         a dead connection) or already ours.  A token colliding with
-         another live connection's lease is a fresh acquire. *)
-      let dedup =
-        match Lease.find_token st.leases ~token with
-        | None -> None
-        | Some (name, epoch) ->
-          let ours =
-            match Lease.holder_of st.leases ~name with
-            | Some None -> true
-            | Some (Some h) -> (
-              h = c.cid
-              || match Hashtbl.find_opt st.conns h with
-                 | Some holder -> holder.dead
-                 | None -> true)
-            | None -> false
-          in
-          if ours && Lease.rebind st.leases ~now:(now ()) ~name ~epoch ~holder:c.cid
-          then Some name
-          else None
-      in
-      match dedup with
-      | Some name ->
-        st.dedup_hits <- st.dedup_hits + 1;
-        Session.note_acquired c.session name;
-        send_response st c
-          (Wire.Acquired { id; name; lease_ms = Lease.ttl_ms st.leases })
-      | None ->
-        let shard = Shard.shard_of_client st.pool client in
-        let depth = Atomic.get st.acq_depth.(shard) in
-        st.queue_peak <- max st.queue_peak depth;
-        let busy depth =
-          st.shed_busy <- st.shed_busy + 1;
-          send_response st c
-            (Wire.Busy
-               {
-                 id;
-                 op = Wire.Op_acquire;
-                 retry_after_ms =
-                   Overload.retry_after_ms st.overload ~queue_depth:depth;
-               })
+  match r with
+  | Wire.Acquire { id; client; token; deadline_ms } -> (
+    (* Idempotent retry: a nonzero token still bound to a live lease
+       re-delivers the original grant — but only when that lease is
+       unclaimed (an orphan from recovery or a reply lost in flight to
+       a dead connection) or already ours.  A token colliding with
+       another live connection's lease is a fresh acquire. *)
+    let dedup =
+      match Lease.find_token st.leases ~token with
+      | None -> None
+      | Some (name, epoch) ->
+        let ours =
+          match Lease.holder_of st.leases ~name with
+          | Some None -> true
+          | Some (Some h) -> h = c.cid || not (Hashtbl.mem st.conns h)
+          | None -> false
         in
-        if Overload.level st.overload = Overload.Shedding then
-          (* Graceful degradation: while shedding, no new acquire is
-             admitted at all, but releases/renews/stats below still
-             execute — held names keep draining, which is the path
-             back to health. *)
-          busy depth
-        else begin
-          let depth =
-            if depth >= st.cfg.max_queue then begin
-              ignore (purge_expired st ~shard);
-              Atomic.get st.acq_depth.(shard)
-            end
-            else depth
-          in
-          if depth >= st.cfg.max_queue then busy depth
-          else begin
-            let t = now () in
-            let deadline =
-              if deadline_ms > 0 then t +. (float_of_int deadline_ms /. 1000.)
-              else infinity
-            in
-            c.inflight <- c.inflight + 1;
-            enqueue_job st ~shard
-              (Acquire_job
-                 { conn = c.cid; id; client; token; deadline; admitted = t })
-          end
-        end)
-    | Wire.Release { id; client = _; name } ->
-      if Session.holds c.session name then begin
-        (* The ledger entry goes now, not at completion: a second
-           release of the same name racing the first must already see
-           it gone, or it would free a re-acquired cell.  The lease and
-           its journal record go with it. *)
-        Session.note_released c.session name;
-        release_lease st name;
-        c.inflight <- c.inflight + 1;
-        match Shard.shard_of_name st.pool name with
-        | Some shard ->
-          enqueue_job st ~shard
-            (Release_job { conn = c.cid; id; name; drain = false })
-        | None -> assert false (* ledger only ever holds granted names *)
-      end
-      else
+        if ours && Lease.rebind st.leases ~now:(now ()) ~name ~epoch ~holder:c.cid
+        then Some name
+        else None
+    in
+    match dedup with
+    | Some name ->
+      st.dedup_hits <- st.dedup_hits + 1;
+      Session.note_acquired c.session name;
+      send_response st c
+        (Wire.Acquired { id; name; lease_ms = Lease.ttl_ms st.leases })
+    | None ->
+      let shard = Shard.shard_of_client st.pool client in
+      let q = st.queues.(shard) in
+      st.queue_peak <- max st.queue_peak (Queue.length q);
+      let busy () =
+        st.shed_busy <- st.shed_busy + 1;
         send_response st c
-          (Wire.Error
-             { id; op; code = Wire.err_not_held; msg = "name not held here" })
-    | Wire.Renew { id; client = _ } ->
-      st.renews <- st.renews + 1;
-      let count = Lease.renew st.leases ~now:(now ()) ~holder:c.cid in
-      send_response st c (Wire.Renewed { id; count })
-    | Wire.Stats { id } ->
-      send_response st c (Wire.Stats_reply { id; stats = stats_json st })
-    | Wire.Shutdown { id } ->
-      send_response st c (Wire.Shutting_down { id });
-      stop st.handle
-
-let handle_done st op =
-  st.inflight_total <- st.inflight_total - 1;
-  let find cid = Hashtbl.find_opt st.conns cid in
-  let settle cid = settle_conn st cid in
-  match op with
-  | Did_acquire { conn; id; client; token; name; expired; waited_ms } -> (
-    Overload.note_latency st.overload waited_ms;
-    if expired then begin
-      st.shed_expired <- st.shed_expired + 1;
-      (match find conn with
-      | Some c when not c.dead ->
-        send_response st c
-          (Wire.Error
+          (Wire.Busy
              {
                id;
                op = Wire.Op_acquire;
-               code = Wire.err_expired;
-               msg = "deadline expired before execution";
+               retry_after_ms =
+                 Overload.retry_after_ms st.overload
+                   ~queue_depth:(Queue.length q);
              })
-      | _ -> ())
+      in
+      if Overload.level st.overload = Overload.Shedding then
+        (* Graceful degradation: while shedding, no new acquire is
+           admitted at all, but releases/renews/stats below still
+           execute — held names keep draining, which is the path
+           back to health. *)
+        busy ()
+      else begin
+        if Queue.length q >= st.cfg.max_queue then purge_expired st ~shard;
+        if Queue.length q >= st.cfg.max_queue then busy ()
+        else begin
+          let t = now () in
+          let deadline =
+            if deadline_ms > 0 then t +. (float_of_int deadline_ms /. 1000.)
+            else infinity
+          in
+          Queue.push { conn = c; id; client; token; deadline; admitted = t } q
+        end
+      end)
+  | Wire.Release { id; client = _; name } ->
+    if Session.holds c.session name then begin
+      Session.note_released c.session name;
+      release_lease st name;
+      release_cell st name;
+      send_response st c (Wire.Released { id })
     end
     else
-    (match (find conn, name) with
-    | Some c, Some name when not c.dead -> (
+      send_response st c
+        (Wire.Error
+           {
+             id;
+             op = Wire.Op_release;
+             code = Wire.err_not_held;
+             msg = "name not held here";
+           })
+  | Wire.Renew { id; client = _ } ->
+    st.renews <- st.renews + 1;
+    let count = Lease.renew st.leases ~now:(now ()) ~holder:c.cid in
+    send_response st c (Wire.Renewed { id; count })
+  | Wire.Stats { id } ->
+    send_response st c (Wire.Stats_reply { id; stats = stats_json st })
+  | Wire.Shutdown { id } ->
+    send_response st c (Wire.Shutting_down { id });
+    stop st.handle
+
+(* One admitted acquire, at pick-up: deadline check, allocator,
+   write-ahead grant, reply.  [p.conn] is live: an acquire is admitted
+   and served in the same tick, and nothing between the read pass and
+   the serve pass disconnects. *)
+let serve_acquire st ~shard p =
+  let c = p.conn in
+  let picked = now () in
+  Overload.note_latency st.overload
+    (Float.max 0. ((picked -. p.admitted) *. 1000.));
+  (* Work the client has already timed out on is shed, not served —
+     executing it would burn a slot nobody will release promptly. *)
+  if picked > p.deadline then begin
+    st.shed_expired <- st.shed_expired + 1;
+    send_response st c
+      (acquire_error p.id Wire.err_expired "deadline expired before execution")
+  end
+  else
+    let name =
+      try Shard.acquire st.pool ~shard ~client:p.client
+      with e ->
+        st.cfg.log
+          (Printf.sprintf "shard %d: acquire raised %s" shard
+             (Printexc.to_string e));
+        None
+    in
+    match name with
+    | None ->
+      send_response st c
+        (acquire_error p.id Wire.err_capacity "namespace exhausted")
+    | Some name -> (
       (* Write-ahead: the grant is journaled before the client can ever
          see [Acquired], so an acknowledged name is always recovered.
          If the append fails the grant never happened — roll the lease
          back, return the slot, tell the client the truth. *)
       let epoch =
-        Lease.grant st.leases ~now:(now ()) ~name ~holder:(Some c.cid) ~token
+        Lease.grant st.leases ~now:(now ()) ~name ~holder:(Some c.cid)
+          ~token:p.token
       in
-      match journal_append st (Journal.Grant { name; epoch; client; token }) with
+      match
+        journal_append st
+          (Journal.Grant { name; epoch; client = p.client; token = p.token })
+      with
       | Ok () ->
         st.acquires <- st.acquires + 1;
         Session.note_acquired c.session name;
         send_response st c
-          (Wire.Acquired { id; name; lease_ms = Lease.ttl_ms st.leases })
+          (Wire.Acquired { id = p.id; name; lease_ms = Lease.ttl_ms st.leases })
       | Error m ->
         ignore (Lease.release st.leases ~name ~epoch);
-        enqueue_auto_release st name;
+        release_cell st name;
         st.cfg.log (Printf.sprintf "journal: grant of %d aborted (%s)" name m);
         send_response st c
-          (Wire.Error
-             {
-               id;
-               op = Wire.Op_acquire;
-               code = Wire.err_internal;
-               msg = "journal append failed";
-             }))
-    | _, Some name ->
-      (* Granted to a connection that died while the job was in
-         flight: never journaled, never leased — nobody will release
-         it, so the server must. *)
-      st.acquires <- st.acquires + 1;
-      enqueue_drain_release st name
-    | Some c, None when not c.dead ->
-      send_response st c
-        (Wire.Error
-           {
-             id;
-             op = Wire.Op_acquire;
-             code = Wire.err_capacity;
-             msg = "namespace exhausted";
-           })
-    | _, None -> ());
-    settle conn)
-  | Did_release { conn; id; name = _; drain } ->
-    st.releases <- st.releases + 1;
-    if not drain then begin
-      (match find conn with
-      | Some c when not c.dead -> send_response st c (Wire.Released { id })
-      | _ -> ());
-      settle conn
-    end
+          (acquire_error p.id Wire.err_internal "journal append failed"))
+
+let serve_queues st =
+  Array.iteri
+    (fun shard q ->
+      while not (Queue.is_empty q) do
+        serve_acquire st ~shard (Queue.pop q)
+      done)
+    st.queues
 
 (* ------------------------------------------------------------------ *)
 (* I/O *)
@@ -646,9 +475,7 @@ let on_readable st c =
     match Session.feed c.session ~buf:st.scratch ~len:n with
     | Ok reqs -> List.iter (handle_request st c) reqs
     | Error msg ->
-      send_response st c
-        (Wire.Error
-           { id = 0; op = Wire.Op_acquire; code = Wire.err_proto; msg });
+      send_response st c (acquire_error 0 Wire.err_proto msg);
       c.closing <- true)
 
 let on_writable st c =
@@ -688,16 +515,18 @@ let accept_ready st listen_fd =
         let cid = st.next_cid in
         st.next_cid <- cid + 1;
         st.conns_served <- st.conns_served + 1;
-        Hashtbl.replace st.conns cid
+        let c =
           {
             fd;
             cid;
             session = Session.create ();
-            inflight = 0;
             closing = false;
             dead = false;
             last_progress = now ();
           }
+        in
+        Hashtbl.replace st.conns cid c;
+        Hashtbl.replace st.by_fd fd c
       end
   done
 
@@ -824,7 +653,9 @@ let recover_journal cfg ~pool ~leases =
 (* ------------------------------------------------------------------ *)
 (* The serving loop *)
 
-let select_step st =
+(* Block until a connection, the listener or the stop pipe is ready;
+   the readable fds come back. *)
+let select_step st conns =
   let reads = ref [ st.wake_r ] in
   let writes = ref [] in
   (match (st.phase, st.listen_fd) with
@@ -833,20 +664,49 @@ let select_step st =
   | _ -> ());
   List.iter
     (fun c ->
-      if not c.dead then begin
-        (* Read-pausing backpressure: a peer whose outbound backlog is
-           over the bound stops being read — it cannot submit more work
-           until it drains what it already owes us. *)
-        if
-          st.phase = Serving && (not c.closing)
-          && Session.out_bytes c.session <= st.cfg.max_out_bytes
-        then reads := c.fd :: !reads;
-        if out_pending c then writes := c.fd :: !writes
-      end)
-    (conn_list st);
+      (* Read-pausing backpressure: a peer whose outbound backlog is
+         over the bound stops being read — it cannot submit more work
+         until it drains what it already owes us. *)
+      if
+        st.phase = Serving && (not c.closing)
+        && Session.out_bytes c.session <= st.cfg.max_out_bytes
+      then reads := c.fd :: !reads;
+      if out_pending c then writes := c.fd :: !writes)
+    conns;
   match Unix.select !reads !writes [] 0.1 with
-  | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
-  | r, w, _ -> (r, w)
+  | exception Unix.Unix_error (EINTR, _, _) -> []
+  | r, _, _ -> r
+
+(* Stop serving: return every name still on a session ledger or lease
+   table (journaling the releases).  The shard queues are empty at the
+   end of every tick, so there is no in-flight work to wait for. *)
+let drain st conns =
+  let drained = ref 0 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun name ->
+          Session.note_released c.session name;
+          release_lease st name;
+          drain_release st name;
+          incr drained)
+        (Session.held c.session))
+    conns;
+  (* Orphan leases (recovered grants nobody reclaimed) hold real cells
+     but sit on no session ledger; release them too or the
+     conservation check would call them a leak. *)
+  List.iter
+    (fun (name, epoch, _holder, _token) ->
+      (match journal_append st (Journal.Release { name; epoch }) with
+      | Ok () -> ()
+      | Error m ->
+        st.cfg.log
+          (Printf.sprintf "journal: drain release of %d not recorded (%s)" name
+             m));
+      drain_release st name;
+      incr drained)
+    (Lease.expire_due st.leases ~now:infinity);
+  st.cfg.log (Printf.sprintf "auto-released %d held name(s)" !drained)
 
 let run ?handle cfg =
   if cfg.shards < 1 then invalid_arg "Server.run: shards < 1";
@@ -869,6 +729,7 @@ let run ?handle cfg =
       close_journal ();
       e
     | Ok listen_fd ->
+      (* The self-pipe only lets {!stop} wake [select]. *)
       let wake_r, wake_w = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock wake_r;
       Unix.set_nonblock wake_w;
@@ -881,19 +742,18 @@ let run ?handle cfg =
           journal;
           recovered;
           handle;
-          workers = Array.init cfg.shards (fun _ -> Q.create ());
-          outbox = Q.create ();
+          queues = Array.init cfg.shards (fun _ -> Queue.create ());
           wake_r;
-          wake_w;
           conns = Hashtbl.create 64;
+          by_fd = Hashtbl.create 64;
           started = now ();
           scratch = Bytes.create 65536;
+          out = Buffer.create 256;
           overload =
             Overload.create ?config:cfg.overload ~queue_bound:cfg.max_queue ();
           listen_fd = Some listen_fd;
           phase = Serving;
           next_cid = 0;
-          inflight_total = 0;
           next_sweep = 0.;
           conns_served = 0;
           requests = 0;
@@ -909,15 +769,7 @@ let run ?handle cfg =
           stalled_conns = 0;
           queue_peak = 0;
           flush_deadline = 0.;
-          acq_depth = Array.init cfg.shards (fun _ -> Atomic.make 0);
         }
-      in
-      (* The only Domain.spawn outside lib/shm and the engine pool: the
-         serving substrate owns its shard workers the same way the runner
-         owns its domains.  They are joined on every exit path below. *)
-      let domains =
-        Array.init cfg.shards (fun i ->
-            Domain.spawn (fun () -> worker_loop st i))
       in
       cfg.log
         (Printf.sprintf
@@ -928,9 +780,6 @@ let run ?handle cfg =
            (match cfg.journal_path with
            | Some p -> Printf.sprintf ", journal %s" p
            | None -> ""));
-      let fd_conn fd =
-        List.find_opt (fun c -> (not c.dead) && c.fd = fd) (conn_list st)
-      in
       let close_listener () =
         match st.listen_fd with
         | None -> ()
@@ -941,7 +790,8 @@ let run ?handle cfg =
       in
       let running = ref true in
       while !running do
-        let readable, writable = select_step st in
+        let conns = conn_list st in
+        let readable = select_step st conns in
         (* Wake bytes carry no data; drain and discard. *)
         if List.mem st.wake_r readable then (
           try
@@ -949,28 +799,35 @@ let run ?handle cfg =
               ()
             done
           with Unix.Unix_error _ -> ());
-        List.iter (handle_done st) (Q.drain st.outbox);
         (match st.listen_fd with
         | Some fd when List.mem fd readable -> accept_ready st fd
         | _ -> ());
+        (* (a) Read and admit.  Once every shard queue is full the rest
+           of the ready connections stay unread this tick: their bytes
+           wait in the kernel instead of being read only to be refused. *)
         List.iter
           (fun fd ->
-            if fd <> st.wake_r && Some fd <> st.listen_fd then
-              match fd_conn fd with Some c -> on_readable st c | None -> ())
+            match Hashtbl.find_opt st.by_fd fd with
+            | Some c when not (queues_full st) -> on_readable st c
+            | _ -> ())
           readable;
+        (* (b) The overload machine sees the deepest queue. *)
+        if st.phase = Serving then begin
+          let depth = max_queue_depth st in
+          st.queue_peak <- max st.queue_peak depth;
+          ignore (Overload.observe st.overload ~now:(now ()) ~queue_depth:depth)
+        end;
+        (* (c) Serve every admitted acquire, (d) flush the replies. *)
+        serve_queues st;
         List.iter
-          (fun fd ->
-            match fd_conn fd with Some c -> on_writable st c | None -> ())
-          writable;
+          (fun c -> if (not c.dead) && out_pending c then on_writable st c)
+          conns;
         (* Connections asked to close (protocol corruption): flush, drop. *)
         List.iter
           (fun c ->
-            if
-              c.closing && (not c.dead)
-              && (not (out_pending c))
-              && c.inflight = 0
-            then disconnect st c)
-          (conn_list st);
+            if c.closing && (not c.dead) && not (out_pending c) then
+              disconnect st c)
+          conns;
         (* Slow-reader stall: over the outbound bound AND no byte has
            drained for stall_s — the peer is gone or wedged, so cut it
            loose (its ledger auto-releases through the drain path). *)
@@ -992,71 +849,32 @@ let run ?handle cfg =
                     (t -. c.last_progress));
                disconnect st c
              end)
-           (conn_list st));
-        (* Lease expiry sweep + overload machine tick *)
+           conns);
+        (* Lease expiry sweep *)
         (if st.phase = Serving then
            let t = now () in
-           let depth = max_queue_depth st in
-           st.queue_peak <- max st.queue_peak depth;
-           ignore (Overload.observe st.overload ~now:t ~queue_depth:depth);
            if t >= st.next_sweep then begin
              sweep st t;
              st.next_sweep <- t +. sweep_period st
            end);
         (* Phase transitions *)
-        (match st.phase with
-        | Serving when stop_requested handle ->
-          cfg.log "stop requested: draining in-flight jobs";
+        if st.phase = Serving && stop_requested handle then begin
+          cfg.log "stop requested: draining";
           close_listener ();
-          st.phase <- Draining_jobs
-        | Serving -> ()
-        | Draining_jobs when st.inflight_total = 0 ->
-          let drained = ref 0 in
-          List.iter
-            (fun c ->
-              List.iter
-                (fun name ->
-                  Session.note_released c.session name;
-                  release_lease st name;
-                  enqueue_drain_release st name;
-                  incr drained)
-                (Session.held c.session))
-            (conn_list st);
-          (* Orphan leases (recovered grants nobody reclaimed) hold
-             real cells but sit on no session ledger; release them too
-             or the conservation check would call them a leak. *)
-          List.iter
-            (fun (name, epoch, _holder, _token) ->
-              (match journal_append st (Journal.Release { name; epoch }) with
-              | Ok () -> ()
-              | Error m ->
-                st.cfg.log
-                  (Printf.sprintf
-                     "journal: drain release of %d not recorded (%s)" name m));
-              enqueue_drain_release st name;
-              incr drained)
-            (Lease.expire_due st.leases ~now:infinity);
-          cfg.log
-            (Printf.sprintf "drained jobs; auto-releasing %d held name(s)"
-               !drained);
-          st.phase <- Draining_ledgers
-        | Draining_jobs -> ()
-        | Draining_ledgers when st.inflight_total = 0 ->
+          drain st (conn_list st);
           st.phase <- Flushing;
           st.flush_deadline <- now () +. 5.
-        | Draining_ledgers -> ()
-        | Flushing ->
-          let unflushed =
-            List.exists (fun c -> (not c.dead) && out_pending c) (conn_list st)
-          in
-          if (not unflushed) || now () > st.flush_deadline then running := false);
-        ()
+        end;
+        if
+          st.phase = Flushing
+          && ((not (List.exists (fun c -> (not c.dead) && out_pending c) conns))
+             || now () > st.flush_deadline)
+        then running := false
       done;
-      (* Teardown: close clients, stop workers, check slot conservation. *)
-      List.iter (fun c -> if not c.dead then close_fd c.fd) (conn_list st);
+      (* Teardown: close clients, check slot conservation. *)
+      List.iter (fun c -> close_fd c.fd) (conn_list st);
       Hashtbl.reset st.conns;
-      Array.iter (fun q -> Q.push q Quit) st.workers;
-      Array.iter Domain.join domains;
+      Hashtbl.reset st.by_fd;
       close_listener ();
       close_journal ();
       Atomic.set handle.wake None;

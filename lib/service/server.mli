@@ -3,20 +3,25 @@
     Architecture (the async-front-end-over-pure-core layering the
     frenetic exemplar uses, realized with what OCaml 5 + Unix give us):
 
-    - {b One I/O domain} runs a [select] event loop over the
+    - {b One serving domain} runs a [select] event loop over the
       Unix-domain listening socket, every client connection and a
-      self-pipe.  It owns all sessions (framing + held-name ledgers),
-      the lease table and the journal, and handles [stats]/[renew]/
-      [shutdown] inline.
-    - {b One worker domain per shard} owns that shard's
-      {!Renaming.Long_lived} instance and executes acquires/releases
-      against the shared {!Shm.Atomic_space} — the genuinely parallel
-      part.  Jobs arrive on a per-worker queue; completions return on a
-      shared outbox, and the worker taps the self-pipe so the I/O
-      domain wakes immediately.
+      self-pipe that only {!stop} writes.  It owns all sessions
+      (framing + held-name ledgers), the shard pool, the lease table
+      and the journal.
+    - {b Each tick} does four things in order: (a) read and decode the
+      ready connections, admitting every acquire into its shard's
+      queue (releases, renews, stats and shutdown run at once); (b)
+      feed the deepest queue to the {!Overload} machine; (c) serve
+      every queued acquire in FIFO order — deadline check, the
+      wait-free {!Shard.acquire} (about 100 ns), lease grant, journal
+      append, reply; (d) flush.  The queues are empty at the end of
+      every tick.
 
-    Responses therefore complete out of order across shards; the wire
-    protocol's request ids make that safe.
+    Shards are namespace partitions of one {!Shm.Atomic_space}, each
+    with its own coin stream; they are not threads.  Acquire replies
+    are sent after the read pass, so on one connection they can follow
+    replies to requests read after them; the wire protocol's request
+    ids make that safe.
 
     {b Leases.}  Every grant carries a TTL ([lease_ttl_s]).  Clients
     keep their names with the [renew] heartbeat; the expiry sweep
@@ -39,30 +44,35 @@
     [fsync] per grant and is off by default.
 
     {b Overload.}  Admission is bounded end to end: each shard queue
-    holds at most [max_queue] jobs (a full queue purges its
-    already-expired acquires oldest-first, then refuses with
-    {!Wire.Busy} + a [retry_after_ms] hint), workers drop
-    deadline-expired work before touching the allocator
-    ([err_expired]), slow readers are paused past [max_out_bytes] of
+    holds at most [max_queue] acquires per tick (a full queue purges
+    its already-expired acquires oldest-first, then refuses with
+    {!Wire.Busy} + a [retry_after_ms] hint), and once every shard
+    queue is full the remaining ready connections are not read that
+    tick — their bytes wait in the kernel.  Deadline-expired work is
+    dropped at pick-up, before it touches the allocator
+    ([err_expired]); slow readers are paused past [max_out_bytes] of
     unsent responses and disconnected after [stall_s] without
-    progress, and an {!Overload} state machine (healthy -> degraded ->
+    progress; and an {!Overload} state machine (healthy -> degraded ->
     shedding, with hysteresis) short-circuits every new acquire to
     {!Wire.Busy} while shedding — releases, renews and stats always
     execute, so the system drains itself back to health.  All deadline
     arithmetic runs on the monotonic clock ({!Mono}).
 
     {b Graceful shutdown} ([SIGTERM]/[SIGINT] via {!stop}, or a client
-    [shutdown] request): the loop stops accepting connections and new
-    work (late requests get {!Wire.err_shutdown}), drains every
-    in-flight job, auto-releases every name still on a session ledger
-    or lease table (journaling the releases), flushes and closes, joins
-    the workers, and finally checks the slot-conservation law: a clean
-    exit has [taken_at_exit = 0] — the same leak accounting the chaos
+    [shutdown] request): at the end of the tick that sees the stop, the
+    loop closes the listener and stops reading connections (requests
+    still unread are never answered), auto-releases every name still
+    on a session ledger or lease table (journaling the releases) — one
+    step, since no admitted work outlives its tick — then flushes and
+    closes, and finally checks the slot-conservation law: a clean exit
+    has [taken_at_exit = 0] — the same leak accounting the chaos
     invariant monitor enforces. *)
 
 type config = {
   socket_path : string;
-  shards : int;  (** worker domains = allocator shards, >= 1 *)
+  shards : int;
+      (** allocator shards (namespace partitions with their own coin
+          streams, all served by the one serving domain), >= 1 *)
   capacity : int;  (** concurrent holders per shard *)
   seed : int;
   backlog : int;  (** listen backlog *)
@@ -71,9 +81,10 @@ type config = {
   journal_path : string option;  (** crash-safe grant journal (off = None) *)
   recover : bool;  (** replay live journal grants instead of refusing *)
   max_queue : int;
-      (** per-shard admission-queue bound: an acquire arriving at a
-          full queue is first relieved by purging already-expired
-          entries, then refused with {!Wire.Busy} *)
+      (** per-shard admission-queue bound (acquires admitted in one
+          tick): an acquire arriving at a full queue is first relieved
+          by purging already-expired entries, then refused with
+          {!Wire.Busy} *)
   max_out_bytes : int;
       (** per-connection outbound buffer bound: above it the peer's
           reads pause (backpressure) and the stall clock runs *)
@@ -106,9 +117,9 @@ type report = {
   recovered : int;  (** grants re-occupied from the journal at boot *)
   shed_busy : int;  (** acquires refused with {!Wire.Busy} at admission *)
   shed_expired : int;
-      (** acquires dropped because their deadline passed before a
-          worker reached them (purged from a full queue or checked at
-          pickup); never executed *)
+      (** acquires dropped because their deadline passed before they
+          were served (purged from a full queue or checked at
+          pick-up); never executed *)
   stalled_conns : int;  (** slow readers disconnected past [stall_s] *)
   queue_peak : int;  (** deepest shard queue observed *)
   taken_at_exit : int;  (** slot-conservation residue; 0 on a clean exit *)

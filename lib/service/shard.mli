@@ -9,12 +9,12 @@
     run the genuine O(log log n) probe sequence against hardware
     atomics; a release is one atomic reset of the name's cell.
 
-    Concurrency contract: {!acquire} for shard [s] must only be called
-    by the worker domain owning [s] (the per-shard SplitMix coin
-    stream is single-owner state); {!release}, the counters and
-    {!taken_count} are atomic and safe from any domain.  Nothing
-    enforces the ownership rule here — {!Server} enforces it by
-    construction, one worker domain per shard.
+    Concurrency contract: calls to {!acquire} for one shard [s] must
+    not overlap (the per-shard SplitMix coin stream is single-owner
+    state); {!release}, the counters and {!taken_count} are atomic and
+    safe from any domain.  Nothing enforces the ownership rule here —
+    {!Server} satisfies it by construction, serving every shard from
+    its one serving domain.
 
     Leak accounting mirrors the chaos invariant monitor's conservation
     law ({!Chaos.Chaos_runner}): [taken_count] minus the names the
@@ -52,7 +52,8 @@ val shard_of_name : t -> int -> int option
 val acquire : t -> shard:int -> client:int -> int option
 (** One long-lived acquisition on [shard]; the returned name is global.
     [None] when the shard's namespace is exhausted (overload) — the
-    caller maps this to {!Wire.err_capacity}.  Owner-domain only. *)
+    caller maps this to {!Wire.err_capacity}.  Calls for one shard
+    must not overlap. *)
 
 val retake : t -> name:int -> [ `Taken | `Already | `Outside ]
 (** Recovery path: re-occupy [name]'s cell directly (one TAS), bypassing

@@ -16,8 +16,8 @@
 
     Every request carries a client-chosen [id] echoed verbatim in the
     response, so one connection can multiplex many in-flight operations
-    (acquires route to per-shard worker domains and complete out of
-    order).  Decoding is incremental: feed whatever bytes have arrived
+    (the daemon answers acquires after the rest of a read, so their
+    replies can follow those of later requests).  Decoding is incremental: feed whatever bytes have arrived
     and get back a frame, a request for more bytes, or a corruption
     verdict — never an exception and never a partial value. *)
 
@@ -85,8 +85,8 @@ val err_busy : int
     frames in JSON mode *)
 
 val err_expired : int
-(** the request's [deadline_ms] budget ran out before a worker reached
-    it; shed, never executed *)
+(** the request's [deadline_ms] budget ran out before the server
+    reached it; shed, never executed *)
 
 val max_frame : int
 (** Upper bound on a binary payload and on a JSON line (64 KiB).  A

@@ -618,6 +618,67 @@ let test_e2e_sigterm_drains () =
       Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
       Client.close c)
 
+(* Stop lands while a pipelined burst is still being read and served:
+   the drain takes one step (the shard queues are empty at the end of
+   every tick), yet every granted name must come back, and the replies
+   the client does get must be whole frames up to the close. *)
+let test_e2e_stop_mid_burst () =
+  let path = fresh_socket_path () in
+  let s = start_server ~shards:1 ~capacity:4096 path in
+  let c = get "connect" (Client.connect ~path ()) in
+  let burst = 6000 in
+  for client = 1 to burst do
+    Client.post c
+      (Wire.Acquire { id = Client.fresh_id c; client; token = 0; deadline_ms = 0 })
+  done;
+  (match Client.flush c with Ok () -> () | Error e -> Alcotest.failf "flush: %s" e);
+  (* The burst is larger than one server read, so most of it is still
+     unread or queued when the stop lands. *)
+  Server.stop (Server.spawned_handle s);
+  let fd = Client.fd c in
+  let buf = Buffer.create 65536 in
+  let chunk = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec read_all () =
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "server never closed the connection";
+    match Unix.select [ fd ] [] [] 0.5 with
+    | [], _, _ -> read_all ()
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        read_all ()
+      | exception Unix.Unix_error (ECONNRESET, _, _) -> ())
+  in
+  read_all ();
+  let bytes = Buffer.to_bytes buf in
+  let granted = ref 0 and replies = ref 0 in
+  let rec decode pos =
+    let len = Bytes.length bytes - pos in
+    if len > 0 then
+      match Wire.decode_response Wire.Binary bytes ~pos ~len with
+      | Wire.Frame (r, used) ->
+        incr replies;
+        (match r with Wire.Acquired _ -> incr granted | _ -> ());
+        decode (pos + used)
+      | Wire.Need_more ->
+        Alcotest.failf "torn frame: %d trailing byte(s) at close" len
+      | Wire.Corrupt m -> Alcotest.failf "corrupt reply stream: %s" m
+  in
+  decode 0;
+  Client.close c;
+  Alcotest.(check bool) "some of the burst was served" true (!granted > 0);
+  Alcotest.(check bool) "at most one reply per request" true
+    (!replies <= burst);
+  match Server.join s with
+  | Error e -> Alcotest.failf "server failed: %s" e
+  | Ok r ->
+    Alcotest.(check int) "no slots leaked at exit" 0 r.Server.taken_at_exit;
+    Alcotest.(check int) "every unreleased grant drained" !granted
+      r.Server.drained_releases
+
 let test_e2e_dead_client_cleanup () =
   let path = fresh_socket_path () in
   let pid = start_server path in
@@ -768,6 +829,7 @@ let suite =
         tc "json mode" `Quick test_e2e_json_mode;
         tc "shutdown request" `Quick test_e2e_shutdown_request;
         tc "sigterm drains held names" `Quick test_e2e_sigterm_drains;
+        tc "stop mid-burst drains in one step" `Quick test_e2e_stop_mid_burst;
         tc "dead client cleanup" `Quick test_e2e_dead_client_cleanup;
         tc "protocol corruption" `Quick test_e2e_protocol_corruption;
         tc "stale socket reclaim" `Quick test_e2e_stale_socket_reclaim;
