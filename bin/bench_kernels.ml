@@ -1,32 +1,14 @@
-(* Microbenchmark kernels and regression rules behind `repro_cli bench`.
+(* The timed microbenchmark kernels behind `repro_cli bench`.
 
    Each kernel times a hot loop and meters its minor-heap traffic with
    [Gc.minor_words], reporting ns/op and words/op where an "op" is one
    simulated shared-memory step (simulation kernels) or one draw (PRNG
    kernels).  The headline pairs run the same algorithm on the fast and
    effects substrates so the suite records the speedup the
-   zero-allocation core actually delivers on this machine; absolute
-   ns/op is machine-dependent and therefore informational only, while
-   words/op and speedup are the regression-checked quantities
-   ([check]). *)
+   zero-allocation core actually delivers on this machine.  The
+   artifact, its gates and its rendering are [Engine.Kernel_bench]. *)
 
-type kernel = {
-  name : string;
-  n : int;  (* problem size: process count, or draws per run for PRNG kernels *)
-  runs : int;
-  ops : int;
-  ns_per_op : float;
-  words_per_op : float;  (* minor words allocated per op *)
-}
-
-type speedup = { pair : string; speedup : float }
-
-type suite = {
-  seed : int;
-  scale : float;
-  kernels : kernel list;
-  speedups : speedup list;
-}
+open Engine.Kernel_bench
 
 (* Wall-clock here is the measurement payload of a benchmark binary and
    never feeds experiment results.  repro-lint: allow wall-clock *)
@@ -141,193 +123,3 @@ let run_suite ~seed ~scale =
       [ sp "rebatching" reb_fast reb_effects;
         sp "fast-adaptive" fa_fast fa_effects ];
   }
-
-(* ------------------------------------------------------------------ *)
-(* JSON round-trip (the committed BENCH_<k>.json baseline format) *)
-
-let to_json s =
-  let kernel k =
-    Jsonu.Obj
-      [
-        ("name", Jsonu.Str k.name);
-        ("n", Jsonu.Int k.n);
-        ("runs", Jsonu.Int k.runs);
-        ("ops", Jsonu.Int k.ops);
-        ("ns_per_op", Jsonu.Num k.ns_per_op);
-        ("words_per_op", Jsonu.Num k.words_per_op);
-      ]
-  in
-  let speedup s =
-    Jsonu.Obj [ ("pair", Jsonu.Str s.pair); ("speedup", Jsonu.Num s.speedup) ]
-  in
-  Jsonu.Obj
-    [
-      ("kind", Jsonu.Str "bench");
-      ("schema", Jsonu.Int 1);
-      ("seed", Jsonu.Int s.seed);
-      ("scale", Jsonu.Num s.scale);
-      ("kernels", Jsonu.Arr (List.map kernel s.kernels));
-      ("speedups", Jsonu.Arr (List.map speedup s.speedups));
-    ]
-
-let of_json j =
-  let fields = Jsonu.obj j in
-  if Jsonu.str fields "kind" <> "bench" then raise Jsonu.Malformed;
-  let kernel j =
-    let f = Jsonu.obj j in
-    {
-      name = Jsonu.str f "name";
-      n = Jsonu.int_ f "n";
-      runs = Jsonu.int_ f "runs";
-      ops = Jsonu.int_ f "ops";
-      ns_per_op = Jsonu.num f "ns_per_op";
-      words_per_op = Jsonu.num f "words_per_op";
-    }
-  in
-  let speedup j =
-    let f = Jsonu.obj j in
-    { pair = Jsonu.str f "pair"; speedup = Jsonu.num f "speedup" }
-  in
-  {
-    seed = Jsonu.int_ fields "seed";
-    scale = Jsonu.num fields "scale";
-    kernels = List.map kernel (Jsonu.arr fields "kernels");
-    speedups = List.map speedup (Jsonu.arr fields "speedups");
-  }
-
-let load path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Jsonu.parse (String.trim contents) with
-  | Some j -> of_json j
-  | None -> raise Jsonu.Malformed
-
-(* ------------------------------------------------------------------ *)
-(* Regression rules *)
-
-(* The speedup pass bar: at or above this multiple the pair passes
-   outright, whatever the baseline says.  Matches the repository's
-   headline claim for the rebatching kernel. *)
-let speedup_floor = 5.0
-
-(* The kernels whose hot loop is claimed allocation-free outright: the
-   fast-substrate sides of the headline pairs and the flat PRNG bank.
-   These are gated absolutely (words/op under [zero_alloc_budget]), not
-   merely relative to the baseline — a baseline recorded with a box in
-   the loop must not grandfather the box in. *)
-let zero_alloc_kernels =
-  [ "rebatching/fast"; "fast-adaptive/fast"; "prng/flat-int" ]
-
-(* A single box costs >= 1 word/op; the Gc.minor_words metering itself
-   amortizes to orders of magnitude less over millions of ops. *)
-let zero_alloc_budget = 0.01
-
-(* Allocation regressions fail on words/op exceeding the baseline by
-   max(0.25, threshold x baseline): the additive floor keeps a 0-alloc
-   baseline from turning measurement jitter into failures while still
-   catching a real box sneaking into the loop.  The [zero_alloc_kernels]
-   are additionally held to the absolute [zero_alloc_budget].  Speedups
-   pass at [speedup_floor] or within threshold of baseline; ns/op is
-   never checked (absolute timing is machine noise). *)
-let check ~threshold ~baseline ~current =
-  let findings = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
-  List.iter
-    (fun name ->
-      match List.find_opt (fun k -> k.name = name) current.kernels with
-      | None -> add "zero-allocation kernel %s missing from this run" name
-      | Some c ->
-        if c.words_per_op > zero_alloc_budget then
-          add "%s allocates %.3f words/op; it is claimed allocation-free \
-               (budget %.2f)"
-            c.name c.words_per_op zero_alloc_budget)
-    zero_alloc_kernels;
-  List.iter
-    (fun b ->
-      match List.find_opt (fun k -> k.name = b.name) current.kernels with
-      | None -> add "kernel %s present in baseline but not in this run" b.name
-      | Some c ->
-        let allowed =
-          b.words_per_op +. Float.max 0.25 (threshold *. b.words_per_op)
-        in
-        if c.words_per_op > allowed then
-          add "%s allocates %.2f words/op (baseline %.2f, allowed %.2f)"
-            c.name c.words_per_op b.words_per_op allowed)
-    baseline.kernels;
-  List.iter
-    (fun b ->
-      match List.find_opt (fun s -> s.pair = b.pair) current.speedups with
-      | None -> add "speedup pair %s present in baseline but not in this run" b.pair
-      | Some c ->
-        if
-          c.speedup < speedup_floor
-          && c.speedup < (1. -. threshold) *. b.speedup
-        then
-          add "%s speedup fell to %.2fx (baseline %.2fx, floor %.1fx)" c.pair
-            c.speedup b.speedup speedup_floor)
-    baseline.speedups;
-  List.rev !findings
-
-(* ------------------------------------------------------------------ *)
-(* Rendering and file management *)
-
-let render s =
-  let t =
-    Harness.Table.create
-      ~columns:
-        [
-          ("kernel", Harness.Table.Left);
-          ("n", Harness.Table.Right);
-          ("runs", Harness.Table.Right);
-          ("ops", Harness.Table.Right);
-          ("ns/op", Harness.Table.Right);
-          ("words/op", Harness.Table.Right);
-        ]
-  in
-  List.iter
-    (fun k ->
-      Harness.Table.add_row t
-        [
-          k.name;
-          Harness.Table.cell_int k.n;
-          Harness.Table.cell_int k.runs;
-          Harness.Table.cell_int k.ops;
-          Harness.Table.cell_float ~decimals:1 k.ns_per_op;
-          Harness.Table.cell_float ~decimals:3 k.words_per_op;
-        ])
-    s.kernels;
-  let sp =
-    Harness.Table.create
-      ~columns:
-        [ ("pair", Harness.Table.Left); ("fast vs effects", Harness.Table.Right) ]
-  in
-  List.iter
-    (fun x ->
-      Harness.Table.add_row sp
-        [ x.pair; Printf.sprintf "%.2fx" x.speedup ])
-    s.speedups;
-  Harness.Table.render t ^ "\n\n" ^ Harness.Table.render sp
-
-(* Next free BENCH_<k>.json index, so successive local runs accumulate
-   side by side and BENCH_0.json stays the committed baseline. *)
-let next_index dir =
-  let taken = Hashtbl.create 8 in
-  (if Sys.file_exists dir then
-     Array.iter
-       (fun f ->
-         match Scanf.sscanf_opt f "BENCH_%d.json%!" (fun i -> i) with
-         | Some i -> Hashtbl.replace taken i ()
-         | None -> ())
-       (Sys.readdir dir));
-  let rec go i = if Hashtbl.mem taken i then go (i + 1) else i in
-  go 0
-
-let save ~dir s =
-  Engine.Sink.mkdir_p dir;
-  let path = Filename.concat dir (Printf.sprintf "BENCH_%d.json" (next_index dir)) in
-  let oc = open_out_bin path in
-  output_string oc (Jsonu.to_string (to_json s));
-  output_char oc '\n';
-  close_out oc;
-  path

@@ -476,6 +476,51 @@ let read_text file =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
+(* Committed artifacts: the five BENCH_*.json kinds, and the one
+   emit -> save -> gate path all their producers share *)
+
+let artifact_kinds =
+  Engine.Artifact.
+    [
+      Any Engine.Kernel_bench.kind;
+      Any Engine.Sweep.kind;
+      Any Service.Service_bench.kind;
+      Any Service.Recovery_bench.kind;
+      Any Service.Overload_bench.kind;
+    ]
+
+(* Print [art] (its canonical JSON with --json, else rendered), save it
+   as the next numbered file under [out], and gate it: on its own audit,
+   or with --check on audit @ regress against the baseline.  Chatter
+   goes to stderr as "[tag] ...", so --json leaves stdout one document.
+   Exit 0 when there are no findings and [ok] holds, 1 on findings, 2
+   when the baseline is missing, unreadable or of another kind. *)
+let emit_artifact ~tag ~json ~out ~check ~threshold ?(ok = true)
+    (kind : _ Engine.Artifact.kind) art =
+  let log fmt = Printf.ksprintf (Printf.eprintf "[%s] %s\n%!" tag) fmt in
+  if json then print_string (kind.encode art)
+  else print_endline (kind.render art);
+  log "wrote %s" (Engine.Artifact.save kind ~dir:out art);
+  let verdict findings =
+    List.iter (log "FAIL: %s") findings;
+    if findings = [] && ok then 0 else 1
+  in
+  match check with
+  | None -> verdict (kind.audit art)
+  | Some file -> (
+    match Engine.Artifact.load kind file with
+    | Error e ->
+      log "cannot use baseline %s" e;
+      2
+    | Ok baseline ->
+      let findings =
+        Engine.Artifact.check kind ~threshold ~baseline ~current:art
+      in
+      if findings = [] then
+        log "regression check passed against %s (threshold %g)" file threshold;
+      verdict findings)
+
+(* ------------------------------------------------------------------ *)
 (* doctor: audit a result store for integrity problems *)
 
 let doctor dir =
@@ -763,170 +808,17 @@ let doctor dir =
                  file
                  (List.length live.Service.Journal.grants)
                  file);
+    (* Benchmark artifacts: every numbered BENCH_*.json, dispatched on
+       its kind field and audited by that kind. *)
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.starts_with ~prefix:"BENCH_SERVICE_" f
-           && Filename.check_suffix f ".json")
+    |> List.filter (Engine.Artifact.numbered artifact_kinds)
     |> List.sort compare
     |> List.iter (fun file ->
-           let path = Filename.concat dir file in
-           match Service.Service_bench.load path with
-           | exception Jsonu.Malformed -> (
-             (* The BENCH_SERVICE_<k> numbering is shared with the
-                kill/restart soak's bench-service-recovery artifacts
-                and the overload soak's bench-service-overload ones. *)
-             match Service.Recovery_bench.load path with
-             | exception Jsonu.Malformed -> (
-               match Service.Overload_bench.load path with
-               | exception Jsonu.Malformed ->
-                 problem
-                   "%s: not a bench-service, bench-service-recovery or \
-                    bench-service-overload JSON document (schema drift?)"
-                   file
-               | exception Sys_error e -> problem "%s: unreadable: %s" file e
-               | a ->
-                 Printf.printf
-                   "%s: overload soak, %.1fx capacity %.0f/s: goodput \
-                    %.0f/s, %d shed, %d expired, level %s\n"
-                   file a.Service.Overload_bench.overdrive
-                   a.Service.Overload_bench.capacity_ops
-                   a.Service.Overload_bench.goodput_daemon
-                   a.Service.Overload_bench.shed
-                   a.Service.Overload_bench.expired
-                   a.Service.Overload_bench.level;
-                 if
-                   a.Service.Overload_bench.violations <> 0
-                   || a.Service.Overload_bench.leaked > 0
-                   || a.Service.Overload_bench.errors <> 0
-                   || a.Service.Overload_bench.timeouts <> 0
-                   || not a.Service.Overload_bench.drain_complete
-                 then
-                   problem
-                     "%s: recorded audit failures (%d violation(s), %d \
-                      leaked, %d error(s), %d timeout(s), drain %s)"
-                     file a.Service.Overload_bench.violations
-                     a.Service.Overload_bench.leaked
-                     a.Service.Overload_bench.errors
-                     a.Service.Overload_bench.timeouts
-                     (if a.Service.Overload_bench.drain_complete then
-                        "complete"
-                      else "cut short");
-                 if
-                   a.Service.Overload_bench.queue_peak
-                   > a.Service.Overload_bench.queue_bound
-                 then
-                   problem
-                     "%s: recorded queue peak %d past the %d admission \
-                      bound — queues grew without limit during the soak"
-                     file a.Service.Overload_bench.queue_peak
-                     a.Service.Overload_bench.queue_bound)
-             | exception Sys_error e -> problem "%s: unreadable: %s" file e
-             | a ->
-               Printf.printf
-                 "%s: recovery soak, %d cycle(s) x %.0f/s: p99 %.0f ms, \
-                  %d reconnect(s)\n"
-                 file a.Service.Recovery_bench.cycles
-                 a.Service.Recovery_bench.rate
-                 a.Service.Recovery_bench.recovery_p99_ms
-                 a.Service.Recovery_bench.reconnects;
-               if
-                 a.Service.Recovery_bench.duplicate_grants <> 0
-                 || a.Service.Recovery_bench.leaked_after_expiry <> 0
-                 || a.Service.Recovery_bench.violations <> 0
-                 || a.Service.Recovery_bench.errors <> 0
-                 || a.Service.Recovery_bench.timeouts <> 0
-                 || a.Service.Recovery_bench.journal_damaged <> 0
-                 || a.Service.Recovery_bench.daemon_exit <> 0
-               then
-                 problem
-                   "%s: recorded recovery-audit failures (%d duplicate \
-                    grant(s), %d leaked after expiry, %d violation(s), \
-                    %d error(s), %d timeout(s), %d damaged, exit %d)"
-                   file a.Service.Recovery_bench.duplicate_grants
-                   a.Service.Recovery_bench.leaked_after_expiry
-                   a.Service.Recovery_bench.violations
-                   a.Service.Recovery_bench.errors
-                   a.Service.Recovery_bench.timeouts
-                   a.Service.Recovery_bench.journal_damaged
-                   a.Service.Recovery_bench.daemon_exit)
-           | exception Sys_error e -> problem "%s: unreadable: %s" file e
-           | a ->
-             Printf.printf
-               "%s: %.0f/s x %.1fs on %d shard(s): %.0f op/s, p99 %.1fus\n"
-               file a.Service.Service_bench.rate
-               a.Service.Service_bench.duration_s
-               a.Service.Service_bench.shards
-               a.Service.Service_bench.throughput
-               (float_of_int a.Service.Service_bench.lat_p99 /. 1e3);
-             if
-               a.Service.Service_bench.violations <> 0
-               || a.Service.Service_bench.leaked > 0
-               || a.Service.Service_bench.errors <> 0
-               || a.Service.Service_bench.timeouts <> 0
-             then
-               problem
-                 "%s: recorded audit failures (%d violation(s), %d leaked, \
-                  %d error(s), %d timeout(s))"
-                 file a.Service.Service_bench.violations
-                 a.Service.Service_bench.leaked a.Service.Service_bench.errors
-                 a.Service.Service_bench.timeouts);
-    (* Kernel / large-n benchmark artifacts: BENCH_<k>.json numbering is
-       shared between the kind="bench" microbench suites and the
-       kind="bench-large" decade sweeps; dispatch on the kind field. *)
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           Scanf.sscanf_opt f "BENCH_%d.json%!" (fun i -> i) <> None)
-    |> List.sort compare
-    |> List.iter (fun file ->
-           let path = Filename.concat dir file in
-           match Engine.Sweep.load path with
-           | Some a ->
-             let series =
-               List.sort_uniq compare
-                 (List.map
-                    (fun r -> (r.Engine.Sweep.experiment, r.Engine.Sweep.series))
-                    a.Engine.Sweep.rows)
-             in
-             Printf.printf
-               "%s: bench-large sweep, seed=%d, %d row(s) across %d series\n"
-               file a.Engine.Sweep.seed
-               (List.length a.Engine.Sweep.rows)
-               (List.length series);
-             List.iter (fun p -> problem "%s: %s" file p)
-               (Engine.Sweep.audit a)
-           | None -> (
-             match Bench_kernels.load path with
-             | exception Jsonu.Malformed ->
-               problem
-                 "%s: neither a bench nor a bench-large JSON document \
-                  (schema drift?)"
-                 file
-             | exception Sys_error e -> problem "%s: unreadable: %s" file e
-             | s ->
-               Printf.printf "%s: kernel bench, seed=%d, %d kernel(s)\n" file
-                 s.Bench_kernels.seed
-                 (List.length s.Bench_kernels.kernels);
-               if s.Bench_kernels.kernels = [] then
-                 problem "%s: bench artifact has no kernels" file;
-               List.iter
-                 (fun (k : Bench_kernels.kernel) ->
-                   if
-                     not
-                       (Float.is_finite k.Bench_kernels.ns_per_op
-                       && Float.is_finite k.Bench_kernels.words_per_op)
-                   then
-                     problem "%s: kernel %s has non-finite measurements" file
-                       k.Bench_kernels.name;
-                   if
-                     List.mem k.Bench_kernels.name Bench_kernels.zero_alloc_kernels
-                     && k.Bench_kernels.words_per_op
-                        > Bench_kernels.zero_alloc_budget
-                   then
-                     problem
-                       "%s: fast kernel %s records %.3f words/op (budget %.2f)"
-                       file k.Bench_kernels.name k.Bench_kernels.words_per_op
-                       Bench_kernels.zero_alloc_budget)
-                 s.Bench_kernels.kernels));
+           let summary, problems =
+             Engine.Artifact.inspect artifact_kinds (Filename.concat dir file)
+           in
+           Option.iter (Printf.printf "%s: %s\n" file) summary;
+           List.iter (fun p -> problem "%s: %s" file p) problems);
     Printf.printf "doctor: %d problem(s), %d note(s)\n" !problems !notes;
     if !problems = 0 then 0 else 1
   end
@@ -1284,7 +1176,7 @@ let chaos_service json cycles rate duration conns clients shards capacity
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "renamed_soak_%d" (Unix.getpid ()))
     in
-    Service.Service_bench.mkdir_p dir;
+    Engine.Sink.mkdir_p dir;
     let real_sock = Filename.concat dir "renamed.sock" in
     let proxy_sock = Filename.concat dir "proxy.sock" in
     let journal = Filename.concat dir "renamed.journal" in
@@ -1499,47 +1391,8 @@ let chaos_service json cycles rate duration conns clients shards capacity
               daemon_exit;
             }
           in
-          if json then
-            print_endline
-              (Jsonu.to_string (Service.Recovery_bench.to_json art))
-          else print_endline (Service.Recovery_bench.render art);
-          let path = Service.Recovery_bench.save ~dir:out art in
-          log "wrote %s" path;
-          let audit_exit =
-            if
-              art.Service.Recovery_bench.duplicate_grants = 0
-              && art.Service.Recovery_bench.leaked_after_expiry = 0
-              && art.Service.Recovery_bench.violations = 0
-              && art.Service.Recovery_bench.errors = 0
-              && art.Service.Recovery_bench.timeouts = 0
-              && art.Service.Recovery_bench.journal_damaged = 0
-              && art.Service.Recovery_bench.daemon_exit = 0
-              && art.Service.Recovery_bench.acquired > 0
-            then 0
-            else 1
-          in
-          (match check with
-          | None -> audit_exit
-          | Some file -> (
-            match Service.Recovery_bench.load file with
-            | exception Sys_error msg ->
-              log "cannot read baseline: %s" msg;
-              2
-            | exception Jsonu.Malformed ->
-              log "baseline %s is not a bench-service-recovery document" file;
-              2
-            | baseline -> (
-              match
-                Service.Recovery_bench.check ~threshold ~baseline
-                  ~current:art
-              with
-              | [] ->
-                log "regression check passed against %s (threshold %g)" file
-                  threshold;
-                audit_exit
-              | findings ->
-                List.iter (fun f -> log "FAIL: %s" f) findings;
-                1))))
+          emit_artifact ~tag:"soak" ~json ~out ~check ~threshold
+            Service.Recovery_bench.kind art)
   end
 
 (* chaos overload: drive the daemon far past capacity and check that it
@@ -1572,7 +1425,7 @@ let chaos_overload json overdrive calibrate_rate calibrate_duration duration
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "renamed_overload_%d" (Unix.getpid ()))
     in
-    Service.Service_bench.mkdir_p dir;
+    Engine.Sink.mkdir_p dir;
     let sock = Filename.concat dir "renamed.sock" in
     let cleanup () =
       if keep then log "keeping %s" dir
@@ -1794,51 +1647,10 @@ let chaos_overload json overdrive calibrate_rate calibrate_duration duration
               drain_complete = r.Service.Load_gen.drain_complete;
             }
           in
-          if json then
-            print_endline (Jsonu.to_string (Service.Overload_bench.to_json art))
-          else print_endline (Service.Overload_bench.render art);
-          let path = Service.Overload_bench.save ~dir:out art in
-          log "wrote %s" path;
-          let audit_exit =
-            if
-              art.Service.Overload_bench.violations = 0
-              && art.Service.Overload_bench.leaked = 0
-              && art.Service.Overload_bench.errors = 0
-              && art.Service.Overload_bench.timeouts = 0
-              && art.Service.Overload_bench.acquired > 0
-              && art.Service.Overload_bench.shed
-                 + art.Service.Overload_bench.expired
-                 > 0
-              && art.Service.Overload_bench.queue_peak
-                 <= art.Service.Overload_bench.queue_bound
-              && art.Service.Overload_bench.goodput_daemon
-                 >= 0.8 *. capacity_ops
-              && art.Service.Overload_bench.drain_complete
-              && daemon_exit = 0
-            then 0
-            else 1
-          in
-          (match check with
-          | None -> audit_exit
-          | Some file -> (
-            match Service.Overload_bench.load file with
-            | exception Sys_error msg ->
-              log "cannot read baseline: %s" msg;
-              2
-            | exception Jsonu.Malformed ->
-              log "baseline %s is not a bench-service-overload document" file;
-              2
-            | baseline -> (
-              match
-                Service.Overload_bench.check ~threshold ~baseline ~current:art
-              with
-              | [] ->
-                log "regression check passed against %s (threshold %g)" file
-                  threshold;
-                audit_exit
-              | findings ->
-                List.iter (fun f -> log "FAIL: %s" f) findings;
-                1)))))
+          (* The daemon's own exit code is its shutdown leak audit: a
+             condition of the soak run, not a field of the artifact. *)
+          emit_artifact ~tag:"overload" ~json ~out ~check ~threshold
+            ~ok:(daemon_exit = 0) Service.Overload_bench.kind art))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2236,7 +2048,9 @@ let all_cmd =
 let doctor_cmd =
   let doc =
     "Audit a result store: truncated tails, malformed lines, duplicate \
-     keys, seed-tree mismatches, and quarantine contents."
+     keys, seed-tree mismatches, and quarantine contents; plus chaos \
+     plans, counterexamples, sockets, journals and every numbered \
+     BENCH_*.json artifact, audited by its kind."
   in
   let dir_t =
     Arg.(
@@ -2661,7 +2475,11 @@ let chaos_cmd =
         `P
           "The outcome is recorded as the next free BENCH_SERVICE_<k>.json \
            with kind bench-service-recovery; bench/BENCH_SERVICE_1.json is \
-           the committed baseline CI gates against with $(b,--check).";
+           the committed baseline CI gates against with $(b,--check).  \
+           Any audit finding exits 1, with or without $(b,--check): \
+           duplicate grants, slots leaked after expiry, violations, \
+           errors, timeouts, journal damage, a failed drain, no \
+           acquires, or fewer reconnects than kill cycles.";
       ]
     in
     let cycles_t =
@@ -2781,7 +2599,10 @@ let chaos_cmd =
         `P
           "The outcome is recorded as the next free BENCH_SERVICE_<k>.json \
            with kind bench-service-overload; bench/BENCH_SERVICE_2.json is \
-           the committed baseline CI gates against with $(b,--check).";
+           the committed baseline CI gates against with $(b,--check).  \
+           Each survival property above is audited with or without \
+           $(b,--check), as is the daemon's own shutdown exit code; any \
+           failure exits 1.";
       ]
     in
     let overdrive_t =
@@ -2948,40 +2769,6 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc ~exits:finding_exits)
     Term.(const verify $ seed_t $ rounds_t)
 
-(* Informational chatter goes to stderr so `--json` leaves stdout a
-   single parseable document. *)
-let bench_kernel_suite json seed scale out check threshold =
-  let suite = Bench_kernels.run_suite ~seed ~scale in
-  if json then
-    print_endline (Jsonu.to_string (Bench_kernels.to_json suite))
-  else print_endline (Bench_kernels.render suite);
-  let path = Bench_kernels.save ~dir:out suite in
-  Printf.eprintf "[bench] wrote %s\n%!" path;
-  match check with
-  | None -> 0
-  | Some file ->
-    (match Bench_kernels.load file with
-    | exception Sys_error msg ->
-      Printf.eprintf "[bench] cannot read baseline: %s\n%!" msg;
-      2
-    | exception Jsonu.Malformed ->
-      Printf.eprintf "[bench] baseline %s is not a bench JSON document%s\n%!"
-        file
-        (if Engine.Sweep.load file <> None then
-           " (it is a bench-large sweep; use --large)"
-         else "");
-      2
-    | baseline -> (
-      match Bench_kernels.check ~threshold ~baseline ~current:suite with
-      | [] ->
-        Printf.eprintf
-          "[bench] regression check passed against %s (threshold %g)\n%!" file
-          threshold;
-        0
-      | findings ->
-        List.iter (Printf.eprintf "[bench] FAIL: %s\n%!") findings;
-        1))
-
 (* The large-n decade sweep: t1/t5 shapes on the streaming fast core, fanned
    across domains by Engine.Sweep with checkpoint/resume, aggregated into a
    kind="bench-large" BENCH_<k>.json. *)
@@ -3032,35 +2819,9 @@ let bench_large json seed trials out check threshold jobs store resume max_n
         run.Engine.Sweep.quarantined store;
       1
     end
-    else begin
-      let art = Engine.Sweep.aggregate ~store_dir:store ~plans in
-      if json then print_string (Engine.Sweep.to_json art)
-      else print_endline (Engine.Sweep.render art);
-      let path = Engine.Sweep.save ~dir:out art in
-      Printf.eprintf "[bench] wrote %s\n%!" path;
-      match check with
-      | None -> 0
-      | Some file -> (
-        match Engine.Sweep.load file with
-        | None ->
-          Printf.eprintf
-            "[bench] baseline %s is not a bench-large JSON document%s\n%!"
-            file
-            (match Bench_kernels.load file with
-            | _ -> " (it is a kernel bench; drop --large)"
-            | exception _ -> "");
-          2
-        | Some baseline -> (
-          match Engine.Sweep.check ~threshold ~baseline ~current:art with
-          | [] ->
-            Printf.eprintf
-              "[bench] regression check passed against %s (threshold %g)\n%!"
-              file threshold;
-            0
-          | findings ->
-            List.iter (Printf.eprintf "[bench] FAIL: %s\n%!") findings;
-            1))
-    end
+    else
+      emit_artifact ~tag:"bench" ~json ~out ~check ~threshold Engine.Sweep.kind
+        (Engine.Sweep.aggregate ~store_dir:store ~plans)
   end
 
 let bench json seed scale out check threshold large trials jobs store resume
@@ -3068,7 +2829,10 @@ let bench json seed scale out check threshold large trials jobs store resume
   if large then
     bench_large json seed trials out check threshold jobs store resume max_n
       max_k
-  else bench_kernel_suite json seed scale out check threshold
+  else
+    emit_artifact ~tag:"bench" ~json ~out ~check ~threshold
+      Engine.Kernel_bench.kind
+      (Bench_kernels.run_suite ~seed ~scale)
 
 let bench_cmd =
   let doc =
@@ -3089,7 +2853,10 @@ let bench_cmd =
          baseline, the allocation-free kernels must record ~0 words/op \
          outright, and each speedup must reach 5x or (1 - threshold) of \
          its baseline; absolute ns/op is reported but never checked, \
-         since it only measures the host machine.";
+         since it only measures the host machine.  The absolute gates \
+         (allocation-free kernels present and within budget, finite \
+         measurements) also apply without $(b,--check): a breach exits \
+         1.";
       `P
         "$(b,--large) instead runs the t1l/t5l decade sweeps (step \
          complexity up to n = 10^8 and adaptive contention up to k = \
@@ -3099,9 +2866,10 @@ let bench_cmd =
          kind=bench-large BENCH_<k>.json — the committed BENCH_1.json \
          baseline.  $(b,--max-n)/$(b,--max-k) shrink the grids to a \
          decade subset of the full baseline, so a CI smoke run checks \
-         against the same committed file.  The words/op gate is \
-         absolute; steps and space check against the baseline; timing \
-         is informational.";
+         against the same committed file.  The words/op gate and the \
+         decade-grid audit are absolute and apply with or without \
+         $(b,--check); steps and space check against the baseline; \
+         timing is informational.";
     ]
   in
   let json_t =
@@ -3225,36 +2993,9 @@ let load_daemon json socket mode conns clients rate duration hold_const
       Printf.eprintf "[load] %s\n%!" e;
       2
     | Ok r ->
-      let art = Service.Service_bench.of_run ~shards ~capacity ~cfg r in
-      if json then
-        print_endline (Jsonu.to_string (Service.Service_bench.to_json art))
-      else print_endline (Service.Service_bench.render art);
-      let path = Service.Service_bench.save ~dir:out art in
-      Printf.eprintf "[load] wrote %s\n%!" path;
-      let audit_exit = if Service.Load_gen.ok r then 0 else 1 in
-      (match check with
-      | None -> audit_exit
-      | Some file -> (
-        match Service.Service_bench.load file with
-        | exception Sys_error msg ->
-          Printf.eprintf "[load] cannot read baseline: %s\n%!" msg;
-          2
-        | exception Jsonu.Malformed ->
-          Printf.eprintf
-            "[load] baseline %s is not a bench-service JSON document\n%!" file;
-          2
-        | baseline -> (
-          match
-            Service.Service_bench.check ~threshold ~baseline ~current:art
-          with
-          | [] ->
-            Printf.eprintf
-              "[load] regression check passed against %s (threshold %g)\n%!"
-              file threshold;
-            audit_exit
-          | findings ->
-            List.iter (Printf.eprintf "[load] FAIL: %s\n%!") findings;
-            1))))
+      emit_artifact ~tag:"load" ~json ~out ~check ~threshold
+        Service.Service_bench.kind
+        (Service.Service_bench.of_run ~shards ~capacity ~cfg r))
 
 let load_cmd =
   let doc =
@@ -3272,7 +3013,9 @@ let load_cmd =
          measured from the scheduled arrival, so queueing delay is \
          never hidden.  The run audits uniqueness (no name granted \
          twice while held) and slot conservation (server taken count \
-         is zero after the final drain); audit failures exit 1.";
+         is zero after the final drain).  Audit failures exit 1, with \
+         or without $(b,--check): violations, leaks, errors, timeouts, \
+         no acquires, or latency quantiles out of order.";
       `P
         "Every invocation writes the next free BENCH_SERVICE_<k>.json \
          under $(b,--out); BENCH_SERVICE_0.json is the committed \

@@ -9,13 +9,13 @@
    rows — the domain-count-independence property test_sweep pins.
 
    Artifact kind is "bench-large" (schema 1), sharing the BENCH_<k>.json
-   numbering of bin/bench_kernels (kind "bench") in the same directory;
+   numbering with the kernel microbench (kind "bench", [Kernel_bench]);
    `repro_cli bench --check` and `doctor` dispatch on the kind field. *)
 
 open Harness
 
-let kind = "bench-large"
-let schema_version = 1
+let name = "bench-large"
+let schema = 1
 
 type row = {
   experiment : string;
@@ -33,7 +33,7 @@ type row = {
   wall_s : float;  (* total wall across trials *)
 }
 
-type artifact = { schema : int; seed : int; rows : row list }
+type artifact = { seed : int; rows : row list }
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -186,160 +186,82 @@ let aggregate ~store_dir ~(plans : (Experiment.t * Experiment.ctx) list) =
             ~experiment:id)
         plans
     in
-    { schema = schema_version; seed = ctx0.Experiment.seed; rows }
+    { seed = ctx0.Experiment.seed; rows }
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec *)
+(* JSON codec: one row per line, so diffs of the committed baseline
+   read row by row *)
 
-let row_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  Jsonu.escape_string b "experiment";
-  Buffer.add_char b ':';
-  Jsonu.escape_string b r.experiment;
-  let sfield k v =
-    Buffer.add_char b ',';
-    Jsonu.escape_string b k;
-    Buffer.add_char b ':';
-    Jsonu.escape_string b v
+let encode a =
+  let row r =
+    Jsonu.to_string
+      (Jsonu.Obj
+         [
+           ("experiment", Jsonu.Str r.experiment);
+           ("series", Jsonu.Str r.series);
+           ("n", Jsonu.Int r.n);
+           ("trials", Jsonu.Int r.trials);
+           ("mean_max_steps", Jsonu.Num r.mean_max_steps);
+           ("min_max_steps", Jsonu.Num r.min_max_steps);
+           ("max_max_steps", Jsonu.Num r.max_max_steps);
+           ("mean_total_steps", Jsonu.Num r.mean_total_steps);
+           ("mean_space_used", Jsonu.Num r.mean_space_used);
+           ("mean_max_name", Jsonu.Num r.mean_max_name);
+           ("words_per_op", Jsonu.Num r.words_per_op);
+           ("ns_per_op", Jsonu.Num r.ns_per_op);
+           ("wall_s", Jsonu.Num r.wall_s);
+         ])
   in
-  let ifield k v =
-    Buffer.add_char b ',';
-    Jsonu.escape_string b k;
-    Buffer.add_char b ':';
-    Buffer.add_string b (string_of_int v)
-  in
-  let ffield k v =
-    Buffer.add_char b ',';
-    Jsonu.escape_string b k;
-    Buffer.add_char b ':';
-    Jsonu.add_float b v
-  in
-  sfield "series" r.series;
-  ifield "n" r.n;
-  ifield "trials" r.trials;
-  ffield "mean_max_steps" r.mean_max_steps;
-  ffield "min_max_steps" r.min_max_steps;
-  ffield "max_max_steps" r.max_max_steps;
-  ffield "mean_total_steps" r.mean_total_steps;
-  ffield "mean_space_used" r.mean_space_used;
-  ffield "mean_max_name" r.mean_max_name;
-  ffield "words_per_op" r.words_per_op;
-  ffield "ns_per_op" r.ns_per_op;
-  ffield "wall_s" r.wall_s;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Printf.sprintf "{\"kind\":%S,\"schema\":%d,\"seed\":%d,\"rows\":[\n%s\n]}\n"
+    name schema a.seed
+    (String.concat ",\n" (List.map (fun r -> "  " ^ row r) a.rows))
 
-let to_json a =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"kind\":%S,\"schema\":%d,\"seed\":%d,\"rows\":[\n" kind
-       a.schema a.seed);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "  ";
-      Buffer.add_string b (row_to_json r))
-    a.rows;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
-
-let row_of_json fields =
+let decode fields =
+  let row j =
+    let f = Jsonu.obj j in
+    {
+      experiment = Jsonu.str f "experiment";
+      series = Jsonu.str f "series";
+      n = Jsonu.int_ f "n";
+      trials = Jsonu.int_ f "trials";
+      mean_max_steps = Jsonu.num f "mean_max_steps";
+      min_max_steps = Jsonu.num f "min_max_steps";
+      max_max_steps = Jsonu.num f "max_max_steps";
+      mean_total_steps = Jsonu.num f "mean_total_steps";
+      mean_space_used = Jsonu.num f "mean_space_used";
+      mean_max_name = Jsonu.num f "mean_max_name";
+      words_per_op = Jsonu.num f "words_per_op";
+      ns_per_op = Jsonu.num f "ns_per_op";
+      wall_s = Jsonu.num f "wall_s";
+    }
+  in
   {
-    experiment = Jsonu.str fields "experiment";
-    series = Jsonu.str fields "series";
-    n = Jsonu.int_ fields "n";
-    trials = Jsonu.int_ fields "trials";
-    mean_max_steps = Jsonu.num fields "mean_max_steps";
-    min_max_steps = Jsonu.num fields "min_max_steps";
-    max_max_steps = Jsonu.num fields "max_max_steps";
-    mean_total_steps = Jsonu.num fields "mean_total_steps";
-    mean_space_used = Jsonu.num fields "mean_space_used";
-    mean_max_name = Jsonu.num fields "mean_max_name";
-    words_per_op = Jsonu.num fields "words_per_op";
-    ns_per_op = Jsonu.num fields "ns_per_op";
-    wall_s = Jsonu.num fields "wall_s";
+    seed = Jsonu.int_ fields "seed";
+    rows = List.map row (Jsonu.arr fields "rows");
   }
 
-let of_json text =
-  match Jsonu.parse text with
-  | Some (Jsonu.Obj fields) -> (
-    try
-      if Jsonu.str fields "kind" <> kind then None
-      else
-        let rows =
-          match List.assoc_opt "rows" fields with
-          | Some (Jsonu.Arr items) ->
-            List.map
-              (function
-                | Jsonu.Obj f -> row_of_json f
-                | _ -> raise Jsonu.Malformed)
-              items
-          | _ -> raise Jsonu.Malformed
-        in
-        Some
-          {
-            schema = Jsonu.int_ fields "schema";
-            seed = Jsonu.int_ fields "seed";
-            rows;
-          }
-    with Jsonu.Malformed | Not_found -> None)
-  | _ -> None
-
-let load file =
-  if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in_bin file in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_json text
-  end
-
-(* Shares the BENCH_<k>.json numbering with bin/bench_kernels: next free
-   index in [dir], whatever kind its existing artifacts are. *)
-let next_index ~dir =
-  let rec go k =
-    if Sys.file_exists (Filename.concat dir (Printf.sprintf "BENCH_%d.json" k))
-    then go (k + 1)
-    else k
-  in
-  go 0
-
-let save ~dir a =
-  Sink.mkdir_p dir;
-  let file =
-    Filename.concat dir (Printf.sprintf "BENCH_%d.json" (next_index ~dir))
-  in
-  let oc = open_out file in
-  output_string oc (to_json a);
-  close_out oc;
-  file
-
 (* ------------------------------------------------------------------ *)
-(* Audit (doctor) and regression check *)
+(* Audit and regression gates *)
+
+(* A streaming-core step that boxes shows up as >= 1 word/op; the meter
+   itself contributes a few words per multi-thousand-step trial.  0.01
+   words/op separates the two by orders of magnitude on every decade. *)
+let zero_alloc_budget = 0.01
+
+let series_keys a =
+  List.sort_uniq compare (List.map (fun r -> (r.experiment, r.series)) a.rows)
 
 let audit a =
   let problems = ref [] in
   let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if a.schema <> schema_version then
-    problem "schema %d (this build reads %d)" a.schema schema_version;
   if a.rows = [] then problem "artifact has no rows";
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let key = (r.experiment, r.series) in
-      Hashtbl.replace groups key
-        (r :: (try Hashtbl.find groups key with Not_found -> [])))
-    a.rows;
-  let keys =
-    List.sort_uniq compare (List.of_seq (Hashtbl.to_seq_keys groups))
-  in
   List.iter
     (fun (experiment, series) ->
-      let rows = List.rev (Hashtbl.find groups (experiment, series)) in
+      let rows =
+        List.filter
+          (fun r -> r.experiment = experiment && r.series = series)
+          a.rows
+      in
       let rec check_grid = function
         | a :: (b :: _ as rest) ->
           if b.n <> 10 * a.n then
@@ -351,20 +273,19 @@ let audit a =
       check_grid rows;
       List.iter
         (fun r ->
-          if r.trials < 1 then
-            problem "%s/%s n=%d: empty decade (no samples)" experiment series
-              r.n;
+          let where = Printf.sprintf "%s/%s n=%d" experiment series r.n in
+          if r.trials < 1 then problem "%s: empty decade (no samples)" where;
           if r.mean_max_steps < 1. then
-            problem "%s/%s n=%d: mean_max_steps %g < 1" experiment series r.n
-              r.mean_max_steps;
+            problem "%s: mean_max_steps %g < 1" where r.mean_max_steps;
           if r.mean_space_used < 1. then
-            problem "%s/%s n=%d: mean_space_used %g < 1" experiment series r.n
-              r.mean_space_used;
+            problem "%s: mean_space_used %g < 1" where r.mean_space_used;
+          if r.words_per_op > zero_alloc_budget then
+            problem "%s: words/op %.4f exceeds the zero-allocation budget %.2f"
+              where r.words_per_op zero_alloc_budget;
           List.iter
             (fun (label, v) ->
               if not (Float.is_finite v) then
-                problem "%s/%s n=%d: %s is not finite" experiment series r.n
-                  label)
+                problem "%s: %s is not finite" where label)
             [
               ("mean_max_steps", r.mean_max_steps);
               ("mean_total_steps", r.mean_total_steps);
@@ -373,24 +294,13 @@ let audit a =
               ("ns_per_op", r.ns_per_op);
             ])
         rows)
-    keys;
+    (series_keys a);
   List.rev !problems
 
-(* A streaming-core step that boxes shows up as >= 1 word/op; the meter
-   itself contributes a few words per multi-thousand-step trial.  0.01
-   words/op separates the two by orders of magnitude on every decade. *)
-let zero_alloc_budget = 0.01
-
-let check ~threshold ~baseline ~current =
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if current.rows = [] then problem "current artifact has no rows";
-  List.iter
+let regress ~threshold ~baseline ~current =
+  List.concat_map
     (fun cur ->
       let where = Printf.sprintf "%s/%s n=%d" cur.experiment cur.series cur.n in
-      if cur.words_per_op > zero_alloc_budget then
-        problem "%s: words/op %.4f exceeds the zero-allocation budget %.2f"
-          where cur.words_per_op zero_alloc_budget;
       match
         List.find_opt
           (fun b ->
@@ -399,19 +309,22 @@ let check ~threshold ~baseline ~current =
             && b.n = cur.n)
           baseline.rows
       with
-      | None -> problem "%s: not in the baseline artifact" where
+      | None -> [ Printf.sprintf "%s: not in the baseline artifact" where ]
       | Some base ->
         let band = Float.max 1.0 (threshold *. base.mean_max_steps) in
-        if Float.abs (cur.mean_max_steps -. base.mean_max_steps) > band then
-          problem "%s: mean max steps %.2f vs baseline %.2f (band +/-%.2f)"
-            where cur.mean_max_steps base.mean_max_steps band;
         let sband = Float.max 2.0 (threshold *. base.mean_space_used) in
-        if Float.abs (cur.mean_space_used -. base.mean_space_used) > sband
-        then
-          problem "%s: space used %.0f vs baseline %.0f (band +/-%.0f)" where
-            cur.mean_space_used base.mean_space_used sband)
-    current.rows;
-  List.rev !problems
+        List.filter_map Fun.id
+          [
+            Artifact.finding
+              (Float.abs (cur.mean_max_steps -. base.mean_max_steps) > band)
+              "%s: mean max steps %.2f vs baseline %.2f (band +/-%.2f)" where
+              cur.mean_max_steps base.mean_max_steps band;
+            Artifact.finding
+              (Float.abs (cur.mean_space_used -. base.mean_space_used) > sband)
+              "%s: space used %.0f vs baseline %.0f (band +/-%.0f)" where
+              cur.mean_space_used base.mean_space_used sband;
+          ])
+    current.rows
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -448,3 +361,21 @@ let render a =
         ])
     a.rows;
   Table.render table
+
+let summary a =
+  Printf.sprintf "bench-large sweep, seed=%d, %d row(s) across %d series"
+    a.seed (List.length a.rows)
+    (List.length (series_keys a))
+
+let kind =
+  {
+    Artifact.name;
+    schema;
+    prefix = "BENCH_";
+    encode;
+    decode;
+    render;
+    summary;
+    audit;
+    regress;
+  }

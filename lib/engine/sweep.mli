@@ -12,13 +12,6 @@
     values; [aggregate] additionally sorts rows by (experiment, series,
     n) so even the artifact bytes agree (timing aside). *)
 
-val kind : string
-(** ["bench-large"] — the artifact [kind] field `repro_cli bench --check`
-    and [doctor] dispatch on (the kernel microbench artifact of
-    [bin/bench_kernels] is kind ["bench"]). *)
-
-val schema_version : int
-
 type row = {
   experiment : string;  (** registry id, e.g. ["t1l"] *)
   series : string;  (** series label, e.g. ["rebatch_paper"] *)
@@ -38,7 +31,7 @@ type row = {
   wall_s : float;  (** total wall across trials *)
 }
 
-type artifact = { schema : int; seed : int; rows : row list }
+type artifact = { seed : int; rows : row list }
 
 (** {1 Execution} *)
 
@@ -76,46 +69,27 @@ val aggregate :
     labels, trials summed in trial order, rows sorted by (experiment,
     series, n).  @raise Invalid_argument on an empty plan list. *)
 
-(** {1 Artifact i/o} *)
+(** {1 Artifact} *)
 
-val to_json : artifact -> string
+val kind : artifact Artifact.kind
+(** Kind ["bench-large"], schema 1, numbered [BENCH_<k>.json] (shared
+    with {!Kernel_bench.kind}).  [encode] writes one row per line.
 
-val of_json : string -> artifact option
-(** [None] if malformed or not kind ["bench-large"]. *)
+    [audit]: at least one row; each (experiment, series) n grid is
+    consecutive decades (each n exactly 10x the previous); no empty
+    decade; mean max steps and space at least 1; [words_per_op] at most
+    0.01 (a boxing step costs at least 1 word/op, the metering orders of
+    magnitude less); every mean finite.
 
-val load : string -> artifact option
-
-val save : dir:string -> artifact -> string
-(** Write to the next free [<dir>/BENCH_<k>.json] (numbering shared with
-    the kind-["bench"] artifacts of [bin/bench_kernels]); returns the
-    path. *)
-
-(** {1 Gates} *)
-
-val zero_alloc_budget : float
-(** [0.01] words/op: a boxing step costs >= 1 word/op, the metering
-    overhead orders of magnitude less, so this separates them at every
-    decade. *)
-
-val audit : artifact -> string list
-(** Structural problems for [repro_cli doctor]: schema mismatch, no
-    rows, a per-(experiment, series) n grid that is not consecutive
-    decades (each n exactly 10x the previous), empty decades, impossible
-    step/space means, non-finite values.  Empty list = healthy. *)
-
-val check : threshold:float -> baseline:artifact -> current:artifact -> string list
-(** Regression problems of [current] against a committed [baseline]: a
-    current row missing from the baseline, [words_per_op] over
-    {!zero_alloc_budget}, or mean max steps / space outside
-    [threshold]-relative bands (at least +/-1 step and +/-2 cells wide,
-    since small decades are integer-quantized).  A scaled-down run is a
-    row subset of the full baseline, so smoke checks pass the exact
-    gate the full run commits.  Timing is never checked.  Baseline rows
-    absent from [current] are fine (that is what a smoke run is). *)
-
-val render : artifact -> string
-(** Aligned table of every row (max steps, steps/proc, space/n, ns/op,
-    words/op, wall). *)
+    [regress]: every current row is in the baseline, and its mean max
+    steps and space lie within [threshold]-relative bands (at least
+    +/-1 step and +/-2 cells wide, since small decades are
+    integer-quantized).  A scaled-down run is a row subset of the full
+    baseline, so smoke checks pass the exact gate the full run commits.
+    Timing is never checked, and baseline rows absent from the current
+    run are fine (that is what a smoke run is).  [render] is an aligned
+    table of every row (max steps, steps/proc, space/n, ns/op, words/op,
+    wall). *)
 
 val series_of_label : string -> string
 (** ["rebatch_paper/n=1000"] -> ["rebatch_paper"] (exposed for tests). *)

@@ -54,9 +54,6 @@ type result = {
   latency : Stats.Hdr.t;
 }
 
-let ok r =
-  r.violations = 0 && r.leaked = 0 && r.errors = 0 && r.timeouts = 0
-
 (* Scheduled releases, ordered by due time. *)
 module Heap = struct
   type entry = { at : float; name : int; client : int; conn : int; gen : int }

@@ -91,11 +91,6 @@ type result = {
   latency : Stats.Hdr.t;  (** acquire latency, nanoseconds *)
 }
 
-val ok : result -> bool
-(** No violations, no leaks, no errors, no timeouts.  Reconnects,
-    drops, abandonments, sheds and expiries are survivable events,
-    reported but not failures. *)
-
 val run : config -> (result, string) Stdlib.result
 (** Drive the load and return the audit.  [Error] covers setup failures
     (cannot connect) and a slot exhausting its reconnect budget. *)

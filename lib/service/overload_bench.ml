@@ -35,13 +35,11 @@ type t = {
   drain_complete : bool;
 }
 
-let kind = "bench-service-overload"
+let name = "bench-service-overload"
 
-let to_json t =
-  Jsonu.Obj
+let encode t =
+  Engine.Artifact.line ~name ~schema:1
     [
-      ("kind", Jsonu.Str kind);
-      ("schema", Jsonu.Int 1);
       ("shards", Jsonu.Int t.shards);
       ("capacity", Jsonu.Int t.capacity);
       ("conns", Jsonu.Int t.conns);
@@ -78,10 +76,7 @@ let to_json t =
       ("drain_complete", Jsonu.Bool t.drain_complete);
     ]
 
-let of_json j =
-  let f = Jsonu.obj j in
-  if Jsonu.str f "kind" <> kind then raise Jsonu.Malformed;
-  if Jsonu.int_ f "schema" <> 1 then raise Jsonu.Malformed;
+let decode f =
   {
     shards = Jsonu.int_ f "shards";
     capacity = Jsonu.int_ f "capacity";
@@ -119,26 +114,6 @@ let of_json j =
     drain_complete = Jsonu.bool_ f "drain_complete";
   }
 
-let load path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Jsonu.parse (String.trim contents) with
-  | Some j -> of_json j
-  | None -> raise Jsonu.Malformed
-
-let save ~dir t =
-  Service_bench.mkdir_p dir;
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "BENCH_SERVICE_%d.json" (Service_bench.next_index dir))
-  in
-  let oc = open_out_bin path in
-  output_string oc (Jsonu.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  path
-
 let render t =
   String.concat "\n"
     [
@@ -173,59 +148,87 @@ let render t =
         (if t.drain_complete then "complete" else "CUT SHORT");
     ]
 
-(* Absolute properties first (they define overload survival), then the
-   baseline-relative regression gate. *)
-let check ~threshold ~baseline ~current =
-  let findings = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
-  if current.violations <> 0 then
-    add "%d uniqueness violation(s) under overload" current.violations;
-  if current.leaked < 0 then add "leak count unknown (final stats probe failed)"
-  else if current.leaked > 0 then
-    add "%d leaked slot(s) after drain" current.leaked;
-  if current.errors <> 0 then add "%d protocol error(s)" current.errors;
-  if current.acquired = 0 then add "no successful acquires";
-  if current.shed + current.expired = 0 then
-    add
-      "nothing shed at %.1fx overdrive — admission control never engaged"
-      current.overdrive;
-  if current.queue_peak > current.queue_bound then
-    add "queue peak %d exceeded the %d bound — queues are not bounded"
-      current.queue_peak current.queue_bound;
-  (* The plateau criterion: goodput under overdrive within 20%% of the
-     same run's measured capacity.  Collapse (goodput falling with
-     offered load) is exactly what this catches.  Daemon-side (served
-     grants counted by the daemon over the arrival window) — the
-     client-side number also folds in generator read-starvation, which
-     on small machines is the generator's collapse, not the daemon's. *)
-  let plateau_floor = 0.8 *. current.capacity_ops in
-  if current.goodput_daemon < plateau_floor then
-    add "goodput %.0f/s collapsed below %.0f/s (80%% of capacity %.0f/s)"
-      current.goodput_daemon plateau_floor current.capacity_ops;
+let summary t =
+  Printf.sprintf
+    "overload soak, %.1fx capacity %.0f/s: goodput %.0f/s, %d shed, %d \
+     expired, level %s"
+    t.overdrive t.capacity_ops t.goodput_daemon t.shed t.expired t.level
+
+let finding = Engine.Artifact.finding
+
+(* The absolute properties define overload survival. *)
+let audit t =
+  let plateau_floor = 0.8 *. t.capacity_ops in
   (* RSS flat: generous absolute+relative allowance — CI heaps differ,
      unbounded growth does not hide inside it over a soak. *)
   let rss_allowed =
-    max
-      (current.rss_start_kb + (current.rss_start_kb / 2))
-      (current.rss_start_kb + 32768)
+    max (t.rss_start_kb + (t.rss_start_kb / 2)) (t.rss_start_kb + 32768)
   in
-  if current.rss_end_kb > rss_allowed then
-    add "daemon RSS grew %d -> %d kB (allowed %d)" current.rss_start_kb
-      current.rss_end_kb rss_allowed;
-  if not current.drain_complete then add "final drain was cut short";
-  (* Regression vs the committed baseline. *)
+  List.filter_map Fun.id
+    [
+      finding (t.violations <> 0) "%d uniqueness violation(s) under overload"
+        t.violations;
+      finding (t.leaked < 0) "leak count unknown (final stats probe failed)";
+      finding (t.leaked > 0) "%d leaked slot(s) after drain" t.leaked;
+      finding (t.errors <> 0) "%d protocol error(s)" t.errors;
+      finding (t.timeouts <> 0) "%d operation(s) unanswered at drain"
+        t.timeouts;
+      finding (t.acquired = 0) "no successful acquires";
+      finding
+        (t.shed + t.expired = 0)
+        "nothing shed at %.1fx overdrive — admission control never engaged"
+        t.overdrive;
+      finding
+        (t.queue_peak > t.queue_bound)
+        "queue peak %d exceeded the %d bound — queues are not bounded"
+        t.queue_peak t.queue_bound;
+      (* The plateau criterion: goodput under overdrive within 20% of the
+         same run's measured capacity.  Collapse (goodput falling with
+         offered load) is exactly what this catches.  Daemon-side
+         (served grants counted by the daemon over the arrival window)
+         — the client-side number also folds in generator
+         read-starvation, which on small machines is the generator's
+         collapse, not the daemon's. *)
+      finding
+        (t.goodput_daemon < plateau_floor)
+        "goodput %.0f/s collapsed below %.0f/s (80%% of capacity %.0f/s)"
+        t.goodput_daemon plateau_floor t.capacity_ops;
+      finding (t.rss_end_kb > rss_allowed)
+        "daemon RSS grew %d -> %d kB (allowed %d)" t.rss_start_kb t.rss_end_kb
+        rss_allowed;
+      finding (not t.drain_complete) "final drain was cut short";
+    ]
+
+let regress ~threshold ~baseline ~current =
   let floor = (1. -. threshold) *. baseline.goodput_daemon in
-  if current.goodput_daemon < floor then
-    add "goodput fell to %.0f/s (baseline %.0f, floor %.0f)"
-      current.goodput_daemon baseline.goodput_daemon floor;
   let p99_allowed =
     Float.max
       ((1. +. threshold) *. float_of_int baseline.lat_p99)
       5e8 (* 500 ms absolute floor: queue-bound delay is legitimate *)
   in
-  if float_of_int current.lat_p99 > p99_allowed then
-    add "accepted p99 %.1fms exceeds allowed %.1fms (baseline %.1fms)"
-      (float_of_int current.lat_p99 /. 1e6)
-      (p99_allowed /. 1e6)
-      (float_of_int baseline.lat_p99 /. 1e6);
-  List.rev !findings
+  List.filter_map Fun.id
+    [
+      finding
+        (current.goodput_daemon < floor)
+        "goodput fell to %.0f/s (baseline %.0f, floor %.0f)"
+        current.goodput_daemon baseline.goodput_daemon floor;
+      finding
+        (float_of_int current.lat_p99 > p99_allowed)
+        "accepted p99 %.1fms exceeds allowed %.1fms (baseline %.1fms)"
+        (float_of_int current.lat_p99 /. 1e6)
+        (p99_allowed /. 1e6)
+        (float_of_int baseline.lat_p99 /. 1e6);
+    ]
+
+let kind =
+  {
+    Engine.Artifact.name;
+    schema = 1;
+    prefix = "BENCH_SERVICE_";
+    encode;
+    decode;
+    render;
+    summary;
+    audit;
+    regress;
+  }

@@ -55,21 +55,12 @@ type t = {
   drain_complete : bool;
 }
 
-val to_json : t -> Jsonu.t
-val of_json : Jsonu.t -> t
-(** @raise Jsonu.Malformed on kind/schema mismatch or missing fields *)
-
-val load : string -> t
-val save : dir:string -> t -> string
-(** Next free [BENCH_SERVICE_<k>.json] (shared numbering); returns the
-    path. *)
-
-val render : t -> string
-
-val check : threshold:float -> baseline:t -> current:t -> string list
-(** Empty = pass.  Absolute: 0 violations/leaks/errors, nonzero shed,
-    queue peak within bound, goodput >= 80% of the run's own measured
-    capacity (the plateau criterion), RSS growth bounded, drain
-    complete.  Relative: goodput floor and accepted-p99 ceiling vs
-    [baseline] scaled by [threshold] (with a 500 ms absolute p99
-    floor). *)
+val kind : t Engine.Artifact.kind
+(** [audit] holds the absolute survival properties: zero violations,
+    leaks (and a known leak count), errors and timeouts, at least one
+    acquire, something shed, queue peak within its bound, daemon-side
+    goodput at least 80% of the same run's measured capacity (the
+    plateau criterion), RSS growth within half again or 32 MiB of the
+    start, and a complete drain.  [regress] bounds daemon-side goodput
+    below by [(1 - threshold) x baseline] and accepted p99 above by
+    [(1 + threshold) x baseline], with a 500 ms absolute p99 floor. *)

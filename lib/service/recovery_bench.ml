@@ -30,13 +30,11 @@ type t = {
   daemon_exit : int;
 }
 
-let kind = "bench-service-recovery"
+let name = "bench-service-recovery"
 
-let to_json t =
-  Jsonu.Obj
+let encode t =
+  Engine.Artifact.line ~name ~schema:1
     [
-      ("kind", Jsonu.Str kind);
-      ("schema", Jsonu.Int 1);
       ("cycles", Jsonu.Int t.cycles);
       ("rate", Jsonu.Num t.rate);
       ("duration_s", Jsonu.Num t.duration_s);
@@ -68,10 +66,7 @@ let to_json t =
       ("daemon_exit", Jsonu.Int t.daemon_exit);
     ]
 
-let of_json j =
-  let f = Jsonu.obj j in
-  if Jsonu.str f "kind" <> kind then raise Jsonu.Malformed;
-  if Jsonu.int_ f "schema" <> 1 then raise Jsonu.Malformed;
+let decode f =
   {
     cycles = Jsonu.int_ f "cycles";
     rate = Jsonu.num f "rate";
@@ -104,26 +99,6 @@ let of_json j =
     daemon_exit = Jsonu.int_ f "daemon_exit";
   }
 
-let load path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Jsonu.parse (String.trim contents) with
-  | Some j -> of_json j
-  | None -> raise Jsonu.Malformed
-
-let save ~dir t =
-  Service_bench.mkdir_p dir;
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "BENCH_SERVICE_%d.json" (Service_bench.next_index dir))
-  in
-  let oc = open_out_bin path in
-  output_string oc (Jsonu.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  path
-
 let render t =
   String.concat "\n"
     [
@@ -155,39 +130,62 @@ let render t =
         t.recovery_p50_ms t.recovery_p99_ms t.recovery_max_ms;
     ]
 
-let check ~threshold ~baseline ~current =
-  let findings = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
-  if current.duplicate_grants <> 0 then
-    add "%d duplicate grant(s) — a recovered daemon re-issued a live name"
-      current.duplicate_grants;
-  if current.leaked_after_expiry < 0 then
-    add "post-expiry leak count unknown (final stats probe failed)"
-  else if current.leaked_after_expiry > 0 then
-    add "%d slot(s) still taken after the last lease TTL passed"
-      current.leaked_after_expiry;
-  if current.violations <> 0 then
-    add "%d uniqueness violation(s) observed by the load generator"
-      current.violations;
-  if current.errors <> 0 then add "%d protocol error(s)" current.errors;
-  if current.timeouts <> 0 then
-    add "%d operation(s) unanswered at drain" current.timeouts;
-  if current.journal_damaged <> 0 then
-    add "%d damaged journal record(s) (CRC/framing)" current.journal_damaged;
-  if current.daemon_exit <> 0 then
-    add "final graceful drain exited %d" current.daemon_exit;
-  if current.acquired = 0 then add "no successful acquires";
-  if current.reconnects < current.cycles then
-    add
-      "only %d reconnect incident(s) across %d kill cycle(s) — the kills \
-       did not reach the load path"
-      current.reconnects current.cycles;
-  (* Recovery time is relative (with an absolute floor: restart cost is
-     mostly exec + bind, which CI machines jitter freely). *)
+let summary t =
+  Printf.sprintf "recovery soak, %d cycle(s) x %.0f/s: p99 %.0f ms, %d \
+                  reconnect(s)"
+    t.cycles t.rate t.recovery_p99_ms t.reconnects
+
+let finding = Engine.Artifact.finding
+
+let audit t =
+  List.filter_map Fun.id
+    [
+      finding (t.duplicate_grants <> 0)
+        "%d duplicate grant(s) — a recovered daemon re-issued a live name"
+        t.duplicate_grants;
+      finding (t.leaked_after_expiry < 0)
+        "post-expiry leak count unknown (final stats probe failed)";
+      finding (t.leaked_after_expiry > 0)
+        "%d slot(s) still taken after the last lease TTL passed"
+        t.leaked_after_expiry;
+      finding (t.violations <> 0)
+        "%d uniqueness violation(s) observed by the load generator"
+        t.violations;
+      finding (t.errors <> 0) "%d protocol error(s)" t.errors;
+      finding (t.timeouts <> 0) "%d operation(s) unanswered at drain"
+        t.timeouts;
+      finding (t.journal_damaged <> 0)
+        "%d damaged journal record(s) (CRC/framing)" t.journal_damaged;
+      finding (t.daemon_exit <> 0) "final graceful drain exited %d"
+        t.daemon_exit;
+      finding (t.acquired = 0) "no successful acquires";
+      finding (t.reconnects < t.cycles)
+        "only %d reconnect incident(s) across %d kill cycle(s) — the kills \
+         did not reach the load path"
+        t.reconnects t.cycles;
+    ]
+
+(* Recovery time is relative, with an absolute floor: restart cost is
+   mostly exec + bind, which CI machines jitter freely. *)
+let regress ~threshold ~baseline ~current =
   let allowed =
     Float.max ((1. +. threshold) *. baseline.recovery_p99_ms) 1000.
   in
-  if current.recovery_p99_ms > allowed then
-    add "recovery p99 %.1fms exceeds allowed %.1fms (baseline %.1fms)"
-      current.recovery_p99_ms allowed baseline.recovery_p99_ms;
-  List.rev !findings
+  Option.to_list
+    (finding
+       (current.recovery_p99_ms > allowed)
+       "recovery p99 %.1fms exceeds allowed %.1fms (baseline %.1fms)"
+       current.recovery_p99_ms allowed baseline.recovery_p99_ms)
+
+let kind =
+  {
+    Engine.Artifact.name;
+    schema = 1;
+    prefix = "BENCH_SERVICE_";
+    encode;
+    decode;
+    render;
+    summary;
+    audit;
+    regress;
+  }

@@ -4,15 +4,8 @@
     [SIGKILL]+[--recover] cycles of a real [renamed] daemon (optionally
     through the {!Chaos.Wire_fault} proxy) and records the outcome in
     the [BENCH_SERVICE_<k>.json] sequence with kind
-    ["bench-service-recovery"].  The committed baseline is
-    [bench/BENCH_SERVICE_1.json].
-
-    {!check} gates the soak's safety claims absolutely — zero duplicate
-    grants across every journal segment, zero slots still taken after
-    the last lease TTL passed, zero uniqueness violations / errors /
-    timeouts / damaged journal records, a clean final drain — and
-    recovery p99 relatively against the baseline (with a 1 s absolute
-    floor, since process restart time is machine noise). *)
+    ["bench-service-recovery"], schema 1.  The committed baseline is
+    [bench/BENCH_SERVICE_1.json]. *)
 
 type t = {
   (* configuration *)
@@ -50,16 +43,12 @@ type t = {
   daemon_exit : int;  (** final graceful drain's exit code *)
 }
 
-val to_json : t -> Jsonu.t
-val of_json : Jsonu.t -> t
-(** @raise Jsonu.Malformed on kind/schema mismatch. *)
-
-val load : string -> t
-(** @raise Jsonu.Malformed / [Sys_error]. *)
-
-val save : dir:string -> t -> string
-(** Next free [BENCH_SERVICE_<k>.json] in [dir] (numbering shared with
-    {!Service_bench}). *)
-
-val render : t -> string
-val check : threshold:float -> baseline:t -> current:t -> string list
+val kind : t Engine.Artifact.kind
+(** [audit] holds the soak's safety claims absolutely: zero duplicate
+    grants across every journal segment, zero slots still taken after
+    the last lease TTL passed (and a known count), zero uniqueness
+    violations, errors, timeouts and damaged journal records, a clean
+    final drain, at least one acquire, and at least one reconnect per
+    kill cycle (fewer means the kills missed the load path).  [regress]
+    bounds recovery p99 by [(1 + threshold) x baseline], with a 1 s
+    absolute floor, since process restart time is machine noise. *)

@@ -54,11 +54,11 @@ let of_run ~shards ~capacity ~cfg (r : Load_gen.result) =
     lat_max = Stats.Hdr.max_value r.latency;
   }
 
-let to_json t =
-  Jsonu.Obj
+let name = "bench-service"
+
+let encode t =
+  Engine.Artifact.line ~name ~schema:1
     [
-      ("kind", Jsonu.Str "bench-service");
-      ("schema", Jsonu.Int 1);
       ("shards", Jsonu.Int t.shards);
       ("capacity", Jsonu.Int t.capacity);
       ("conns", Jsonu.Int t.conns);
@@ -84,10 +84,7 @@ let to_json t =
       ("lat_max_ns", Jsonu.Int t.lat_max);
     ]
 
-let of_json j =
-  let f = Jsonu.obj j in
-  if Jsonu.str f "kind" <> "bench-service" then raise Jsonu.Malformed;
-  if Jsonu.int_ f "schema" <> 1 then raise Jsonu.Malformed;
+let decode f =
   {
     shards = Jsonu.int_ f "shards";
     capacity = Jsonu.int_ f "capacity";
@@ -115,14 +112,6 @@ let of_json j =
     lat_max = Jsonu.int_ f "lat_max_ns";
   }
 
-let load path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Jsonu.parse (String.trim contents) with
-  | Some j -> of_json j
-  | None -> raise Jsonu.Malformed
-
 let render t =
   String.concat "\n"
     [
@@ -147,58 +136,49 @@ let render t =
         (float_of_int t.lat_max /. 1e3);
     ]
 
-let check ~threshold ~baseline ~current =
-  let findings = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
-  if current.violations <> 0 then
-    add "%d uniqueness violation(s) — two live grants of one name"
-      current.violations;
-  if current.leaked <> 0 then
-    add "%d leaked slot(s) at drain (slot-conservation residue)" current.leaked;
-  if current.errors <> 0 then add "%d protocol error(s)" current.errors;
-  if current.timeouts <> 0 then
-    add "%d operation(s) unanswered at drain" current.timeouts;
-  if current.acquired = 0 then add "no successful acquires";
-  if
-    not
-      (current.lat_p50 <= current.lat_p99 && current.lat_p99 <= current.lat_p999)
-  then
-    add "latency quantiles out of order: p50=%d p99=%d p999=%d ns"
-      current.lat_p50 current.lat_p99 current.lat_p999;
+let summary t =
+  Printf.sprintf "%.0f/s x %.1fs on %d shard(s): %.0f op/s, p99 %.1fus" t.rate
+    t.duration_s t.shards t.throughput
+    (float_of_int t.lat_p99 /. 1e3)
+
+let finding = Engine.Artifact.finding
+
+(* Invariants are absolute; throughput is relative to the baseline;
+   latency is machine noise, recorded but never gated. *)
+let audit t =
+  List.filter_map Fun.id
+    [
+      finding (t.violations <> 0)
+        "%d uniqueness violation(s) — two live grants of one name" t.violations;
+      finding (t.leaked <> 0)
+        "%d leaked slot(s) at drain (slot-conservation residue)" t.leaked;
+      finding (t.errors <> 0) "%d protocol error(s)" t.errors;
+      finding (t.timeouts <> 0) "%d operation(s) unanswered at drain"
+        t.timeouts;
+      finding (t.acquired = 0) "no successful acquires";
+      finding
+        (not (t.lat_p50 <= t.lat_p99 && t.lat_p99 <= t.lat_p999))
+        "latency quantiles out of order: p50=%d p99=%d p999=%d ns" t.lat_p50
+        t.lat_p99 t.lat_p999;
+    ]
+
+let regress ~threshold ~baseline ~current =
   let floor = (1. -. threshold) *. baseline.throughput in
-  if current.throughput < floor then
-    add "throughput fell to %.0f op/s (baseline %.0f, floor %.0f)"
-      current.throughput baseline.throughput floor;
-  List.rev !findings
+  Option.to_list
+    (finding
+       (current.throughput < floor)
+       "throughput fell to %.0f op/s (baseline %.0f, floor %.0f)"
+       current.throughput baseline.throughput floor)
 
-(* Next free BENCH_SERVICE_<k>.json, mirroring the kernel bench's
-   side-by-side accumulation with index 0 as the committed baseline. *)
-let next_index dir =
-  let taken = Hashtbl.create 8 in
-  (if Sys.file_exists dir then
-     Array.iter
-       (fun f ->
-         match Scanf.sscanf_opt f "BENCH_SERVICE_%d.json%!" (fun i -> i) with
-         | Some i -> Hashtbl.replace taken i ()
-         | None -> ())
-       (Sys.readdir dir));
-  let rec go i = if Hashtbl.mem taken i then go (i + 1) else i in
-  go 0
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
-
-let save ~dir t =
-  mkdir_p dir;
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "BENCH_SERVICE_%d.json" (next_index dir))
-  in
-  let oc = open_out_bin path in
-  output_string oc (Jsonu.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc;
-  path
+let kind =
+  {
+    Engine.Artifact.name;
+    schema = 1;
+    prefix = "BENCH_SERVICE_";
+    encode;
+    decode;
+    render;
+    summary;
+    audit;
+    regress;
+  }

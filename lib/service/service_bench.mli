@@ -1,14 +1,10 @@
-(** The service load-test artifact ([bench/BENCH_SERVICE_<k>.json]) and
-    its regression gate.
+(** The service load-test artifact (kind ["bench-service"], schema 1,
+    numbered [BENCH_SERVICE_<k>.json]; the committed baseline is
+    [bench/BENCH_SERVICE_0.json]).
 
-    A run records the offered-load configuration, the audit counters
-    from {!Load_gen} and the acquire-latency quantiles.  {!check}
-    compares a fresh run against a committed baseline the way the
-    kernel bench does: {e invariants} are absolute (zero uniqueness
-    violations, zero leaked slots, zero errors/timeouts, quantiles
-    ordered), while {e throughput} is relative to the baseline within a
-    threshold — absolute latency is machine noise and is recorded but
-    never gated. *)
+    A run of [repro_cli load] records the offered-load configuration,
+    the audit counters from {!Load_gen} and the acquire-latency
+    quantiles. *)
 
 type t = {
   (* configuration *)
@@ -44,27 +40,9 @@ type t = {
 val of_run :
   shards:int -> capacity:int -> cfg:Load_gen.config -> Load_gen.result -> t
 
-val to_json : t -> Jsonu.t
-val of_json : Jsonu.t -> t
-(** @raise Jsonu.Malformed on schema mismatch. *)
-
-val load : string -> t
-(** @raise Jsonu.Malformed / [Sys_error]. *)
-
-val save : dir:string -> t -> string
-(** Write to the next free [BENCH_SERVICE_<k>.json] in [dir] and return
-    the path; [BENCH_SERVICE_0.json] stays the committed baseline. *)
-
-val render : t -> string
-
-val check : threshold:float -> baseline:t -> current:t -> string list
-(** Findings, empty when the run passes.  Invariant findings fire on
-    the current run alone; throughput fires when it falls below
-    [(1 - threshold) x baseline]. *)
-
-val next_index : string -> int
-(** Next free [BENCH_SERVICE_<k>.json] index in a directory — shared
-    with {!Recovery_bench} so both artifact kinds accumulate in one
-    numbered sequence. *)
-
-val mkdir_p : string -> unit
+val kind : t Engine.Artifact.kind
+(** [audit]: zero uniqueness violations, leaked slots, errors and
+    timeouts, at least one acquire, and ordered latency quantiles.
+    Reconnects are survivable events, recorded but not failures.
+    [regress]: throughput at least [(1 - threshold) x baseline].
+    Absolute latency is machine noise, recorded but never gated. *)

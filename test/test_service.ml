@@ -436,36 +436,39 @@ let sample_artifact () =
 
 let test_artifact_roundtrip () =
   let a = sample_artifact () in
-  let a' = Service_bench.of_json (Service_bench.to_json a) in
-  Alcotest.(check bool) "artifact round-trips" true (a = a');
-  (* Parse through the canonical string form too. *)
-  match Jsonu.parse (Jsonu.to_string (Service_bench.to_json a)) with
-  | None -> Alcotest.fail "canonical form does not parse"
-  | Some j ->
-    Alcotest.(check bool) "string round-trip" true (Service_bench.of_json j = a)
+  let k = Service_bench.kind in
+  let text = k.Engine.Artifact.encode a in
+  Alcotest.(check bool) "one line" true
+    (String.index text '\n' = String.length text - 1);
+  Alcotest.(check bool) "artifact round-trips" true
+    (Engine.Artifact.of_string k text = Ok a)
 
 let test_artifact_schema_rejects () =
-  Alcotest.check_raises "wrong kind" Jsonu.Malformed (fun () ->
-      ignore
-        (Service_bench.of_json
-           (Jsonu.Obj [ ("kind", Jsonu.Str "bench"); ("schema", Jsonu.Int 1) ])))
+  let k = Service_bench.kind in
+  let expect_error label text =
+    match Engine.Artifact.of_string k text with
+    | Ok _ -> Alcotest.failf "%s decoded" label
+    | Error _ -> ()
+  in
+  expect_error "wrong kind" {|{"kind":"bench","schema":1}|};
+  expect_error "wrong schema" {|{"kind":"bench-service","schema":2}|};
+  expect_error "missing field" {|{"kind":"bench-service","schema":1}|}
 
 let test_artifact_check () =
   let base = sample_artifact () in
-  Alcotest.(check (list string))
-    "clean run passes" []
-    (Service_bench.check ~threshold:0.5 ~baseline:base ~current:base);
+  let check current =
+    Engine.Artifact.check Service_bench.kind ~threshold:0.5 ~baseline:base
+      ~current
+  in
+  Alcotest.(check (list string)) "clean run passes" [] (check base);
   let bad = { base with violations = 1; leaked = 2; errors = 3 } in
-  Alcotest.(check int) "audit failures are findings" 3
-    (List.length (Service_bench.check ~threshold:0.5 ~baseline:base ~current:bad));
+  Alcotest.(check int) "audit failures are findings" 3 (List.length (check bad));
   let slow = { base with throughput = base.throughput /. 4. } in
   Alcotest.(check int) "throughput collapse is a finding" 1
-    (List.length
-       (Service_bench.check ~threshold:0.5 ~baseline:base ~current:slow));
+    (List.length (check slow));
   let within = { base with throughput = base.throughput *. 0.6 } in
   Alcotest.(check (list string))
-    "throughput within threshold passes" []
-    (Service_bench.check ~threshold:0.5 ~baseline:base ~current:within)
+    "throughput within threshold passes" [] (check within)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a real serving loop on its own domain (fork is
@@ -769,7 +772,10 @@ let test_e2e_load_gen () =
         Alcotest.(check int) "no leaks" 0 r.Load_gen.leaked;
         Alcotest.(check int) "no errors" 0 r.Load_gen.errors;
         Alcotest.(check int) "no timeouts" 0 r.Load_gen.timeouts;
-        Alcotest.(check bool) "audit is ok" true (Load_gen.ok r);
+        Alcotest.(check (list string))
+          "the artifact audits clean" []
+          (Service_bench.kind.Engine.Artifact.audit
+             (Service_bench.of_run ~shards:1 ~capacity:64 ~cfg r));
         Alcotest.(check int) "acquired = released" r.Load_gen.acquired
           r.Load_gen.released;
         Alcotest.(check bool) "work was done" true (r.Load_gen.acquired > 0);

@@ -137,28 +137,24 @@ let test_resume_parameter_mismatch () =
 (* Artifact round-trip, audit, check *)
 
 let test_artifact_round_trip () =
+  let k = Engine.Sweep.kind in
   with_temp_dir (fun dir ->
       let _, art = run_sweep ~dir ~trials:2 () in
-      (match Engine.Sweep.of_json (Engine.Sweep.to_json art) with
-      | None -> Alcotest.fail "artifact does not re-parse"
-      | Some back ->
-        checkb "round-trip preserves every row" true
-          (back = art));
+      checkb "round-trip preserves every row" true
+        (Engine.Artifact.of_string k (k.Engine.Artifact.encode art) = Ok art);
       with_temp_dir (fun out ->
-          let path = Engine.Sweep.save ~dir:out art in
+          let path = Engine.Artifact.save k ~dir:out art in
           checks "first save lands on BENCH_0.json" "BENCH_0.json"
             (Filename.basename path);
-          let path1 = Engine.Sweep.save ~dir:out art in
+          let path1 = Engine.Artifact.save k ~dir:out art in
           checks "second save takes the next index" "BENCH_1.json"
             (Filename.basename path1);
-          match Engine.Sweep.load path with
-          | None -> Alcotest.fail "saved artifact does not load"
-          | Some back -> checkb "load round-trips" true (back = art)))
+          checkb "load round-trips" true (Engine.Artifact.load k path = Ok art)))
 
 let test_audit_healthy_and_broken () =
   with_temp_dir (fun dir ->
       let _, art = run_sweep ~dir ~trials:2 () in
-      checkb "fresh artifact audits clean" true (Engine.Sweep.audit art = []);
+      checkb "fresh artifact audits clean" true (Engine.Sweep.kind.Engine.Artifact.audit art = []);
       (* drop a middle decade from one series: the grid is no longer
          consecutive decades *)
       let broken =
@@ -181,16 +177,16 @@ let test_audit_healthy_and_broken () =
         }
       in
       checkb "gappy decade grid is a problem" true
-        (Engine.Sweep.audit broken <> []);
+        (Engine.Sweep.kind.Engine.Artifact.audit broken <> []);
       let empty = { art with Engine.Sweep.rows = [] } in
       checkb "empty artifact is a problem" true
-        (Engine.Sweep.audit empty <> []))
+        (Engine.Sweep.kind.Engine.Artifact.audit empty <> []))
 
 let test_check_gates () =
   with_temp_dir (fun dir ->
       let _, art = run_sweep ~dir ~trials:2 () in
       checkb "artifact checks against itself" true
-        (Engine.Sweep.check ~threshold:0.25 ~baseline:art ~current:art = []);
+        (Engine.Artifact.check Engine.Sweep.kind ~threshold:0.25 ~baseline:art ~current:art = []);
       (* a decade subset still passes against the full baseline — the CI
          smoke contract *)
       let subset =
@@ -203,7 +199,7 @@ let test_check_gates () =
         }
       in
       checkb "decade subset passes the full baseline" true
-        (Engine.Sweep.check ~threshold:0.25 ~baseline:art ~current:subset = []);
+        (Engine.Artifact.check Engine.Sweep.kind ~threshold:0.25 ~baseline:art ~current:subset = []);
       (* an allocating run fails outright, baseline or not *)
       let boxed =
         {
@@ -216,7 +212,7 @@ let test_check_gates () =
         }
       in
       checkb "allocation fails the check" true
-        (Engine.Sweep.check ~threshold:0.25 ~baseline:art ~current:boxed <> []);
+        (Engine.Artifact.check Engine.Sweep.kind ~threshold:0.25 ~baseline:art ~current:boxed <> []);
       (* a series the baseline has never seen fails *)
       let novel =
         {
@@ -229,7 +225,7 @@ let test_check_gates () =
         }
       in
       checkb "unknown series fails the check" true
-        (Engine.Sweep.check ~threshold:0.25 ~baseline:art ~current:novel <> []);
+        (Engine.Artifact.check Engine.Sweep.kind ~threshold:0.25 ~baseline:art ~current:novel <> []);
       (* a step-complexity drift outside the band fails *)
       let drifted =
         {
@@ -246,7 +242,7 @@ let test_check_gates () =
         }
       in
       checkb "step drift fails the check" true
-        (Engine.Sweep.check ~threshold:0.25 ~baseline:art ~current:drifted
+        (Engine.Artifact.check Engine.Sweep.kind ~threshold:0.25 ~baseline:art ~current:drifted
         <> []))
 
 let test_series_label_parsing () =
