@@ -27,7 +27,7 @@ let regenerate_tables () =
       Printf.printf "\n--- %s: %s ---\n"
         (String.uppercase_ascii e.Harness.Experiment.id)
         e.Harness.Experiment.title;
-      e.Harness.Experiment.run ctx)
+      Harness.Experiment.run e ctx)
     Harness.Registry.all
 
 (* ------------------------------------------------------------------ *)

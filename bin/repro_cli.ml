@@ -10,8 +10,9 @@
    JSONL record in DIR/<id>.jsonl (plus DIR/manifest.json), and --resume
    skips jobs already present there.  Per-job seeds are derived
    deterministically from (seed, experiment, sweep point, trial), so any
-   --jobs value produces identical records.  Without --out, the serial
-   path below runs exactly as it always has.
+   --jobs value produces identical records.  Without --out, each
+   experiment runs serially: a job-grain experiment runs its jobs in
+   order with seed + trial and renders its tables from their results.
 
    The engine path is fault-tolerant: a raising job retries up to
    --retries times (per-attempt seeds, deterministic), then quarantines
@@ -23,7 +24,7 @@
    DIR audits a store offline (truncated tails, duplicate keys, seed
    re-derivation, quarantine). *)
 
-let make_ctx ~seed ~trials ~scale ~substrate ~csv_dir ~current_id =
+let make_ctx ~seed ~trials ~scale ~csv_dir ~current_id =
   let table_index = ref 0 in
   let emit_table ~title table =
     print_newline ();
@@ -45,12 +46,11 @@ let make_ctx ~seed ~trials ~scale ~substrate ~csv_dir ~current_id =
     Harness.Experiment.seed;
     trials;
     scale;
-    substrate;
     emit_table;
     log = print_endline;
   }
 
-let run_serial ids seed trials scale substrate csv_dir =
+let run_serial ids seed trials scale csv_dir =
   (match csv_dir with
   | Some dir ->
     if Sys.file_exists dir && not (Sys.is_directory dir) then begin
@@ -60,7 +60,7 @@ let run_serial ids seed trials scale substrate csv_dir =
     Engine.Sink.mkdir_p dir
   | None -> ());
   let current_id = ref "" in
-  let ctx = make_ctx ~seed ~trials ~scale ~substrate ~csv_dir ~current_id in
+  let ctx = make_ctx ~seed ~trials ~scale ~csv_dir ~current_id in
   let failures = ref [] in
   List.iter
     (fun id ->
@@ -73,8 +73,13 @@ let run_serial ids seed trials scale substrate csv_dir =
         Printf.printf "\n=== %s: %s ===\n" (String.uppercase_ascii e.id) e.title;
         Printf.printf "claim: %s\n" e.claim;
         let t0 = Unix.gettimeofday () in
-        e.run ctx;
-        Printf.printf "[%s done in %.1fs]\n" e.id (Unix.gettimeofday () -. t0))
+        match Harness.Experiment.run e ctx with
+        | () ->
+          Printf.printf "[%s done in %.1fs]\n" e.id (Unix.gettimeofday () -. t0)
+        | exception Failure msg ->
+          flush stdout;
+          Printf.eprintf "[%s FAILED: %s]\n%!" id msg;
+          failures := id :: !failures)
     ids;
   if !failures = [] then 0 else 1
 
@@ -100,9 +105,9 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 (* The engine path: fan trial jobs out across domains into a JSONL store.
-   Experiments without a job-grain port fall back to the serial runner so
+   Experiments with a Serial body fall back to the serial runner so
    `all --out DIR` still covers the whole registry. *)
-let run_engine ids seed trials scale substrate csv_dir out_dir workers resume
+let run_engine ids seed trials scale csv_dir out_dir workers resume
     retries job_timeout =
   if Sys.file_exists out_dir && not (Sys.is_directory out_dir) then begin
     Printf.eprintf "--out: %s exists and is not a directory\n" out_dir;
@@ -123,7 +128,7 @@ let run_engine ids seed trials scale substrate csv_dir out_dir workers resume
          Printf.eprintf "--resume: %s\n" msg;
          exit 1));
   Engine.Sink.mkdir_p out_dir;
-  let ctx = Harness.Experiment.default_ctx ~seed ~trials ~scale ~substrate () in
+  let ctx = Harness.Experiment.default_ctx ~seed ~trials ~scale () in
   install_signal_handlers ();
   let should_stop () = Atomic.get interrupt_requested in
   let manifest status =
@@ -204,12 +209,12 @@ let run_engine ids seed trials scale substrate csv_dir out_dir workers resume
     let serial_rc =
       match List.rev !serial_fallback with
       | [] -> 0
-      | fallback -> run_serial fallback seed trials scale substrate csv_dir
+      | fallback -> run_serial fallback seed trials scale csv_dir
     in
     if !failures <> [] || !quarantined <> [] then 1 else serial_rc
   end
 
-let run_experiments ids seed trials scale substrate csv_dir jobs out_dir resume
+let run_experiments ids seed trials scale csv_dir jobs out_dir resume
     retries job_timeout =
   match
     List.filter (fun id -> Harness.Registry.find id = None) ids
@@ -220,7 +225,7 @@ let run_experiments ids seed trials scale substrate csv_dir jobs out_dir resume
     2
   | [] -> (
     match (out_dir, jobs, resume) with
-    | None, None, false -> run_serial ids seed trials scale substrate csv_dir
+    | None, None, false -> run_serial ids seed trials scale csv_dir
     | None, Some _, _ | None, _, true ->
       Printf.eprintf "--jobs/--resume require --out DIR (the JSONL store)\n";
       2
@@ -230,7 +235,7 @@ let run_experiments ids seed trials scale substrate csv_dir jobs out_dir resume
         | Some j -> max 1 j
         | None -> Engine.Pool.default_workers ()
       in
-      run_engine ids seed trials scale substrate csv_dir out workers resume
+      run_engine ids seed trials scale csv_dir out workers resume
         retries job_timeout)
 
 (* ------------------------------------------------------------------ *)
@@ -258,79 +263,53 @@ let make_spec name ~n ~t0 ~epsilon =
     Ok (Harness.Substrate.adaptive_doubling (Renaming.Object_space.create ~t0 ()))
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
 
-let simulate algo_name n seed adversary_name crash_fraction stagger substrate
-    histogram =
+let simulate algo_name n seed adversary_name crash_fraction stagger histogram =
   match make_spec algo_name ~n ~t0:3 ~epsilon:1.0 with
   | Error msg ->
     prerr_endline msg;
     Printf.eprintf "algorithms: %s\n" (String.concat ", " algo_names);
     2
-  | Ok spec ->
-    (match Sim.Adversary.by_name adversary_name with
+  | Ok spec -> (
+    match Sim.Adversary.by_name adversary_name with
     | None ->
       Printf.eprintf "unknown adversary %S; one of: %s\n" adversary_name
         (String.concat ", "
            (List.map (fun a -> a.Sim.Adversary.name) Sim.Adversary.all_builtin));
       2
-    | Some adversary -> (
-      let plain = crash_fraction <= 0. && stagger = None in
-      let finish ~adversary_label r =
-        Printf.printf
-          "algo=%s n=%d seed=%d adversary=%s substrate=%s\nunique=%b \
-           max_name=%d max_steps=%d total_steps=%d crashes=%d \
-           point_contention=%d space_used=%d\n"
-          algo_name n seed adversary_label
-          (Harness.Substrate.to_string substrate)
-          (Sim.Runner.check_unique_names r)
-          (Sim.Runner.max_name r) r.Sim.Runner.max_steps r.Sim.Runner.total_steps
-          r.Sim.Runner.crash_count r.Sim.Runner.point_contention
-          r.Sim.Runner.space_used;
-        if histogram then begin
-          let h = Stats.Histogram.create () in
-          Array.iteri
-            (fun pid s ->
-              if not r.Sim.Runner.crashed.(pid) then Stats.Histogram.add h s)
-            r.Sim.Runner.steps;
-          print_endline "per-process steps:";
-          print_string (Stats.Histogram.render h)
-        end;
-        if Sim.Runner.check_unique_names r then 0 else 1
+    | Some adversary ->
+      let adversary =
+        if crash_fraction > 0. then
+          Sim.Adversary.with_crashes ~fraction:crash_fraction adversary
+        else adversary
       in
-      (* The fast core only expresses the uniformly random oblivious
-         schedule, and the atomic cells only a sequential one; richer
-         schedules need the effects scheduler. *)
-      match substrate with
-      | Harness.Substrate.Fast when adversary_name = "random" && plain ->
-        finish ~adversary_label:"random"
-          (Harness.Substrate.run Harness.Substrate.Fast spec ~seed ~n ())
-      | Harness.Substrate.Fast ->
-        Printf.eprintf
-          "--substrate fast supports only --adversary random without \
-           --crash-fraction/--stagger; use --substrate effects\n";
-        2
-      | Harness.Substrate.Atomic when adversary_name = "sequential" && plain ->
-        finish ~adversary_label:"sequential"
-          (Harness.Substrate.run_sequential ~shuffled:false
-             Harness.Substrate.Atomic spec ~seed ~n ())
-      | Harness.Substrate.Atomic ->
-        Printf.eprintf
-          "--substrate atomic supports only --adversary sequential without \
-           --crash-fraction/--stagger; use --substrate effects\n";
-        2
-      | Harness.Substrate.Effects ->
-        let adversary =
-          if crash_fraction > 0. then
-            Sim.Adversary.with_crashes ~fraction:crash_fraction adversary
-          else adversary
-        in
-        let adversary =
-          match stagger with
-          | Some interval -> Sim.Arrivals.staggered ~interval adversary
-          | None -> adversary
-        in
-        finish ~adversary_label:adversary.Sim.Adversary.name
-          (Sim.Runner.run ~adversary ~seed ~n
-             ~algo:(Harness.Substrate.closure spec) ())))
+      let adversary =
+        match stagger with
+        | Some interval -> Sim.Arrivals.staggered ~interval adversary
+        | None -> adversary
+      in
+      let r =
+        Sim.Runner.run ~adversary ~seed ~n
+          ~algo:(Harness.Substrate.closure spec) ()
+      in
+      Printf.printf
+        "algo=%s n=%d seed=%d adversary=%s\nunique=%b max_name=%d \
+         max_steps=%d total_steps=%d crashes=%d point_contention=%d \
+         space_used=%d\n"
+        algo_name n seed adversary.Sim.Adversary.name
+        (Sim.Runner.check_unique_names r)
+        (Sim.Runner.max_name r) r.Sim.Runner.max_steps r.Sim.Runner.total_steps
+        r.Sim.Runner.crash_count r.Sim.Runner.point_contention
+        r.Sim.Runner.space_used;
+      if histogram then begin
+        let h = Stats.Histogram.create () in
+        Array.iteri
+          (fun pid s ->
+            if not r.Sim.Runner.crashed.(pid) then Stats.Histogram.add h s)
+          r.Sim.Runner.steps;
+        print_endline "per-process steps:";
+        print_string (Stats.Histogram.render h)
+      end;
+      if Sim.Runner.check_unique_names r then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* verify: the full safety battery *)
@@ -412,16 +391,15 @@ let verify seed rounds =
 (* ------------------------------------------------------------------ *)
 (* report: run everything and emit one self-contained markdown file *)
 
-let report out seed trials scale substrate =
+let report out seed trials scale =
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "# Experiment report\n\n";
   p
-    "Generated by `repro_cli report` — seed %d, trials %d, scale %.2f, \
-     substrate %s.  See DESIGN.md for the experiment index and \
-     EXPERIMENTS.md for the recorded full-scale analysis.\n"
-    seed trials scale
-    (Harness.Substrate.to_string substrate);
+    "Generated by `repro_cli report` — seed %d, trials %d, scale %.2f.  \
+     See DESIGN.md for the experiment index and EXPERIMENTS.md for the \
+     recorded full-scale analysis.\n"
+    seed trials scale;
   let in_code = ref false in
   let close_code () =
     if !in_code then begin
@@ -434,7 +412,6 @@ let report out seed trials scale substrate =
       Harness.Experiment.seed;
       trials;
       scale;
-      substrate;
       emit_table =
         (fun ~title table ->
           close_code ();
@@ -454,7 +431,7 @@ let report out seed trials scale substrate =
       p "\n## %s — %s\n\nClaim: %s\n"
         (String.uppercase_ascii e.Harness.Experiment.id)
         e.Harness.Experiment.title e.Harness.Experiment.claim;
-      e.Harness.Experiment.run ctx)
+      Harness.Experiment.run e ctx)
     Harness.Registry.all;
   close_code ();
   close_out oc;
@@ -1929,32 +1906,6 @@ let csv_t =
     & opt (some string) None
     & info [ "csv" ] ~docv:"DIR" ~doc:"Also write every table as CSV into $(docv).")
 
-let substrate_conv =
-  let parse s =
-    match Harness.Substrate.of_string s with
-    | Some sub -> Ok sub
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown substrate %S; one of: %s" s
-             (String.concat ", "
-                (List.map Harness.Substrate.to_string Harness.Substrate.all))))
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Harness.Substrate.to_string s))
-
-let substrate_t ~default =
-  Arg.(
-    value
-    & opt substrate_conv default
-    & info [ "substrate" ] ~docv:"SUB"
-        ~doc:
-          "Execution substrate: $(b,fast) (zero-allocation state-machine \
-           core), $(b,effects) (reference effect scheduler) or $(b,atomic) \
-           (real atomics, sequential).  Substrates are result-equivalent \
-           on the schedules they share, so this only changes speed; \
-           adversarial/crash/event experiments always use the effects \
-           path regardless.")
-
 let jobs_t =
   Arg.(
     value
@@ -2023,27 +1974,28 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let run_cmd =
-  let doc = "Run selected experiments by id (t1..t10, f1, f2)." in
+  let doc =
+    "Run selected experiments by id (see $(b,list); also t1l and t5l)."
+  in
   let ids_t =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ ids_t $ seed_t $ trials_t $ scale_t
-      $ substrate_t ~default:Harness.Substrate.Fast
-      $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
+      const run_experiments $ ids_t $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
 
 let all_cmd =
-  let doc = "Run every experiment in order." in
-  let run seed trials scale substrate csv jobs out resume retries job_timeout =
-    run_experiments (Harness.Registry.ids ()) seed trials scale substrate csv
-      jobs out resume retries job_timeout
+  let doc =
+    "Run every experiment in order (not the large-n sweeps t1l and t5l)."
+  in
+  let run seed trials scale csv jobs out resume retries job_timeout =
+    run_experiments
+      (List.map (fun e -> e.Harness.Experiment.id) Harness.Registry.all)
+      seed trials scale csv jobs out resume retries job_timeout
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const run $ seed_t $ trials_t $ scale_t
-      $ substrate_t ~default:Harness.Substrate.Fast
-      $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
+      const run $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
 
 let doctor_cmd =
   let doc =
@@ -2754,7 +2706,6 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc ~exits:finding_exits)
     Term.(
       const simulate $ algo_t $ n_t $ seed_t $ adversary_t $ crash_t $ stagger_t
-      $ substrate_t ~default:Harness.Substrate.Effects
       $ histogram_t)
 
 let verify_cmd =
@@ -2782,8 +2733,7 @@ let bench_large json seed trials out check threshold jobs store resume max_n
   end
   else begin
     let ctx scale =
-      Harness.Experiment.default_ctx ~seed ~trials ~scale
-        ~substrate:Harness.Substrate.Fast ()
+      Harness.Experiment.default_ctx ~seed ~trials ~scale ()
     in
     (* scale maps --max-n/--max-k onto the experiments' full-grid tops, so
        the produced decades are a subset of the committed full-scale
@@ -3131,8 +3081,7 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const report $ out_t $ seed_t $ trials_t $ scale_t
-      $ substrate_t ~default:Harness.Substrate.Fast)
+      const report $ out_t $ seed_t $ trials_t $ scale_t)
 
 let main_cmd =
   let doc =

@@ -25,7 +25,9 @@ let job_key ~experiment (job : Experiment.job) =
     job.Experiment.trial
 
 let plan ~ctx (exp : Experiment.t) =
-  match exp.Experiment.jobs with None -> None | Some jobs -> Some (jobs ctx)
+  match exp.Experiment.body with
+  | Experiment.Serial _ -> None
+  | Experiment.Trials { jobs; _ } -> Some (jobs ctx)
 
 let execute ?workers ?(resume = false) ?(progress = true) ?(retries = 0)
     ?job_timeout ?(should_stop = fun () -> false) ?(grace = 2.0)
@@ -272,7 +274,6 @@ let write_manifest ~out_dir ~ids ~workers ~resume ~status ~retries ~job_timeout
       ("seed", string_of_int ctx.Experiment.seed);
       ("trials", string_of_int ctx.Experiment.trials);
       ("scale", Printf.sprintf "%g" ctx.Experiment.scale);
-      ("substrate", Substrate.to_string ctx.Experiment.substrate);
       ("workers", string_of_int workers);
       ("retries", string_of_int retries);
       ( "job_timeout",

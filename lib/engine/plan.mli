@@ -1,8 +1,8 @@
 (** Orchestration: turn an experiment's sweep into jobs and execute them
     fault-tolerantly.
 
-    The plan for one experiment is the list returned by its
-    [Experiment.jobs] view.  {!execute} (1) drops jobs already present in
+    The plan for one experiment is the job list of its
+    [Experiment.Trials] body.  {!execute} (1) drops jobs already present in
     the store when resuming, (2) fans the rest out on {!Pool.run_guarded},
     (3) appends one {!Sink.record} per successful job and one
     {!Fault.failure} per failed attempt as they complete, and (4) reports
@@ -49,7 +49,7 @@ val plan :
   ctx:Harness.Experiment.ctx ->
   Harness.Experiment.t ->
   Harness.Experiment.job list option
-(** The experiment's job list, or [None] if it has no trial-grain view. *)
+(** The experiment's job list, or [None] for a [Serial] body. *)
 
 val execute :
   ?workers:int ->

@@ -98,6 +98,5 @@ let exp =
     Experiment.id = "t15";
     title = "Per-object access counts (footnote 1)";
     claim = "Footnote 1: each TAS object is accessed by O(log k) processes w.h.p.";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

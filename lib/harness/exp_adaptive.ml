@@ -1,29 +1,36 @@
 let log2 x = log x /. log 2.
 
-type point = { max_steps : float; max_name : float }
+let sizes (ctx : Experiment.ctx) =
+  List.map (Sweep.scaled ctx.scale)
+    (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
 
-let measure ~ctx ~k make_spec =
-  let points =
-    Sweep.collect_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
-      (fun seed ->
-        let spec = make_spec () in
-        let r =
-          Substrate.run_sequential ctx.Experiment.substrate spec ~seed ~n:k ()
-        in
-        if not (Sim.Runner.check_unique_names r) then
-          failwith "T5: uniqueness violated";
-        {
-          max_steps = float_of_int r.Sim.Runner.max_steps;
-          max_name = float_of_int (Sim.Runner.max_name r);
-        })
-  in
-  let mean f = Stats.Summary.mean (Array.of_list (List.map f points)) in
-  (mean (fun p -> p.max_steps), mean (fun p -> p.max_name))
+let jobs (ctx : Experiment.ctx) =
+  Experiment.sweep ctx (sizes ctx)
+    ~label:(Printf.sprintf "k=%d")
+    ~params:(fun k -> [ ("k", float_of_int k) ])
+    (fun k ~seed ->
+      let measure spec =
+        let r = Sweep.sequential ~tag:"T5" spec ~seed ~n:k in
+        ( float_of_int r.Sim.Runner.max_steps,
+          float_of_int (Sim.Runner.max_name r) )
+      in
+      let adaptive_steps, adaptive_name =
+        measure (Substrate.adaptive (Renaming.Object_space.create ()))
+      in
+      let tuned_steps, _ =
+        measure (Substrate.adaptive (Renaming.Object_space.create ~t0:3 ()))
+      in
+      let doubling_steps, _ =
+        measure (Substrate.adaptive_doubling (Renaming.Object_space.create ()))
+      in
+      [
+        ("adaptive_paper_max", adaptive_steps);
+        ("adaptive_paper_name", adaptive_name);
+        ("adaptive_t0_max", tuned_steps);
+        ("doubling_max", doubling_steps);
+      ])
 
-let run (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale) (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
-  in
+let tables (ctx : Experiment.ctx) results =
   let table =
     Table.create
       ~columns:
@@ -39,20 +46,12 @@ let run (ctx : Experiment.ctx) =
         ]
   in
   let paper_series = ref [] and tuned_series = ref [] in
-  List.iter
-    (fun k ->
-      let adaptive_steps, adaptive_name =
-        measure ~ctx ~k (fun () ->
-            Substrate.adaptive (Renaming.Object_space.create ()))
-      in
-      let tuned_steps, _ =
-        measure ~ctx ~k (fun () ->
-            Substrate.adaptive (Renaming.Object_space.create ~t0:3 ()))
-      in
-      let doubling_steps, _ =
-        measure ~ctx ~k (fun () ->
-            Substrate.adaptive_doubling (Renaming.Object_space.create ()))
-      in
+  List.iteri
+    (fun point k ->
+      let mean key = Stats.Summary.mean (Experiment.values results ~point key) in
+      let adaptive_steps = mean "adaptive_paper_max" in
+      let adaptive_name = mean "adaptive_paper_name" in
+      let tuned_steps = mean "adaptive_t0_max" in
       paper_series := (k, adaptive_steps) :: !paper_series;
       tuned_series := (k, tuned_steps) :: !tuned_series;
       let fk = float_of_int k in
@@ -62,13 +61,13 @@ let run (ctx : Experiment.ctx) =
           Table.cell_int k;
           Table.cell_float adaptive_steps;
           Table.cell_float tuned_steps;
-          Table.cell_float doubling_steps;
+          Table.cell_float (mean "doubling_max");
           Table.cell_float (ll *. ll);
           Table.cell_float (log2 fk);
           Table.cell_float ~decimals:0 adaptive_name;
           Table.cell_float (adaptive_name /. fk);
         ])
-    sizes;
+    (sizes ctx);
   ctx.emit_table ~title:"T5: adaptive renaming, steps and namespace vs contention k"
     table;
   let fits tag data =
@@ -85,60 +84,11 @@ let run (ctx : Experiment.ctx) =
   fits "T5 fits, AdaptiveReBatching (paper constants) worst steps:" !paper_series;
   fits "T5 fits, AdaptiveReBatching (t0=3) worst steps:" !tuned_series
 
-let jobs (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale)
-      (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
-  in
-  List.concat
-    (List.mapi
-       (fun sweep_point k ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "k=%d" k;
-               trial;
-               params = [ ("k", float_of_int k) ];
-               run_job =
-                 (fun ~seed ->
-                   let measure spec =
-                     let r =
-                       Substrate.run_sequential ctx.Experiment.substrate spec
-                         ~seed ~n:k ()
-                     in
-                     if not (Sim.Runner.check_unique_names r) then
-                       failwith "T5: uniqueness violated";
-                     ( float_of_int r.Sim.Runner.max_steps,
-                       float_of_int (Sim.Runner.max_name r) )
-                   in
-                   let adaptive_steps, adaptive_name =
-                     measure (Substrate.adaptive (Renaming.Object_space.create ()))
-                   in
-                   let tuned_steps, _ =
-                     measure
-                       (Substrate.adaptive
-                          (Renaming.Object_space.create ~t0:3 ()))
-                   in
-                   let doubling_steps, _ =
-                     measure
-                       (Substrate.adaptive_doubling
-                          (Renaming.Object_space.create ()))
-                   in
-                   [
-                     ("adaptive_paper_max", adaptive_steps);
-                     ("adaptive_paper_name", adaptive_name);
-                     ("adaptive_t0_max", tuned_steps);
-                     ("doubling_max", doubling_steps);
-                   ]);
-             }))
-       sizes)
-
 let exp =
   {
     Experiment.id = "t5";
     title = "AdaptiveReBatching step complexity and namespace";
     claim =
       "Theorem 5.1: O((log log k)^2) steps and largest name O(k), both w.h.p.";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

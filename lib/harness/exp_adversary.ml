@@ -55,6 +55,5 @@ let exp =
     claim =
       "§1/§2: the w.h.p. bounds hold against a strong adaptive adversary — no \
        schedule escapes the log log n band";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

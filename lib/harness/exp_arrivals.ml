@@ -86,6 +86,5 @@ let exp =
     claim =
       "Extension: correctness and step bounds are independent of when \
        processes arrive, not just of how they interleave";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

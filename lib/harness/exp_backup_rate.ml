@@ -55,6 +55,5 @@ let exp =
     Experiment.id = "t4";
     title = "Backup-phase frequency";
     claim = "§4: the backup scan runs with probability <= 1/n^(beta-o(1))";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

@@ -79,6 +79,5 @@ let exp =
     Experiment.id = "t3";
     title = "Batch survivor counts (Lemma 4.2)";
     claim = "Lemma 4.2: w.h.p. n_i <= n/2^(2^i+i+delta) and n_kappa <= log^2 n";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

@@ -21,49 +21,31 @@ let plan_for ~seed ~procs ~fraction =
     in
     (plan, algo)
 
-type point = {
-  armed : float;
-  fired : float;
-  survivors : float;
-  leaked : float;
-  max_name : float;
-  all_ok : bool;
-}
+(* A trial whose invariant monitor reports a violation raises: a broken
+   §2 guarantee is a failure, not a table cell. *)
+let jobs (ctx : Experiment.ctx) =
+  let procs = Sweep.scaled ctx.scale 128 in
+  Experiment.sweep ctx (fractions procs)
+    ~label:(Printf.sprintf "frac=%.3f")
+    ~params:(fun fraction ->
+      [ ("procs", float_of_int procs); ("crash_frac", fraction) ])
+    (fun fraction ~seed ->
+      let plan, algo = plan_for ~seed ~procs ~fraction in
+      let o = Chaos.Chaos_runner.run ~plan ~algo () in
+      let v = o.Chaos.Chaos_runner.verdict in
+      if not (Chaos.Chaos_runner.ok v) then
+        failwith
+          ("B2: invariants violated: "
+          ^ String.concat ", " v.Chaos.Chaos_runner.violations);
+      [
+        ("armed", float_of_int (List.length plan.Chaos.Fault_plan.crashes));
+        ("fired", float_of_int (List.length v.Chaos.Chaos_runner.fired));
+        ("survivors", float_of_int v.Chaos.Chaos_runner.survivors);
+        ("leaked", float_of_int v.Chaos.Chaos_runner.leaked);
+        ("max_name", float_of_int v.Chaos.Chaos_runner.max_name);
+      ])
 
-let measure ~ctx ~procs ~fraction =
-  let armed = Stats.Summary.acc_create () in
-  let fired = Stats.Summary.acc_create () in
-  let survivors = Stats.Summary.acc_create () in
-  let leaked = Stats.Summary.acc_create () in
-  let max_name = Stats.Summary.acc_create () in
-  let all_ok = ref true in
-  for trial = 0 to ctx.Experiment.trials - 1 do
-    let plan, algo =
-      plan_for ~seed:(ctx.Experiment.seed + trial) ~procs ~fraction
-    in
-    let o = Chaos.Chaos_runner.run ~plan ~algo () in
-    let v = o.Chaos.Chaos_runner.verdict in
-    if not (Chaos.Chaos_runner.ok v) then all_ok := false;
-    Stats.Summary.acc_add armed
-      (float_of_int (List.length plan.Chaos.Fault_plan.crashes));
-    Stats.Summary.acc_add fired
-      (float_of_int (List.length v.Chaos.Chaos_runner.fired));
-    Stats.Summary.acc_add survivors
-      (float_of_int v.Chaos.Chaos_runner.survivors);
-    Stats.Summary.acc_add leaked (float_of_int v.Chaos.Chaos_runner.leaked);
-    Stats.Summary.acc_add max_name
-      (float_of_int v.Chaos.Chaos_runner.max_name)
-  done;
-  {
-    armed = Stats.Summary.acc_mean armed;
-    fired = Stats.Summary.acc_mean fired;
-    survivors = Stats.Summary.acc_mean survivors;
-    leaked = Stats.Summary.acc_mean leaked;
-    max_name = Stats.Summary.acc_mean max_name;
-    all_ok = !all_ok;
-  }
-
-let run (ctx : Experiment.ctx) =
+let tables (ctx : Experiment.ctx) results =
   let procs = Sweep.scaled ctx.scale 128 in
   let table =
     Table.create
@@ -75,67 +57,29 @@ let run (ctx : Experiment.ctx) =
           ("survivors", Table.Right);
           ("leaked slots", Table.Right);
           ("max name", Table.Right);
-          ("invariants", Table.Left);
         ]
   in
-  List.iter
-    (fun fraction ->
-      let m = measure ~ctx ~procs ~fraction in
+  List.iteri
+    (fun point fraction ->
+      let mean = Experiment.mean results ~point in
       Table.add_row table
         [
           Table.cell_float fraction;
-          Table.cell_float ~decimals:1 m.armed;
-          Table.cell_float ~decimals:1 m.fired;
-          Table.cell_float ~decimals:1 m.survivors;
-          Table.cell_float ~decimals:1 m.leaked;
-          Table.cell_float ~decimals:0 m.max_name;
-          (if m.all_ok then "ok" else "VIOLATED");
+          Table.cell_float ~decimals:1 (mean "armed");
+          Table.cell_float ~decimals:1 (mean "fired");
+          Table.cell_float ~decimals:1 (mean "survivors");
+          Table.cell_float ~decimals:1 (mean "leaked");
+          Table.cell_float ~decimals:0 (mean "max_name");
         ])
     (fractions procs);
-  ctx.Experiment.emit_table
+  ctx.emit_table
     ~title:
       (Printf.sprintf "B2: injected crashes on real atomics, %s, procs=%d"
          algo_name procs)
     table;
-  ctx.Experiment.log
+  ctx.log
     "B2 note: armed crashes fire only if the process reaches its armed \
      operation; leaked slots must equal fired after-win crashes exactly."
-
-let jobs (ctx : Experiment.ctx) =
-  let procs = Sweep.scaled ctx.scale 128 in
-  List.concat
-    (List.mapi
-       (fun sweep_point fraction ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "frac=%.3f" fraction;
-               trial;
-               params =
-                 [ ("procs", float_of_int procs); ("crash_frac", fraction) ];
-               run_job =
-                 (fun ~seed ->
-                   let plan, algo = plan_for ~seed ~procs ~fraction in
-                   let o = Chaos.Chaos_runner.run ~plan ~algo () in
-                   let v = o.Chaos.Chaos_runner.verdict in
-                   if not (Chaos.Chaos_runner.ok v) then
-                     failwith
-                       ("B2: invariants violated: "
-                       ^ String.concat ", " v.Chaos.Chaos_runner.violations);
-                   [
-                     ( "armed",
-                       float_of_int
-                         (List.length plan.Chaos.Fault_plan.crashes) );
-                     ( "fired",
-                       float_of_int (List.length v.Chaos.Chaos_runner.fired)
-                     );
-                     ( "survivors",
-                       float_of_int v.Chaos.Chaos_runner.survivors );
-                     ("leaked", float_of_int v.Chaos.Chaos_runner.leaked);
-                     ("max_name", float_of_int v.Chaos.Chaos_runner.max_name);
-                   ]);
-             }))
-       (fractions procs))
 
 let exp =
   {
@@ -144,6 +88,5 @@ let exp =
     claim =
       "§2 crash model on multicore: survivors terminate with unique bounded \
        names under fail-stops at any step, including after a TAS win";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

@@ -90,6 +90,5 @@ let exp =
     claim =
       "Long-lived extension: holders always have distinct names and the \
        namespace stays O(concurrent contention) over unbounded acquisitions";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

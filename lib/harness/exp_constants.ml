@@ -101,6 +101,5 @@ let exp =
     claim =
       "§4: t0/beta set by Lemma 4.2's union bounds; batching (not the \
        constants) delivers the log log n shape";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

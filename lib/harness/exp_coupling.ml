@@ -127,6 +127,5 @@ let exp =
     claim =
       "Lemmas 6.4-6.6: Pois(gamma) coupling with Y <= max(0,Z-1) exists and \
        the marked rate obeys lambda' >= lambda^2/(4s)";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

@@ -78,6 +78,5 @@ let exp =
     title = "Crash-failure tolerance";
     claim =
       "§2: under any number of crashes, survivors terminate with unique names";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

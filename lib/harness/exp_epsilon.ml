@@ -1,4 +1,28 @@
-let run (ctx : Experiment.ctx) =
+let epsilons = [ 0.1; 0.25; 0.5; 1.0; 2.0 ]
+
+let jobs (ctx : Experiment.ctx) =
+  let n = Sweep.scaled ctx.scale 4096 in
+  Experiment.sweep ctx epsilons
+    ~label:(Printf.sprintf "eps=%g")
+    ~params:(fun epsilon -> [ ("epsilon", epsilon); ("n", float_of_int n) ])
+    (fun epsilon ~seed ->
+      let instance = Renaming.Rebatching.make ~epsilon ~n () in
+      let backups = ref 0 in
+      let spec =
+        Substrate.rebatching ~on_backup:(fun () -> incr backups) instance
+      in
+      let r = Sweep.sequential ~tag:"T9" spec ~seed ~n in
+      [
+        ("max_steps", float_of_int r.Sim.Runner.max_steps);
+        ( "total_per_proc",
+          float_of_int r.Sim.Runner.total_steps /. float_of_int n );
+        ("backups", float_of_int !backups);
+        ( "m_over_n",
+          float_of_int (Renaming.Rebatching.size instance) /. float_of_int n );
+        ("t0", float_of_int (Renaming.Rebatching.probe_budget instance 0));
+      ])
+
+let tables (ctx : Experiment.ctx) results =
   let n = Sweep.scaled ctx.scale 4096 in
   let table =
     Table.create
@@ -12,81 +36,26 @@ let run (ctx : Experiment.ctx) =
           ("backups", Table.Right);
         ]
   in
-  List.iter
-    (fun epsilon ->
+  List.iteri
+    (fun point epsilon ->
       let instance = Renaming.Rebatching.make ~epsilon ~n () in
-      let backups = ref 0 in
-      let spec =
-        Substrate.rebatching ~on_backup:(fun () -> incr backups) instance
+      let backups =
+        Array.fold_left ( +. ) 0. (Experiment.values results ~point "backups")
       in
-      let maxs = Stats.Summary.acc_create () in
-      let totals = Stats.Summary.acc_create () in
-      for trial = 0 to ctx.trials - 1 do
-        let r =
-          Substrate.run_sequential ctx.substrate spec ~seed:(ctx.seed + trial)
-            ~n ()
-        in
-        if not (Sim.Runner.check_unique_names r) then
-          failwith "T9: uniqueness violated";
-        Stats.Summary.acc_add maxs (float_of_int r.Sim.Runner.max_steps);
-        Stats.Summary.acc_add totals
-          (float_of_int r.Sim.Runner.total_steps /. float_of_int n)
-      done;
       Table.add_row table
         [
           Table.cell_float epsilon;
           Table.cell_ratio (float_of_int (Renaming.Rebatching.size instance))
             (float_of_int n);
           Table.cell_int (Renaming.Rebatching.probe_budget instance 0);
-          Table.cell_float (Stats.Summary.acc_mean maxs);
-          Table.cell_float (Stats.Summary.acc_mean totals);
-          Table.cell_int !backups;
+          Table.cell_float (Experiment.mean results ~point "max_steps");
+          Table.cell_float (Experiment.mean results ~point "total_per_proc");
+          Table.cell_int (int_of_float backups);
         ])
-    [ 0.1; 0.25; 0.5; 1.0; 2.0 ];
+    epsilons;
   ctx.emit_table
     ~title:(Printf.sprintf "T9: namespace slack epsilon vs cost, n=%d" n)
     table
-
-let jobs (ctx : Experiment.ctx) =
-  let n = Sweep.scaled ctx.scale 4096 in
-  List.concat
-    (List.mapi
-       (fun sweep_point epsilon ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "eps=%g" epsilon;
-               trial;
-               params = [ ("epsilon", epsilon); ("n", float_of_int n) ];
-               run_job =
-                 (fun ~seed ->
-                   let instance = Renaming.Rebatching.make ~epsilon ~n () in
-                   let backups = ref 0 in
-                   let spec =
-                     Substrate.rebatching
-                       ~on_backup:(fun () -> incr backups)
-                       instance
-                   in
-                   let r =
-                     Substrate.run_sequential ctx.Experiment.substrate spec
-                       ~seed ~n ()
-                   in
-                   if not (Sim.Runner.check_unique_names r) then
-                     failwith "T9: uniqueness violated";
-                   [
-                     ("max_steps", float_of_int r.Sim.Runner.max_steps);
-                     ( "total_per_proc",
-                       float_of_int r.Sim.Runner.total_steps /. float_of_int n );
-                     ("backups", float_of_int !backups);
-                     ( "m_over_n",
-                       float_of_int (Renaming.Rebatching.size instance)
-                       /. float_of_int n );
-                     ( "t0",
-                       float_of_int (Renaming.Rebatching.probe_budget instance 0)
-                     );
-                   ]);
-             }))
-       [ 0.1; 0.25; 0.5; 1.0; 2.0 ])
 
 let exp =
   {
@@ -95,6 +64,5 @@ let exp =
     claim =
       "§4: namespace (1+eps)n costs t0 = Theta(ln(1/eps)/eps) probes in batch \
        0; shape stays log log n + O(1)";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

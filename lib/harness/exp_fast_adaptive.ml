@@ -1,25 +1,40 @@
 let log2 x = log x /. log 2.
 
-let measure ~ctx ~k make_spec =
-  let totals =
-    Sweep.collect_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
-      (fun seed ->
-        let spec = make_spec () in
-        let r =
-          Substrate.run_sequential ctx.Experiment.substrate spec ~seed ~n:k ()
-        in
-        if not (Sim.Runner.check_unique_names r) then
-          failwith "T6: uniqueness violated";
-        ( float_of_int r.Sim.Runner.total_steps /. float_of_int k,
-          float_of_int (Sim.Runner.max_name r) ))
-  in
-  let mean f = Stats.Summary.mean (Array.of_list (List.map f totals)) in
-  (mean fst, mean snd)
+let sizes (ctx : Experiment.ctx) =
+  List.map (Sweep.scaled ctx.scale)
+    (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
 
-let run (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale) (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
-  in
+let jobs (ctx : Experiment.ctx) =
+  Experiment.sweep ctx (sizes ctx)
+    ~label:(Printf.sprintf "k=%d")
+    ~params:(fun k -> [ ("k", float_of_int k) ])
+    (fun k ~seed ->
+      let measure spec =
+        let r = Sweep.sequential ~tag:"T6" spec ~seed ~n:k in
+        ( float_of_int r.Sim.Runner.total_steps /. float_of_int k,
+          float_of_int (Sim.Runner.max_name r) )
+      in
+      let fast_per, fast_name =
+        measure (Substrate.fast_adaptive (Renaming.Object_space.create ()))
+      in
+      let adaptive_per, _ =
+        measure (Substrate.adaptive (Renaming.Object_space.create ()))
+      in
+      let fast_tuned_per, _ =
+        measure (Substrate.fast_adaptive (Renaming.Object_space.create ~t0:3 ()))
+      in
+      let adaptive_tuned_per, _ =
+        measure (Substrate.adaptive (Renaming.Object_space.create ~t0:3 ()))
+      in
+      [
+        ("fast_per_proc", fast_per);
+        ("fast_name", fast_name);
+        ("adaptive_per_proc", adaptive_per);
+        ("fast_t0_per_proc", fast_tuned_per);
+        ("adaptive_t0_per_proc", adaptive_tuned_per);
+      ])
+
+let tables (ctx : Experiment.ctx) results =
   let table =
     Table.create
       ~columns:
@@ -35,24 +50,12 @@ let run (ctx : Experiment.ctx) =
         ]
   in
   let fast_series = ref [] and fast_tuned_series = ref [] in
-  List.iter
-    (fun k ->
-      let fast_per, fast_name =
-        measure ~ctx ~k (fun () ->
-            Substrate.fast_adaptive (Renaming.Object_space.create ()))
-      in
-      let adaptive_per, _ =
-        measure ~ctx ~k (fun () ->
-            Substrate.adaptive (Renaming.Object_space.create ()))
-      in
-      let fast_tuned_per, _ =
-        measure ~ctx ~k (fun () ->
-            Substrate.fast_adaptive (Renaming.Object_space.create ~t0:3 ()))
-      in
-      let adaptive_tuned_per, _ =
-        measure ~ctx ~k (fun () ->
-            Substrate.adaptive (Renaming.Object_space.create ~t0:3 ()))
-      in
+  List.iteri
+    (fun point k ->
+      let mean key = Stats.Summary.mean (Experiment.values results ~point key) in
+      let fast_per = mean "fast_per_proc" in
+      let fast_name = mean "fast_name" in
+      let fast_tuned_per = mean "fast_t0_per_proc" in
       fast_series := (k, fast_per) :: !fast_series;
       fast_tuned_series := (k, fast_tuned_per) :: !fast_tuned_series;
       let fk = float_of_int k in
@@ -61,14 +64,14 @@ let run (ctx : Experiment.ctx) =
         [
           Table.cell_int k;
           Table.cell_float fast_per;
-          Table.cell_float adaptive_per;
+          Table.cell_float (mean "adaptive_per_proc");
           Table.cell_float fast_tuned_per;
-          Table.cell_float adaptive_tuned_per;
+          Table.cell_float (mean "adaptive_t0_per_proc");
           Table.cell_float ll;
           Table.cell_float ~decimals:0 fast_name;
           Table.cell_float (fast_name /. fk);
         ])
-    sizes;
+    (sizes ctx);
   ctx.emit_table
     ~title:"T6: total steps per process vs k (FastAdaptive vs Adaptive)" table;
   let fits tag data =
@@ -85,59 +88,6 @@ let run (ctx : Experiment.ctx) =
   fits "T6 fits, FastAdaptive (paper constants) normalized total steps:" !fast_series;
   fits "T6 fits, FastAdaptive (t0=3) normalized total steps:" !fast_tuned_series
 
-let jobs (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale)
-      (Sweep.geometric_sizes ~lo:4 ~hi:16384 ~factor:2)
-  in
-  List.concat
-    (List.mapi
-       (fun sweep_point k ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "k=%d" k;
-               trial;
-               params = [ ("k", float_of_int k) ];
-               run_job =
-                 (fun ~seed ->
-                   let measure spec =
-                     let r =
-                       Substrate.run_sequential ctx.Experiment.substrate spec
-                         ~seed ~n:k ()
-                     in
-                     if not (Sim.Runner.check_unique_names r) then
-                       failwith "T6: uniqueness violated";
-                     ( float_of_int r.Sim.Runner.total_steps /. float_of_int k,
-                       float_of_int (Sim.Runner.max_name r) )
-                   in
-                   let fast_per, fast_name =
-                     measure
-                       (Substrate.fast_adaptive (Renaming.Object_space.create ()))
-                   in
-                   let adaptive_per, _ =
-                     measure (Substrate.adaptive (Renaming.Object_space.create ()))
-                   in
-                   let fast_tuned_per, _ =
-                     measure
-                       (Substrate.fast_adaptive
-                          (Renaming.Object_space.create ~t0:3 ()))
-                   in
-                   let adaptive_tuned_per, _ =
-                     measure
-                       (Substrate.adaptive
-                          (Renaming.Object_space.create ~t0:3 ()))
-                   in
-                   [
-                     ("fast_per_proc", fast_per);
-                     ("fast_name", fast_name);
-                     ("adaptive_per_proc", adaptive_per);
-                     ("fast_t0_per_proc", fast_tuned_per);
-                     ("adaptive_t0_per_proc", adaptive_tuned_per);
-                   ]);
-             }))
-       sizes)
-
 let exp =
   {
     Experiment.id = "t6";
@@ -145,6 +95,5 @@ let exp =
     claim =
       "Theorem 5.2: total step complexity O(k log log k) w.h.p., largest name \
        O(k) w.h.p.";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

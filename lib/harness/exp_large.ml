@@ -115,47 +115,33 @@ let measure ~series ~n ~seed =
    the same per-job seeds as the full committed baseline: subset rows
    are bit-identical to baseline rows, and the --check bands only ever
    see real behavioral drift, never sampling noise. *)
-let jobs_of ~series_list ~hi (ctx : Experiment.ctx) =
+let point_index ~hi ~series_idx ~n =
   let full_sizes = grid ~scale:1.0 ~hi in
-  let sizes = grid ~scale:ctx.Experiment.scale ~hi in
-  let point_index =
-    let decades = List.length full_sizes in
-    let decade_of n =
-      let rec go i = function
-        | [] ->
-          invalid_arg
-            (Printf.sprintf "Exp_large.jobs_of: n=%d not on the decade grid" n)
-        | m :: rest -> if m = n then i else go (i + 1) rest
-      in
-      go 0 full_sizes
-    in
-    fun ~series_idx ~n -> (series_idx * decades) + decade_of n
+  let rec decade_of i = function
+    | [] ->
+      invalid_arg
+        (Printf.sprintf "Exp_large.point_index: n=%d not on the decade grid" n)
+    | m :: rest -> if m = n then i else decade_of (i + 1) rest
   in
-  List.concat
+  (series_idx * List.length full_sizes) + decade_of 0 full_sizes
+
+let jobs_of ~series_list ~hi (ctx : Experiment.ctx) =
+  let sizes = grid ~scale:ctx.scale ~hi in
+  Experiment.sweep ctx
     (List.concat
        (List.mapi
           (fun series_idx series ->
-            List.map
-              (fun n ->
-                let sweep_point = point_index ~series_idx ~n in
-                List.init (trials_at ~trials:ctx.Experiment.trials n)
-                  (fun trial ->
-                    {
-                      Experiment.sweep_point;
-                      point_label = point_label ~series ~n;
-                      trial;
-                      params = [ ("n", float_of_int n) ];
-                      run_job = (fun ~seed -> measure ~series ~n ~seed);
-                    }))
-              sizes)
+            List.map (fun n -> (series_idx, series, n)) sizes)
           series_list))
+    ~trials:(fun (_, _, n) -> trials_at ~trials:ctx.trials n)
+    ~sweep_point:(fun _ (series_idx, _, n) -> point_index ~hi ~series_idx ~n)
+    ~label:(fun (_, series, n) -> point_label ~series ~n)
+    ~params:(fun (_, _, n) -> [ ("n", float_of_int n) ])
+    (fun (_, series, n) ~seed -> measure ~series ~n ~seed)
 
-(* Serial view: the same sweep as one table (mean worst-case steps per
-   decade per series), for `repro_cli run t1l/t5l` without an engine
-   store.  Runs on the streaming fast core whatever ctx.substrate says —
-   the other substrates cannot represent n = 10^8. *)
-let run_with ~series_list ~hi ~tag (ctx : Experiment.ctx) =
-  let sizes = grid ~scale:ctx.Experiment.scale ~hi in
+(* One table: mean worst-case steps per decade per series. *)
+let tables_with ~series_list ~hi ~tag (ctx : Experiment.ctx) results =
+  let sizes = grid ~scale:ctx.scale ~hi in
   let table =
     Table.create
       ~columns:
@@ -166,26 +152,21 @@ let run_with ~series_list ~hi ~tag (ctx : Experiment.ctx) =
   let first_series_points = ref [] in
   List.iter
     (fun n ->
-      let trials = trials_at ~trials:ctx.Experiment.trials n in
-      let cells =
-        List.map
-          (fun series ->
-            let mean =
-              (Sweep.over_seeds ~seed:ctx.Experiment.seed ~trials (fun seed ->
-                   List.assoc "max_steps" (measure ~series ~n ~seed)))
-                .Stats.Summary.mean
-            in
-            (series, mean))
+      let means =
+        List.mapi
+          (fun series_idx _ ->
+            Experiment.mean results
+              ~point:(point_index ~hi ~series_idx ~n)
+              "max_steps")
           series_list
       in
-      (match cells with
-      | (_, mean) :: _ ->
-        first_series_points := (n, mean) :: !first_series_points
+      (match means with
+      | mean :: _ -> first_series_points := (n, mean) :: !first_series_points
       | [] -> ());
       let fn = float_of_int n in
       Table.add_row table
         (Table.cell_int n
-        :: List.map (fun (_, mean) -> Table.cell_float mean) cells
+        :: List.map Table.cell_float means
         @ [
             Table.cell_float (log2 (log2 fn)); Table.cell_float (log2 fn);
           ]))
@@ -216,8 +197,12 @@ let t1l =
       "Theorem 4.1 across three more decades: ReBatching's worst per-process \
        steps stay log log n + O(1) up to n = 10^8 while uniform probing \
        climbs with log n";
-    run = run_with ~series_list:t1l_series ~hi:t1l_hi ~tag:"T1L";
-    jobs = Some (jobs_of ~series_list:t1l_series ~hi:t1l_hi);
+    body =
+      Experiment.Trials
+        {
+          jobs = jobs_of ~series_list:t1l_series ~hi:t1l_hi;
+          tables = tables_with ~series_list:t1l_series ~hi:t1l_hi ~tag:"T1L";
+        };
   }
 
 let t5l =
@@ -227,6 +212,10 @@ let t5l =
     claim =
       "Section 5 at scale: adaptive ReBatching's steps grow like (log log \
        k)^2 and its namespace stays O(k) out to k = 10^7";
-    run = run_with ~series_list:t5l_series ~hi:t5l_hi ~tag:"T5L";
-    jobs = Some (jobs_of ~series_list:t5l_series ~hi:t5l_hi);
+    body =
+      Experiment.Trials
+        {
+          jobs = jobs_of ~series_list:t5l_series ~hi:t5l_hi;
+          tables = tables_with ~series_list:t5l_series ~hi:t5l_hi ~tag:"T5L";
+        };
   }

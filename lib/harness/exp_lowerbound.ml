@@ -223,6 +223,5 @@ let exp =
     claim =
       "Theorem 6.1: with constant probability some process takes \
        Omega(log log n) steps under the oblivious layered adversary";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

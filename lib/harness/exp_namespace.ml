@@ -88,6 +88,5 @@ let exp =
     claim =
       "§4 structure: batch 0 serves almost all processes, uniformly; later \
        batches serve doubly-exponentially fewer";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

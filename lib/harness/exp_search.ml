@@ -59,6 +59,5 @@ let exp =
     claim =
       "Extension of §2: even schedules optimized against the execution \
        cannot push ReBatching past its phase budget";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

@@ -77,6 +77,5 @@ let exp =
       "Refs [3,22]: read/write sifters reach O(1) survivors in \
        Theta(log log n) levels against a weak adversary — and fail totally \
        against a strong one";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

@@ -1,22 +1,31 @@
 let log2 x = log x /. log 2.
 
-(* Worst per-process step count of [spec] on [n] processes, averaged over
-   trials (each trial is an independent seeded execution), on the ctx's
-   substrate (all three agree bit for bit on this schedule). *)
-let measure_max ~ctx ~n spec =
-  Sweep.over_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
-    (fun seed ->
-      let r =
-        Substrate.run_sequential ctx.Experiment.substrate spec ~seed ~n ()
-      in
-      if not (Sim.Runner.check_unique_names r) then
-        failwith "T1: uniqueness violated";
-      float_of_int r.Sim.Runner.max_steps)
+let sizes (ctx : Experiment.ctx) =
+  List.map (Sweep.scaled ctx.scale)
+    (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
 
-let run (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale) (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
-  in
+(* One trial at one size runs all four algorithm variants on the same
+   seed (common random numbers). *)
+let jobs (ctx : Experiment.ctx) =
+  Experiment.sweep ctx (sizes ctx)
+    ~label:(Printf.sprintf "n=%d")
+    ~params:(fun n -> [ ("n", float_of_int n) ])
+    (fun n ~seed ->
+      let max_steps spec =
+        float_of_int (Sweep.sequential ~tag:"T1" spec ~seed ~n).Sim.Runner.max_steps
+      in
+      [
+        ( "rebatch_paper_max",
+          max_steps (Substrate.rebatching (Renaming.Rebatching.make ~n ())) );
+        ( "rebatch_t0_max",
+          max_steps
+            (Substrate.rebatching (Renaming.Rebatching.make ~t0:3 ~n ())) );
+        ( "uniform_max",
+          max_steps (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n)) );
+        ("cyclic_max", max_steps (Substrate.cyclic_scan ~m:(2 * n)));
+      ])
+
+let tables (ctx : Experiment.ctx) results =
   let table =
     Table.create
       ~columns:
@@ -31,34 +40,27 @@ let run (ctx : Experiment.ctx) =
         ]
   in
   let tuned = ref [] and uniform = ref [] and cyclic = ref [] in
-  List.iter
-    (fun n ->
-      let rebatch_paper =
-        Substrate.rebatching (Renaming.Rebatching.make ~n ())
-      in
-      let rebatch_tuned =
-        Substrate.rebatching (Renaming.Rebatching.make ~t0:3 ~n ())
-      in
-      let paper_max = measure_max ~ctx ~n rebatch_paper in
-      let tuned_max = measure_max ~ctx ~n rebatch_tuned in
-      let uniform_max =
-        measure_max ~ctx ~n (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n))
-      in
-      let cyclic_max = measure_max ~ctx ~n (Substrate.cyclic_scan ~m:(2 * n)) in
-      tuned := (n, tuned_max.Stats.Summary.mean) :: !tuned;
-      uniform := (n, uniform_max.Stats.Summary.mean) :: !uniform;
-      cyclic := (n, cyclic_max.Stats.Summary.mean) :: !cyclic;
+  List.iteri
+    (fun point n ->
+      let mean = Experiment.mean results ~point in
+      let paper_max = mean "rebatch_paper_max" in
+      let tuned_max = mean "rebatch_t0_max" in
+      let uniform_max = mean "uniform_max" in
+      let cyclic_max = mean "cyclic_max" in
+      tuned := (n, tuned_max) :: !tuned;
+      uniform := (n, uniform_max) :: !uniform;
+      cyclic := (n, cyclic_max) :: !cyclic;
       Table.add_row table
         [
           Table.cell_int n;
-          Table.cell_float paper_max.Stats.Summary.mean;
-          Table.cell_float tuned_max.Stats.Summary.mean;
-          Table.cell_float uniform_max.Stats.Summary.mean;
-          Table.cell_float cyclic_max.Stats.Summary.mean;
+          Table.cell_float paper_max;
+          Table.cell_float tuned_max;
+          Table.cell_float uniform_max;
+          Table.cell_float cyclic_max;
           Table.cell_float (log2 (log2 (float_of_int n)));
           Table.cell_float (log2 (float_of_int n));
         ])
-    sizes;
+    (sizes ctx);
   ctx.emit_table ~title:"T1: worst per-process steps vs n (mean over trials)" table;
   let to_points data =
     Array.of_list
@@ -87,51 +89,6 @@ let run (ctx : Experiment.ctx) =
   fits "T1 fits, uniform probing:" !uniform
     [ Stats.Regression.Log_log; Stats.Regression.Log ]
 
-(* Job grain: one trial at one size runs all four algorithm variants on
-   the same derived seed (common random numbers, as in the serial path). *)
-let jobs (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale)
-      (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
-  in
-  List.concat
-    (List.mapi
-       (fun sweep_point n ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "n=%d" n;
-               trial;
-               params = [ ("n", float_of_int n) ];
-               run_job =
-                 (fun ~seed ->
-                   let measure spec =
-                     let r =
-                       Substrate.run_sequential ctx.Experiment.substrate spec
-                         ~seed ~n ()
-                     in
-                     if not (Sim.Runner.check_unique_names r) then
-                       failwith "T1: uniqueness violated";
-                     float_of_int r.Sim.Runner.max_steps
-                   in
-                   [
-                     ( "rebatch_paper_max",
-                       measure
-                         (Substrate.rebatching (Renaming.Rebatching.make ~n ()))
-                     );
-                     ( "rebatch_t0_max",
-                       measure
-                         (Substrate.rebatching
-                            (Renaming.Rebatching.make ~t0:3 ~n ())) );
-                     ( "uniform_max",
-                       measure
-                         (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n)) );
-                     ( "cyclic_max",
-                       measure (Substrate.cyclic_scan ~m:(2 * n)) );
-                   ]);
-             }))
-       sizes)
-
 let exp =
   {
     Experiment.id = "t1";
@@ -139,6 +96,5 @@ let exp =
     claim =
       "Theorem 4.1: ReBatching takes log log n + O(1) steps w.h.p.; uniform \
        probing pays Theta(log n)";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

@@ -98,6 +98,5 @@ let exp =
     claim =
       "Reproduction integrity: probe statistics measured on the simulator \
        transfer to real shared memory";
-    run;
-    jobs = None;
+    body = Experiment.Serial run;
   }

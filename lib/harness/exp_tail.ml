@@ -1,24 +1,44 @@
-let run (ctx : Experiment.ctx) =
+let runs (ctx : Experiment.ctx) = max (10 * ctx.trials) 50
+
+(* One independent execution per job, at a single sweep point.  Each job
+   reports its own exceedance count at every batch-boundary threshold
+   (exceeding t0 + i - 1 means the process survived into batch i). *)
+let jobs (ctx : Experiment.ctx) =
   let n = Sweep.scaled ctx.scale 4096 in
-  let runs = max (10 * ctx.trials) 50 in
+  let runs = runs ctx in
+  Experiment.sweep ctx [ n ]
+    ~trials:(fun _ -> runs)
+    ~label:(Printf.sprintf "n=%d")
+    ~params:(fun n -> [ ("n", float_of_int n); ("runs", float_of_int runs) ])
+    (fun n ~seed ->
+      let instance = Renaming.Rebatching.make ~t0:3 ~n () in
+      let t0 = Renaming.Rebatching.probe_budget instance 0 in
+      let kappa = Renaming.Rebatching.kappa instance in
+      let r =
+        Sweep.sequential ~tag:"T12" (Substrate.rebatching instance) ~seed ~n
+      in
+      let exceed threshold =
+        Array.fold_left
+          (fun acc s -> if s > threshold then acc + 1 else acc)
+          0 r.Sim.Runner.steps
+      in
+      let tail =
+        List.init (kappa + 1) (fun i ->
+            ( Printf.sprintf "exceed_batch_%d" i,
+              float_of_int (exceed (t0 + i - 1)) ))
+      in
+      ("max_steps", float_of_int r.Sim.Runner.max_steps)
+      :: ("total_per_proc", float_of_int r.Sim.Runner.total_steps /. float_of_int n)
+      :: tail)
+
+let tables (ctx : Experiment.ctx) results =
+  let n = Sweep.scaled ctx.scale 4096 in
+  let runs = runs ctx in
   let instance = Renaming.Rebatching.make ~t0:3 ~n () in
   let t0 = Renaming.Rebatching.probe_budget instance 0 in
   let kappa = Renaming.Rebatching.kappa instance in
-  let spec = Substrate.rebatching instance in
-  (* Pool per-process step counts and per-run maxima across many
-     independent executions. *)
-  let all_steps = ref [] in
-  let maxima = ref [] in
-  for trial = 0 to runs - 1 do
-    let r =
-      Substrate.run_sequential ctx.substrate spec ~seed:(ctx.seed + trial) ~n ()
-    in
-    if not (Sim.Runner.check_unique_names r) then failwith "T12: uniqueness violated";
-    Array.iter (fun s -> all_steps := float_of_int s :: !all_steps) r.Sim.Runner.steps;
-    maxima := float_of_int r.Sim.Runner.max_steps :: !maxima
-  done;
-  let steps = Array.of_list !all_steps in
-  let total = Array.length steps in
+  (* Per-process step counts pooled across all runs. *)
+  let total = n * runs in
   let tail_table =
     Table.create
       ~columns:
@@ -28,22 +48,19 @@ let run (ctx : Experiment.ctx) =
           ("batch analogy 2^-(2^i)", Table.Right);
         ]
   in
-  (* Thresholds track the batch boundaries: exceeding t0 + i - 1 means the
-     process survived into batch i. *)
   for i = 0 to kappa do
-    let threshold = t0 + i - 1 in
     let exceed =
-      Array.fold_left
-        (fun acc s -> if s > float_of_int threshold then acc + 1 else acc)
-        0 steps
+      Array.fold_left ( +. ) 0.
+        (Experiment.values results ~point:0
+           (Printf.sprintf "exceed_batch_%d" i))
     in
     let analogy =
       if i = 0 then nan else 2. ** (-.(2. ** float_of_int i))
     in
     Table.add_row tail_table
       [
-        Table.cell_int threshold;
-        Printf.sprintf "%.2e" (float_of_int exceed /. float_of_int total);
+        Table.cell_int (t0 + i - 1);
+        Printf.sprintf "%.2e" (exceed /. float_of_int total);
         (if Float.is_nan analogy then "-" else Printf.sprintf "%.2e" analogy);
       ]
   done;
@@ -53,8 +70,13 @@ let run (ctx : Experiment.ctx) =
          "T12: per-process step tail, n=%d, %d runs (%d process samples)" n runs
          total)
     tail_table;
-  (* Quantiles of the per-run maximum, with bootstrap CIs. *)
-  let maxima = Array.of_list !maxima in
+  (* Quantiles of the per-run maximum, with bootstrap CIs.  The maxima
+     are resampled in reverse trial order. *)
+  let maxima =
+    Array.of_list
+      (List.rev
+         (Array.to_list (Experiment.values results ~point:0 "max_steps")))
+  in
   let rng = Prng.Splitmix.of_int (ctx.seed + 1_000_003) in
   let quantile_table =
     Table.create
@@ -95,45 +117,6 @@ let run (ctx : Experiment.ctx) =
         %d: %d of %d (backup-phase events; Theorem 4.1 predicts ~0)."
        bound over runs)
 
-(* Job grain: one independent execution per job; the tail statistics
-   (exceedance counts at each batch-boundary threshold) are summed across
-   records downstream, so each job reports its own counts. *)
-let jobs (ctx : Experiment.ctx) =
-  let n = Sweep.scaled ctx.scale 4096 in
-  let runs = max (10 * ctx.Experiment.trials) 50 in
-  List.init runs (fun trial ->
-      {
-        Experiment.sweep_point = 0;
-        point_label = Printf.sprintf "n=%d" n;
-        trial;
-        params = [ ("n", float_of_int n); ("runs", float_of_int runs) ];
-        run_job =
-          (fun ~seed ->
-            let instance = Renaming.Rebatching.make ~t0:3 ~n () in
-            let t0 = Renaming.Rebatching.probe_budget instance 0 in
-            let kappa = Renaming.Rebatching.kappa instance in
-            let spec = Substrate.rebatching instance in
-            let r =
-              Substrate.run_sequential ctx.Experiment.substrate spec ~seed ~n ()
-            in
-            if not (Sim.Runner.check_unique_names r) then
-              failwith "T12: uniqueness violated";
-            let exceed threshold =
-              Array.fold_left
-                (fun acc s -> if s > threshold then acc + 1 else acc)
-                0 r.Sim.Runner.steps
-            in
-            let tail =
-              List.init (kappa + 1) (fun i ->
-                  ( Printf.sprintf "exceed_batch_%d" i,
-                    float_of_int (exceed (t0 + i - 1)) ))
-            in
-            ("max_steps", float_of_int r.Sim.Runner.max_steps)
-            :: ( "total_per_proc",
-                 float_of_int r.Sim.Runner.total_steps /. float_of_int n )
-            :: tail);
-      })
-
 let exp =
   {
     Experiment.id = "t12";
@@ -141,6 +124,5 @@ let exp =
     claim =
       "Theorem 4.1 + Lemma 4.2: P[a process exceeds t0 + i probes] decays \
        doubly exponentially in i";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

@@ -1,17 +1,28 @@
-let measure_total_per_proc ~ctx ~n spec =
-  Sweep.over_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
-    (fun seed ->
-      let r =
-        Substrate.run_sequential ctx.Experiment.substrate spec ~seed ~n ()
-      in
-      if not (Sim.Runner.check_unique_names r) then
-        failwith "T2: uniqueness violated";
-      float_of_int r.Sim.Runner.total_steps /. float_of_int n)
+let sizes (ctx : Experiment.ctx) =
+  List.map (Sweep.scaled ctx.scale)
+    (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
 
-let run (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale) (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
-  in
+let jobs (ctx : Experiment.ctx) =
+  Experiment.sweep ctx (sizes ctx)
+    ~label:(Printf.sprintf "n=%d")
+    ~params:(fun n -> [ ("n", float_of_int n) ])
+    (fun n ~seed ->
+      let per_proc spec =
+        float_of_int (Sweep.sequential ~tag:"T2" spec ~seed ~n).Sim.Runner.total_steps
+        /. float_of_int n
+      in
+      [
+        ( "rebatch_paper_per_proc",
+          per_proc (Substrate.rebatching (Renaming.Rebatching.make ~n ())) );
+        ( "rebatch_t0_per_proc",
+          per_proc
+            (Substrate.rebatching (Renaming.Rebatching.make ~t0:3 ~n ())) );
+        ( "uniform_per_proc",
+          per_proc (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n)) );
+        ("cyclic_per_proc", per_proc (Substrate.cyclic_scan ~m:(2 * n)));
+      ])
+
+let tables (ctx : Experiment.ctx) results =
   let table =
     Table.create
       ~columns:
@@ -24,33 +35,20 @@ let run (ctx : Experiment.ctx) =
         ]
   in
   let tuned = ref [] in
-  List.iter
-    (fun n ->
-      let paper =
-        measure_total_per_proc ~ctx ~n
-          (Substrate.rebatching (Renaming.Rebatching.make ~n ()))
-      in
-      let tuned_s =
-        measure_total_per_proc ~ctx ~n
-          (Substrate.rebatching (Renaming.Rebatching.make ~t0:3 ~n ()))
-      in
-      let uniform =
-        measure_total_per_proc ~ctx ~n
-          (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n))
-      in
-      let cyclic =
-        measure_total_per_proc ~ctx ~n (Substrate.cyclic_scan ~m:(2 * n))
-      in
-      tuned := (n, tuned_s.Stats.Summary.mean) :: !tuned;
+  List.iteri
+    (fun point n ->
+      let mean = Experiment.mean results ~point in
+      let tuned_s = mean "rebatch_t0_per_proc" in
+      tuned := (n, tuned_s) :: !tuned;
       Table.add_row table
         [
           Table.cell_int n;
-          Table.cell_float paper.Stats.Summary.mean;
-          Table.cell_float tuned_s.Stats.Summary.mean;
-          Table.cell_float uniform.Stats.Summary.mean;
-          Table.cell_float cyclic.Stats.Summary.mean;
+          Table.cell_float (mean "rebatch_paper_per_proc");
+          Table.cell_float tuned_s;
+          Table.cell_float (mean "uniform_per_proc");
+          Table.cell_float (mean "cyclic_per_proc");
         ])
-    sizes;
+    (sizes ctx);
   ctx.emit_table
     ~title:"T2: total steps per process vs n (flat = O(n) total work)" table;
   let data = List.rev !tuned in
@@ -62,54 +60,10 @@ let run (ctx : Experiment.ctx) =
        ~models:[ Stats.Regression.Const; Stats.Regression.Log_log ]
        ~sizes:sizes_arr ~values)
 
-let jobs (ctx : Experiment.ctx) =
-  let sizes =
-    List.map (Sweep.scaled ctx.scale)
-      (Sweep.geometric_sizes ~lo:256 ~hi:262144 ~factor:2)
-  in
-  List.concat
-    (List.mapi
-       (fun sweep_point n ->
-         List.init ctx.Experiment.trials (fun trial ->
-             {
-               Experiment.sweep_point;
-               point_label = Printf.sprintf "n=%d" n;
-               trial;
-               params = [ ("n", float_of_int n) ];
-               run_job =
-                 (fun ~seed ->
-                   let measure spec =
-                     let r =
-                       Substrate.run_sequential ctx.Experiment.substrate spec
-                         ~seed ~n ()
-                     in
-                     if not (Sim.Runner.check_unique_names r) then
-                       failwith "T2: uniqueness violated";
-                     float_of_int r.Sim.Runner.total_steps /. float_of_int n
-                   in
-                   [
-                     ( "rebatch_paper_per_proc",
-                       measure
-                         (Substrate.rebatching (Renaming.Rebatching.make ~n ()))
-                     );
-                     ( "rebatch_t0_per_proc",
-                       measure
-                         (Substrate.rebatching
-                            (Renaming.Rebatching.make ~t0:3 ~n ())) );
-                     ( "uniform_per_proc",
-                       measure
-                         (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n)) );
-                     ( "cyclic_per_proc",
-                       measure (Substrate.cyclic_scan ~m:(2 * n)) );
-                   ]);
-             }))
-       sizes)
-
 let exp =
   {
     Experiment.id = "t2";
     title = "Total step complexity vs n";
     claim = "Theorem 4.1: ReBatching's total step complexity is O(n) w.h.p.";
-    run;
-    jobs = Some jobs;
+    body = Experiment.Trials { jobs; tables };
   }

@@ -31,5 +31,3 @@ let large = [ Exp_large.t1l; Exp_large.t5l ]
 let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> e.Experiment.id = id) (all @ large)
-
-let ids () = List.map (fun e -> e.Experiment.id) (all @ large)

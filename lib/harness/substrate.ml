@@ -1,19 +1,5 @@
 type t = Fast | Effects | Atomic
 
-let to_string = function
-  | Fast -> "fast"
-  | Effects -> "effects"
-  | Atomic -> "atomic"
-
-let of_string s =
-  match String.lowercase_ascii s with
-  | "fast" -> Some Fast
-  | "effects" -> Some Effects
-  | "atomic" -> Some Atomic
-  | _ -> None
-
-let all = [ Fast; Effects; Atomic ]
-
 type spec = {
   label : string;
   algo : Renaming.Env.t -> int option;

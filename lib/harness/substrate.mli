@@ -1,6 +1,5 @@
-(** Selectable execution substrates for the headline experiments.
-
-    One renaming algorithm, three ways to execute it:
+(** Execution substrates: one renaming algorithm, three ways to execute
+    it.
 
     - {!Fast} — the zero-allocation state-machine core
       ([Sim.Fast_core] driving a [Renaming.Fast_algo] encoding).  Only
@@ -19,18 +18,11 @@
     The three substrates consume identical per-pid SplitMix64 streams, so
     on the schedules they share they produce {e identical} results
     field for field — pinned by the cross-substrate equivalence suite in
-    [test/test_fast_core.ml].  Experiments therefore report the same
-    numbers whichever substrate executes them; switching is purely a
-    speed/capability trade. *)
+    [test/test_fast_core.ml].  The oblivious experiments therefore run on
+    {!Fast}; {!Effects} and {!Atomic} are the references it is checked
+    against. *)
 
 type t = Fast | Effects | Atomic
-
-val to_string : t -> string
-(** ["fast"], ["effects"], ["atomic"] — the CLI spelling. *)
-
-val of_string : string -> t option
-
-val all : t list
 
 (** {1 Algorithm specs}
 

@@ -22,3 +22,12 @@ let fit_lines ~models ~sizes ~values =
         fit.Stats.Regression.slope fit.Stats.Regression.intercept
         fit.Stats.Regression.r2)
     models
+
+let sequential ~tag spec ~seed ~n =
+  let r =
+    Sim.Fast_core.run_sequential_once ~seed ~n ~algo:(Substrate.fast_algo spec)
+      ()
+  in
+  if not (Sim.Runner.check_unique_names r) then
+    failwith (tag ^ ": uniqueness violated");
+  r

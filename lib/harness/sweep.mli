@@ -30,3 +30,10 @@ val fit_lines :
 (** One human-readable line per model: name, slope, intercept, R^2 —
     appended below the growth tables so the claimed complexity shape can
     be read off directly. *)
+
+val sequential :
+  tag:string -> Substrate.spec -> seed:int -> n:int -> Sim.Runner.result
+(** One shuffled sequential execution of [spec] on [n] processes, run
+    on the fast core.
+    @raise Failure ["<tag>: uniqueness violated"] if two processes end
+    with the same name. *)

@@ -27,21 +27,24 @@ let synth ~id ~points body : Harness.Experiment.t =
     Harness.Experiment.id;
     title = "synthetic";
     claim = "test";
-    run = (fun _ -> ());
-    jobs =
-      Some
-        (fun ctx ->
-          List.concat_map
-            (fun p ->
-              List.init ctx.Harness.Experiment.trials (fun t ->
-                  {
-                    Harness.Experiment.sweep_point = p;
-                    point_label = Printf.sprintf "p=%d" p;
-                    trial = t;
-                    params = [ ("p", float_of_int p) ];
-                    run_job = (fun ~seed -> body ~p ~t ~seed);
-                  }))
-            (List.init points Fun.id));
+    body =
+      Harness.Experiment.Trials
+        {
+          jobs =
+            (fun ctx ->
+              List.concat_map
+                (fun p ->
+                  List.init ctx.Harness.Experiment.trials (fun t ->
+                      {
+                        Harness.Experiment.sweep_point = p;
+                        point_label = Printf.sprintf "p=%d" p;
+                        trial = t;
+                        params = [ ("p", float_of_int p) ];
+                        run_job = (fun ~seed -> body ~p ~t ~seed);
+                      }))
+                (List.init points Fun.id));
+          tables = (fun _ _ -> ());
+        };
   }
 
 let value_of ~seed = [ ("v", float_of_int (seed land 0xffff)) ]

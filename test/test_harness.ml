@@ -129,7 +129,9 @@ let test_registry_complete () =
       (* the large-n decade sweeps ride behind Registry.all *)
       "t1l"; "t5l";
     ]
-    (Harness.Registry.ids ())
+    (List.map
+       (fun e -> e.Harness.Experiment.id)
+       (Harness.Registry.all @ Harness.Registry.large))
 
 let test_registry_find () =
   (match Harness.Registry.find "T5" with
@@ -157,7 +159,6 @@ let test_experiments_smoke () =
       Harness.Experiment.seed = 1;
       trials = 2;
       scale = 0.05;
-      substrate = Harness.Substrate.Fast;
       emit_table = (fun ~title:_ _ -> incr tables);
       log = (fun _ -> ());
     }
@@ -167,10 +168,140 @@ let test_experiments_smoke () =
       match Harness.Registry.find id with
       | Some e ->
         let before = !tables in
-        e.Harness.Experiment.run ctx;
+        Harness.Experiment.run e ctx;
         checkb (Printf.sprintf "%s emitted a table" id) true (!tables > before)
       | None -> Alcotest.failf "experiment %s missing" id)
-    [ "t3"; "t7"; "t8"; "t11"; "f1" ]
+    [ "t3"; "t7"; "t8"; "t9"; "t11"; "t12"; "f1" ]
+
+(* A Trials body run serially: every job once, in list order, with seed
+   ctx.seed + trial; [tables] sees the results in the same order. *)
+let test_trials_run () =
+  let ran = ref [] in
+  let job (sweep_point, trial) =
+    {
+      Harness.Experiment.sweep_point;
+      point_label = "p";
+      trial;
+      params = [];
+      run_job =
+        (fun ~seed ->
+          ran := (sweep_point, trial, seed) :: !ran;
+          [ ("v", float_of_int ((10 * sweep_point) + trial)) ]);
+    }
+  in
+  let order = [ (1, 0); (0, 2); (0, 0); (1, 1) ] in
+  let seen = ref [] in
+  let fake body =
+    { Harness.Experiment.id = "fake"; title = "fake"; claim = "fake"; body }
+  in
+  let ctx =
+    {
+      (Harness.Experiment.default_ctx ~seed:100 ~trials:3 ()) with
+      Harness.Experiment.emit_table = (fun ~title:_ _ -> ());
+      log = ignore;
+    }
+  in
+  Harness.Experiment.run
+    (fake
+       (Harness.Experiment.Trials
+          {
+            jobs = (fun _ -> List.map job order);
+            tables =
+              (fun _ results ->
+                seen :=
+                  List.map
+                    (fun ((j : Harness.Experiment.job), values) ->
+                      (j.sweep_point, j.trial, List.assoc "v" values))
+                    results);
+          }))
+    ctx;
+  Alcotest.(check (list (triple int int int)))
+    "each job once, in list order, seed = ctx.seed + trial"
+    [ (1, 0, 100); (0, 2, 102); (0, 0, 100); (1, 1, 101) ]
+    (List.rev !ran);
+  Alcotest.(check (list (triple int int (float 0.))))
+    "tables get the results in job order"
+    [ (1, 0, 10.); (0, 2, 2.); (0, 0, 0.); (1, 1, 11.) ]
+    !seen;
+  Alcotest.check_raises "a raising job propagates" (Failure "boom") (fun () ->
+      Harness.Experiment.run
+        (fake
+           (Harness.Experiment.Trials
+              {
+                jobs =
+                  (fun _ ->
+                    [
+                      {
+                        (job (0, 0)) with
+                        Harness.Experiment.run_job =
+                          (fun ~seed:_ -> failwith "boom");
+                      };
+                    ]);
+                tables = (fun _ _ -> Alcotest.fail "tables ran");
+              }))
+        ctx)
+
+(* T9's and T12's rendered output at trials = 2, scale = 0.05, as the
+   serial measuring loops printed it before the tables were derived from
+   the job grain: any change of order, rounding or averaging fails. *)
+let pinned_t9 =
+  [
+    "";
+    "T9: namespace slack epsilon vs cost, n=205";
+    "epsilon    m/n  paper t0  max steps  total/n  backups";
+    "-------  -----  --------  ---------  -------  -------";
+    "   0.10  1.102       915    1125.00   838.64       59";
+    "   0.25  1.254       304     392.50   233.27       21";
+    "   0.50  1.502       129     133.50    67.38        0";
+    "   1.00  2.000        53      54.00     4.41        0";
+    "   2.00  3.000        21       5.50     1.40        0";
+  ]
+
+let pinned_t12 =
+  [
+    "";
+    "T12: per-process step tail, n=205, 50 runs (10250 process samples)";
+    "threshold j  P[steps > j]  batch analogy 2^-(2^i)";
+    "-----------  ------------  ----------------------";
+    "          2      2.76e-01                       -";
+    "          3      1.82e-01                2.50e-01";
+    "          4      2.90e-02                6.25e-02";
+    "          5      1.27e-03                3.91e-03";
+    "";
+    "T12: distribution of the per-run worst process";
+    "statistic of run max  value  95% bootstrap CI";
+    "--------------------  -----  ----------------";
+    "median                 5.00  [5.00, 5.00]    ";
+    "p95                    6.00  [6.00, 6.00]    ";
+    "max                    6.00  [6.00, 6.00]    ";
+    "mean                   5.24  [5.12, 5.36]    ";
+    "T12: runs exceeding the deterministic phase budget t0+kappa-1+beta = 8: 0 of 50 (backup-phase events; Theorem 4.1 predicts ~0).";
+  ]
+
+let test_pinned_tables () =
+  List.iter
+    (fun (id, expected) ->
+      let buf = Buffer.create 1024 in
+      let ctx =
+        {
+          Harness.Experiment.seed = 1;
+          trials = 2;
+          scale = 0.05;
+          emit_table =
+            (fun ~title table ->
+              Buffer.add_string buf
+                ("\n" ^ title ^ "\n" ^ Harness.Table.render table));
+          log = (fun line -> Buffer.add_string buf (line ^ "\n"));
+        }
+      in
+      match Harness.Registry.find id with
+      | None -> Alcotest.failf "experiment %s missing" id
+      | Some e ->
+        Harness.Experiment.run e ctx;
+        Alcotest.(check (list string))
+          (id ^ " output") (expected @ [ "" ])
+          (String.split_on_char '\n' (Buffer.contents buf)))
+    [ ("t9", pinned_t9); ("t12", pinned_t12) ]
 
 let qcheck_csv_roundtrip_shape =
   QCheck.Test.make ~name:"csv has one line per row plus header" ~count:100
@@ -217,5 +348,10 @@ let suite =
         tc "find" `Quick test_registry_find;
         tc "claims present" `Quick test_experiments_have_claims;
         tc "experiments smoke" `Slow test_experiments_smoke;
+      ] );
+    ( "harness.experiment",
+      [
+        tc "trials run order" `Quick test_trials_run;
+        tc "pinned t9 t12 tables" `Quick test_pinned_tables;
       ] );
   ]

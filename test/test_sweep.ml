@@ -26,8 +26,7 @@ let with_temp_dir f =
    quiet ctx keeps that invariant visible. *)
 let quiet_ctx ~trials ~scale =
   {
-    (Harness.Experiment.default_ctx ~seed:5 ~trials ~scale
-       ~substrate:Harness.Substrate.Fast ())
+    (Harness.Experiment.default_ctx ~seed:5 ~trials ~scale ())
     with
     Harness.Experiment.emit_table = (fun ~title:_ _ -> ());
     log = (fun _ -> ());
