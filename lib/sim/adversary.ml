@@ -10,6 +10,7 @@ type callbacks = {
 }
 
 type ctx = {
+  procs : int;
   rng : Prng.Splitmix.t;
   location_taken : int -> bool;
   register_value : int -> int;
@@ -67,7 +68,7 @@ let layered =
       if !cursor >= Array.length !layer then begin
         (* Start a new layer: a fresh uniformly random permutation of the
            processes waiting right now (§6's layered schedule). *)
-        let snapshot = Array.of_list (Dynset.to_list waiting) in
+        let snapshot = Dynset.to_array waiting in
         Prng.Shuffle.shuffle_in_place ctx.rng snapshot;
         layer := snapshot;
         cursor := 0;
@@ -88,37 +89,155 @@ let layered =
   in
   { name = "layered"; make }
 
+(* Greedy's bookkeeping, free of polymorphic hashing and sized once per
+   run from the process count.  Waiting processes pending on the same
+   free location form a group; each open group has a member, so at most
+   [procs] are open at once, and their ids come from a stack of free
+   ids.  A group's members form a list linked through pid-indexed arrays
+   (a process is in at most one group) that stands in for a {!Dynset}'s
+   element array: head to tail is index order, [join] appends, and
+   [leave] moves the tail into the leaver's place, so the tail is the
+   member [Dynset.first] would pick.  The one map, location -> group id,
+   cannot be an array (adaptive runs probe locations up to ~1.3e10): it
+   is an open-addressing table of group ids keyed through [loc],
+   Fibonacci-hashed with {!Location_space}'s multiplier, linearly
+   probed, at most half full, and deleted from by backward shift so no
+   tombstones build up. *)
+module Groups = struct
+  type t = {
+    group : int array;  (* pid -> its group id, -1 if none *)
+    prev : int array;  (* pid -> previous member, -1 at the head *)
+    next : int array;  (* pid -> next member, -1 at the tail *)
+    head : int array;  (* id -> first member, -1 if empty *)
+    tail : int array;  (* id -> last member, -1 if empty *)
+    loc : int array;  (* id -> the location its members target *)
+    free : int array;  (* free.(0 .. nfree-1) are the ids not in use *)
+    mutable nfree : int;
+    slots : int array;  (* open group ids by location hash, -1 empty *)
+    shift : int;  (* 63 - log2 (length slots) *)
+  }
+
+  let golden = 0x4F1BBCDCBFA53E0B
+
+  let create procs =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * procs do
+      incr bits
+    done;
+    {
+      group = Array.make procs (-1);
+      prev = Array.make procs (-1);
+      next = Array.make procs (-1);
+      head = Array.make procs (-1);
+      tail = Array.make procs (-1);
+      loc = Array.make procs 0;
+      free = Array.init procs (fun i -> procs - 1 - i);
+      nfree = procs;
+      slots = Array.make (1 lsl !bits) (-1);
+      shift = 63 - !bits;
+    }
+
+  let home t loc = (loc * golden) lsr t.shift
+
+  (* The slot holding [loc]'s group, or the empty slot ending its run. *)
+  let rec scan t mask loc i =
+    let id = t.slots.(i) in
+    if id < 0 || t.loc.(id) = loc then i else scan t mask loc ((i + 1) land mask)
+
+  let slot t loc = scan t (Array.length t.slots - 1) loc (home t loc)
+
+  (* The id of the open group on [loc], -1 if none. *)
+  let find t loc = t.slots.(slot t loc)
+
+  (* The id of the group pending on [loc], opened empty if there is none. *)
+  let at t loc =
+    let i = slot t loc in
+    if t.slots.(i) >= 0 then t.slots.(i)
+    else begin
+      t.nfree <- t.nfree - 1;
+      let id = t.free.(t.nfree) in
+      t.loc.(id) <- loc;
+      t.slots.(i) <- id;
+      id
+    end
+
+  (* Close group [id], which must be empty: pull later entries of its
+     probe run back into the hole, each one whose home does not lie
+     cyclically after the hole. *)
+  let close t id =
+    let mask = Array.length t.slots - 1 in
+    let hole = ref (slot t t.loc.(id)) in
+    let j = ref ((!hole + 1) land mask) in
+    while t.slots.(!j) >= 0 do
+      let moved = t.slots.(!j) in
+      if (!j - home t t.loc.(moved)) land mask >= (!j - !hole) land mask then begin
+        t.slots.(!hole) <- moved;
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    t.slots.(!hole) <- -1;
+    t.free.(t.nfree) <- id;
+    t.nfree <- t.nfree + 1
+
+  let fewer_than_two t id = t.head.(id) = t.tail.(id)
+  let is_empty t id = t.tail.(id) < 0
+  let last t id = t.tail.(id)
+
+  let join t id pid =
+    let tl = t.tail.(id) in
+    t.prev.(pid) <- tl;
+    t.next.(pid) <- -1;
+    if tl >= 0 then t.next.(tl) <- pid else t.head.(id) <- pid;
+    t.tail.(id) <- pid;
+    t.group.(pid) <- id
+
+  let leave t id pid =
+    let tl = t.tail.(id) in
+    let before = t.prev.(tl) in
+    t.tail.(id) <- before;
+    if before >= 0 then t.next.(before) <- -1 else t.head.(id) <- -1;
+    if tl <> pid then begin
+      let p = t.prev.(pid) and n = t.next.(pid) in
+      t.prev.(tl) <- p;
+      t.next.(tl) <- n;
+      if p >= 0 then t.next.(p) <- tl else t.head.(id) <- tl;
+      if n >= 0 then t.prev.(n) <- tl else t.tail.(id) <- tl
+    end;
+    t.group.(pid) <- -1
+
+  (* Apply [f] to every member, head to tail, leaving the group empty. *)
+  let disband t id f =
+    let pid = ref t.head.(id) in
+    while !pid >= 0 do
+      t.group.(!pid) <- -1;
+      f !pid;
+      pid := t.next.(!pid)
+    done;
+    t.head.(id) <- -1;
+    t.tail.(id) <- -1
+end
+
 let greedy_collision =
   let make ctx =
     let waiting = Dynset.create () in
-    let pending_loc : (int, int) Hashtbl.t = Hashtbl.create 64 in
     (* Processes whose pending location is already taken: stepping them
        wastes their probe for sure. *)
     let losers = Dynset.create () in
     (* Groups of processes pending on the same still-free location. *)
-    let groups : (int, Dynset.t) Hashtbl.t = Hashtbl.create 64 in
-    (* Free locations whose group has >= 2 members. *)
+    let groups = Groups.create ctx.procs in
+    (* Ids of the groups with >= 2 members.  Live ids map one-to-one onto
+       locations, so [first] picks the location a location-keyed set
+       with the same history would. *)
     let contended = Dynset.create () in
-    let group_of loc =
-      match Hashtbl.find_opt groups loc with
-      | Some g -> g
-      | None ->
-        let g = Dynset.create () in
-        Hashtbl.replace groups loc g;
-        g
-    in
     let detach pid =
-      match Hashtbl.find_opt pending_loc pid with
-      | None -> ()
-      | Some loc ->
-        Hashtbl.remove pending_loc pid;
-        Dynset.remove losers pid;
-        (match Hashtbl.find_opt groups loc with
-        | None -> ()
-        | Some g ->
-          Dynset.remove g pid;
-          if Dynset.size g < 2 then Dynset.remove contended loc;
-          if Dynset.is_empty g then Hashtbl.remove groups loc)
+      Dynset.remove losers pid;
+      let id = groups.group.(pid) in
+      if id >= 0 then begin
+        Groups.leave groups id pid;
+        if Groups.fewer_than_two groups id then Dynset.remove contended id;
+        if Groups.is_empty groups id then Groups.close groups id
+      end
     in
     let on_wait ~pid ~loc ~op =
       detach pid;
@@ -129,24 +248,24 @@ let greedy_collision =
            the generic waiting pool *)
         ()
       | Tas_op ->
-        Hashtbl.replace pending_loc pid loc;
         if ctx.location_taken loc then Dynset.add losers pid
         else begin
-          let g = group_of loc in
-          Dynset.add g pid;
-          if Dynset.size g >= 2 then Dynset.add contended loc
+          let id = Groups.at groups loc in
+          Groups.join groups id pid;
+          if not (Groups.fewer_than_two groups id) then
+            Dynset.add contended id
         end
     in
     let on_tas ~loc ~won =
       if won then
         (* The location just got taken: everyone still aiming at it is now
            a guaranteed loser. *)
-        match Hashtbl.find_opt groups loc with
-        | None -> ()
-        | Some g ->
-          Dynset.iter (fun pid -> Dynset.add losers pid) g;
-          Hashtbl.remove groups loc;
-          Dynset.remove contended loc
+        let id = Groups.find groups loc in
+        if id >= 0 then begin
+          Groups.disband groups id (Dynset.add losers);
+          Dynset.remove contended id;
+          Groups.close groups id
+        end
     in
     let on_settle ~pid =
       detach pid;
@@ -154,11 +273,8 @@ let greedy_collision =
     in
     let pick () =
       if not (Dynset.is_empty losers) then Step (Dynset.first losers)
-      else if not (Dynset.is_empty contended) then begin
-        let loc = Dynset.first contended in
-        let g = Hashtbl.find groups loc in
-        Step (Dynset.first g)
-      end
+      else if not (Dynset.is_empty contended) then
+        Step (Groups.last groups (Dynset.first contended))
       else Step (Dynset.any waiting ctx.rng)
     in
     { on_wait; on_tas; on_settle; pick }
@@ -237,23 +353,25 @@ let with_planned_crashes ~crashes inner =
     crashes;
   let make ctx =
     let cb = inner.make ctx in
-    let armed = Hashtbl.create 16 in
-    List.iter (fun (pid, op) -> Hashtbl.replace armed pid op) crashes;
-    let executed = Hashtbl.create 16 in
+    (* pid -> the operation it crashes before (0: none), and the number
+       of operations it has executed. *)
+    let armed = Array.make ctx.procs 0 in
+    List.iter
+      (fun (pid, op) -> if pid >= 0 && pid < ctx.procs then armed.(pid) <- op)
+      crashes;
+    let executed = Array.make ctx.procs 0 in
     let pick () =
       match cb.pick () with
-      | Crash pid -> Crash pid
-      | Step pid -> (
-        let so_far =
-          match Hashtbl.find_opt executed pid with Some c -> c | None -> 0
-        in
-        match Hashtbl.find_opt armed pid with
-        | Some op when so_far + 1 = op ->
-          Hashtbl.remove armed pid;
+      | Crash _ as crash -> crash
+      | Step pid as step ->
+        if armed.(pid) = executed.(pid) + 1 then begin
+          armed.(pid) <- 0;
           Crash pid
-        | _ ->
-          Hashtbl.replace executed pid (so_far + 1);
-          Step pid)
+        end
+        else begin
+          executed.(pid) <- executed.(pid) + 1;
+          step
+        end
     in
     { on_wait = cb.on_wait; on_tas = cb.on_tas; on_settle = cb.on_settle; pick }
   in

@@ -43,6 +43,7 @@ type callbacks = {
 }
 
 type ctx = {
+  procs : int;  (** the number of processes: every pid is below it *)
   rng : Prng.Splitmix.t;  (** the strategy's private randomness *)
   location_taken : int -> bool;  (** read access to the TAS locations *)
   register_value : int -> int;  (** read access to the shared registers *)
@@ -71,7 +72,16 @@ val greedy_collision : t
     (1) step any process whose pending location is already taken (it must
     lose); (2) otherwise pick a location targeted by the most waiting
     processes and step one of them (the win turns the rest into losers);
-    (3) otherwise step a random process. *)
+    (3) otherwise step a random process.
+
+    Cost: O(1) amortised per callback, and O([procs]) words allocated
+    once per run.  Per-pid state and the groups of processes pending on
+    one location live in int arrays sized from [ctx.procs]; the one map
+    is an int-keyed open-addressing table from location to group
+    (locations reach ~1.3e10 in adaptive runs, so it cannot be an
+    array).  Its decisions and rng draws are those of the earlier
+    [Hashtbl]-backed version, which [test/test_sim.ml] keeps as a
+    differential reference. *)
 
 val sequential : t
 (** Runs process 0 to completion, then process 1, etc. — the

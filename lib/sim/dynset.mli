@@ -4,7 +4,11 @@
     The scheduler and the adversary strategies maintain sets of waiting
     process ids and of contended locations; all of them must be updated on
     every simulated step, so constant-time operations are required to keep
-    large simulations (millions of steps) fast. *)
+    large simulations (millions of steps) fast.
+
+    Membership is a value-indexed array, so a set's memory is
+    O(largest element ever added) words: keep the elements small (pids,
+    group ids, register indices), never raw TAS locations. *)
 
 type t
 
@@ -31,3 +35,6 @@ val first : t -> int
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
 (** Elements in unspecified order. *)
+
+val to_array : t -> int array
+(** A fresh array of the elements, in {!to_list}'s order. *)

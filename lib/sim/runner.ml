@@ -85,17 +85,43 @@ let run_sequential ?(shuffled = true) ?on_event ?capacity ~seed ~n ~algo () =
   }
 
 let check_unique_names r =
-  let seen = Hashtbl.create (Array.length r.names) in
-  let ok = ref true in
-  Array.iteri
-    (fun pid name ->
-      if not r.crashed.(pid) then
-        match name with
-        | None -> ok := false
-        | Some u ->
-          if Hashtbl.mem seen u then ok := false else Hashtbl.replace seen u ())
-    r.names;
-  !ok
+  (* Every survivor holds a name and no two hold the same one.  Names
+     that fit a byte map a few times the survivor count are marked in
+     one; sparser ones are sorted and neighbours compared. *)
+  let n = Array.length r.names in
+  let held = Array.make n 0 in
+  let count = ref 0 in
+  let all_named = ref true in
+  let lo = ref 0 and hi = ref 0 in
+  for pid = 0 to n - 1 do
+    if not r.crashed.(pid) then
+      match r.names.(pid) with
+      | None -> all_named := false
+      | Some u ->
+        held.(!count) <- u;
+        incr count;
+        if u < !lo then lo := u;
+        if u > !hi then hi := u
+  done;
+  let count = !count in
+  !all_named
+  &&
+  if !lo >= 0 && !hi < 8 * count then begin
+    let seen = Bytes.make (!hi + 1) '\000' in
+    let rec fresh i =
+      i >= count
+      || Bytes.get seen held.(i) = '\000'
+         && (Bytes.set seen held.(i) '\001';
+             fresh (i + 1))
+    in
+    fresh 0
+  end
+  else begin
+    let held = Array.sub held 0 count in
+    Array.sort Int.compare held;
+    let rec distinct i = i >= count || (held.(i - 1) <> held.(i) && distinct (i + 1)) in
+    distinct 1
+  end
 
 let max_name r =
   Array.fold_left

@@ -111,7 +111,8 @@ let create ?registers ~space ~adversary ~rng ~n ~body () =
   in
   let ctx =
     {
-      Adversary.rng;
+      Adversary.procs = n;
+      rng;
       location_taken = (fun loc -> Location_space.is_taken space loc);
       register_value = (fun reg -> Register_space.peek registers reg);
     }

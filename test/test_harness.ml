@@ -278,7 +278,51 @@ let pinned_t12 =
     "T12: runs exceeding the deterministic phase budget t0+kappa-1+beta = 8: 0 of 50 (backup-phase events; Theorem 4.1 predicts ~0).";
   ]
 
-let test_pinned_tables () =
+(* T7's and T8's rendered output at trials = 2, scale = 0.05, captured
+   from the Hashtbl-backed greedy adversary: they run greedy, greedy with
+   random crashes and the crash sweep, so an adversary change that alters
+   a schedule fails here. *)
+let pinned_t7 =
+  [
+    "";
+    "T7: ReBatching (t0=3) under each adversary, n=26";
+    "adversary         max steps  avg steps  total  unique";
+    "----------------  ---------  ---------  -----  ------";
+    "random                 4.50       1.96     51  yes   ";
+    "round-robin            4.50       1.88     49  yes   ";
+    "layered                4.00       1.88     49  yes   ";
+    "greedy                 4.00       2.00     52  yes   ";
+    "sequential             5.00       2.00     52  yes   ";
+    "greedy+crash0.25       4.00       1.80     36  yes   ";
+  ]
+
+let pinned_t8 =
+  [
+    "";
+    "T8: crash tolerance, ReBatching, n=13";
+    "crash fraction  crashed (mean)  survivor max steps  max name  unique  progress";
+    "--------------  --------------  ------------------  --------  ------  --------";
+    "          0.00             0.0                9.50        12  yes     yes     ";
+    "          0.10             1.0                5.50        12  yes     yes     ";
+    "          0.25             3.0                3.00        12  yes     yes     ";
+    "          0.50             6.0                2.00        12  yes     yes     ";
+    "          0.75             9.0                1.50        12  yes     yes     ";
+    "          0.90            11.0                1.50        10  yes     yes     ";
+    "          0.92            12.0                1.00         6  yes     yes     ";
+    "";
+    "T8: crash tolerance, AdaptiveReBatching, n=13";
+    "crash fraction  crashed (mean)  survivor max steps  max name  unique  progress";
+    "--------------  --------------  ------------------  --------  ------  --------";
+    "          0.00             0.0              112.50        18  yes     yes     ";
+    "          0.10             1.0              112.50        19  yes     yes     ";
+    "          0.25             3.0              111.50        19  yes     yes     ";
+    "          0.50             6.0              107.00         9  yes     yes     ";
+    "          0.75             9.0               54.00         6  yes     yes     ";
+    "          0.90            11.0                1.50         1  yes     yes     ";
+    "          0.92            12.0                1.00         0  yes     yes     ";
+  ]
+
+let check_pinned pins =
   List.iter
     (fun (id, expected) ->
       let buf = Buffer.create 1024 in
@@ -301,7 +345,12 @@ let test_pinned_tables () =
         Alcotest.(check (list string))
           (id ^ " output") (expected @ [ "" ])
           (String.split_on_char '\n' (Buffer.contents buf)))
-    [ ("t9", pinned_t9); ("t12", pinned_t12) ]
+    pins
+
+let test_pinned_tables () = check_pinned [ ("t9", pinned_t9); ("t12", pinned_t12) ]
+
+let test_pinned_adversary_tables () =
+  check_pinned [ ("t7", pinned_t7); ("t8", pinned_t8) ]
 
 let qcheck_csv_roundtrip_shape =
   QCheck.Test.make ~name:"csv has one line per row plus header" ~count:100
@@ -353,5 +402,6 @@ let suite =
       [
         tc "trials run order" `Quick test_trials_run;
         tc "pinned t9 t12 tables" `Quick test_pinned_tables;
+        tc "pinned t7 t8 tables" `Quick test_pinned_adversary_tables;
       ] );
   ]

@@ -79,6 +79,114 @@ let qcheck_dynset_model =
       && IS.for_all (fun v -> Sim.Dynset.mem s v) !reference
       && List.for_all (fun v -> IS.mem v !reference) (Sim.Dynset.to_list s))
 
+(* Model-based: every operation against a list holding the members in
+   storage order, with swap-remove, so [first] (the last member) and [any]
+   (under an rng cloned for the model) are checked exactly, not just as
+   members.  Values reach 1e5, which grows the value-indexed positions
+   many times over. *)
+type dynset_op =
+  | D_add of int
+  | D_remove of int
+  | D_mem of int
+  | D_first
+  | D_any
+  | D_iter
+  | D_to_list
+  | D_to_array
+  | D_add_negative of int
+
+let dynset_op_print = function
+  | D_add v -> Printf.sprintf "add %d" v
+  | D_remove v -> Printf.sprintf "remove %d" v
+  | D_mem v -> Printf.sprintf "mem %d" v
+  | D_first -> "first"
+  | D_any -> "any"
+  | D_iter -> "iter"
+  | D_to_list -> "to_list"
+  | D_to_array -> "to_array"
+  | D_add_negative v -> Printf.sprintf "add %d" v
+
+let dynset_op_gen =
+  let open QCheck.Gen in
+  let value = frequency [ (3, int_range 0 40); (1, int_range 0 100_000) ] in
+  frequency
+    [
+      (6, map (fun v -> D_add v) value);
+      (4, map (fun v -> D_remove v) value);
+      (2, map (fun v -> D_mem v) value);
+      (2, return D_first);
+      (2, return D_any);
+      (1, return D_iter);
+      (1, return D_to_list);
+      (1, return D_to_array);
+      (1, map (fun v -> D_add_negative (-1 - v)) (int_range 0 1000));
+    ]
+
+let qcheck_dynset_list_model =
+  let module D = Sim.Dynset in
+  QCheck.Test.make ~name:"dynset agrees with a storage-order list model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(Print.list dynset_op_print)
+        Gen.(list_size (int_range 0 300) dynset_op_gen))
+    (fun ops ->
+      let s = D.create () in
+      let model = ref [] in
+      let rng = Prng.Splitmix.of_int 17 in
+      let model_rng = Prng.Splitmix.of_int 17 in
+      let fail op what =
+        QCheck.Test.fail_reportf "after %s: %s" (dynset_op_print op) what
+      in
+      let swap_remove v l =
+        let last = List.nth l (List.length l - 1) in
+        List.filteri (fun i _ -> i < List.length l - 1) l
+        |> List.map (fun x -> if x = v then last else x)
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | D_add v ->
+            D.add s v;
+            if not (List.mem v !model) then model := !model @ [ v ]
+          | D_remove v ->
+            D.remove s v;
+            if List.mem v !model then model := swap_remove v !model
+          | D_mem v -> if D.mem s v <> List.mem v !model then fail op "mem"
+          | D_first -> (
+            match List.rev !model with
+            | [] ->
+              if (try ignore (D.first s); true with Invalid_argument _ -> false)
+              then fail op "first of empty"
+            | last :: _ -> if D.first s <> last then fail op "first")
+          | D_any ->
+            if !model = [] then begin
+              if (try ignore (D.any s rng); true with Invalid_argument _ -> false)
+              then fail op "any of empty"
+            end
+            else begin
+              let expect =
+                List.nth !model
+                  (Prng.Splitmix.int model_rng (List.length !model))
+              in
+              if D.any s rng <> expect then fail op "any"
+            end
+          | D_iter ->
+            let seen = ref [] in
+            D.iter (fun v -> seen := v :: !seen) s;
+            if List.rev !seen <> !model then fail op "iter order"
+          | D_to_list -> if D.to_list s <> !model then fail op "to_list"
+          | D_to_array ->
+            if D.to_array s <> Array.of_list !model then fail op "to_array"
+          | D_add_negative v -> (
+            match D.add s v with
+            | () -> fail op "negative add accepted"
+            | exception Invalid_argument _ -> ()));
+          if D.size s <> List.length !model then fail op "size";
+          if D.is_empty s <> (!model = []) then fail op "is_empty")
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Location space *)
 
@@ -466,6 +574,230 @@ let test_round_robin_fairness () =
   in
   Array.iter (fun s -> checki "equal steps" 3 s) r.steps
 
+(* [check_unique_names] against a set-based reference, over dense names
+   (the byte-map path), sparse and negative ones (the sorting path),
+   crashed processes and survivors holding [None]. *)
+let qcheck_unique_names_reference =
+  let name =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return None);
+          (6, map Option.some (int_range 0 40));
+          (1, map Option.some (int_range (-5) 1_000_000));
+        ])
+  in
+  QCheck.Test.make ~name:"check_unique_names agrees with a set reference"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(Print.list (Print.pair (Print.option Print.int) Print.bool))
+        Gen.(list_size (int_range 0 40) (pair name (frequency [ (4, return false); (1, return true) ]))))
+    (fun procs ->
+      let names = Array.of_list (List.map fst procs) in
+      let crashed = Array.of_list (List.map snd procs) in
+      let r =
+        {
+          Sim.Runner.names;
+          steps = Array.make (Array.length names) 0;
+          crashed;
+          total_steps = 0;
+          max_steps = 0;
+          space_used = 0;
+          crash_count = 0;
+          point_contention = 0;
+        }
+      in
+      let survivors =
+        List.filter_map (fun (name, crashed) -> if crashed then None else Some name) procs
+      in
+      let named = List.filter_map Fun.id survivors in
+      let expect =
+        List.for_all Option.is_some survivors
+        && List.length (List.sort_uniq Int.compare named) = List.length named
+      in
+      Sim.Runner.check_unique_names r = expect)
+
+(* ------------------------------------------------------------------ *)
+(* Greedy adversary against its Hashtbl-backed reference *)
+
+(* The hash-based set and greedy strategy the library used before both
+   moved onto int arrays, kept verbatim as the reference: the live
+   strategy must make the same decisions with the same rng draws. *)
+module Ref_dynset = struct
+  type t = {
+    mutable elements : int array;
+    mutable size : int;
+    positions : (int, int) Hashtbl.t;
+  }
+
+  let create () =
+    { elements = Array.make 16 0; size = 0; positions = Hashtbl.create 64 }
+
+  let size t = t.size
+  let is_empty t = t.size = 0
+  let mem t v = Hashtbl.mem t.positions v
+
+  let add t v =
+    if not (mem t v) then begin
+      if t.size = Array.length t.elements then begin
+        let bigger = Array.make (2 * t.size) 0 in
+        Array.blit t.elements 0 bigger 0 t.size;
+        t.elements <- bigger
+      end;
+      t.elements.(t.size) <- v;
+      Hashtbl.replace t.positions v t.size;
+      t.size <- t.size + 1
+    end
+
+  let remove t v =
+    match Hashtbl.find_opt t.positions v with
+    | None -> ()
+    | Some idx ->
+      let last = t.elements.(t.size - 1) in
+      t.elements.(idx) <- last;
+      Hashtbl.replace t.positions last idx;
+      Hashtbl.remove t.positions v;
+      t.size <- t.size - 1
+
+  let any t rng = t.elements.(Prng.Splitmix.int rng t.size)
+  let first t = t.elements.(t.size - 1)
+
+  let iter f t =
+    for i = 0 to t.size - 1 do
+      f t.elements.(i)
+    done
+end
+
+let reference_greedy =
+  let open Sim.Adversary in
+  let module Dynset = Ref_dynset in
+  let make ctx =
+    let waiting = Dynset.create () in
+    let pending_loc : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let losers = Dynset.create () in
+    let groups : (int, Dynset.t) Hashtbl.t = Hashtbl.create 64 in
+    let contended = Dynset.create () in
+    let group_of loc =
+      match Hashtbl.find_opt groups loc with
+      | Some g -> g
+      | None ->
+        let g = Dynset.create () in
+        Hashtbl.replace groups loc g;
+        g
+    in
+    let detach pid =
+      match Hashtbl.find_opt pending_loc pid with
+      | None -> ()
+      | Some loc ->
+        Hashtbl.remove pending_loc pid;
+        Dynset.remove losers pid;
+        (match Hashtbl.find_opt groups loc with
+        | None -> ()
+        | Some g ->
+          Dynset.remove g pid;
+          if Dynset.size g < 2 then Dynset.remove contended loc;
+          if Dynset.is_empty g then Hashtbl.remove groups loc)
+    in
+    let on_wait ~pid ~loc ~op =
+      detach pid;
+      Dynset.add waiting pid;
+      match op with
+      | Reset_op | Read_op | Write_op -> ()
+      | Tas_op ->
+        Hashtbl.replace pending_loc pid loc;
+        if ctx.location_taken loc then Dynset.add losers pid
+        else begin
+          let g = group_of loc in
+          Dynset.add g pid;
+          if Dynset.size g >= 2 then Dynset.add contended loc
+        end
+    in
+    let on_tas ~loc ~won =
+      if won then
+        match Hashtbl.find_opt groups loc with
+        | None -> ()
+        | Some g ->
+          Dynset.iter (fun pid -> Dynset.add losers pid) g;
+          Hashtbl.remove groups loc;
+          Dynset.remove contended loc
+    in
+    let on_settle ~pid =
+      detach pid;
+      Dynset.remove waiting pid
+    in
+    let pick () =
+      if not (Dynset.is_empty losers) then Step (Dynset.first losers)
+      else if not (Dynset.is_empty contended) then begin
+        let loc = Dynset.first contended in
+        let g = Hashtbl.find groups loc in
+        Step (Dynset.first g)
+      end
+      else Step (Dynset.any waiting ctx.rng)
+    in
+    { on_wait; on_tas; on_settle; pick }
+  in
+  { name = "greedy"; make }
+
+(* ReBatching (dense locations), AdaptiveReBatching (sparse locations up
+   to the object space's far end), and its releasing variant, whose
+   [Reset_op] frees a location while earlier losers still wait on it. *)
+let greedy_algos =
+  [
+    ( "rebatching",
+      fun n ->
+        let inst = Renaming.Rebatching.make ~t0:3 ~n () in
+        fun env -> Renaming.Rebatching.get_name env inst );
+    ( "adaptive",
+      fun _ ->
+        let space = Renaming.Object_space.create ~t0:3 () in
+        fun env -> Renaming.Adaptive_rebatching.get_name env space );
+    ( "adaptive-releasing",
+      fun _ ->
+        let space = Renaming.Object_space.create ~t0:3 () in
+        fun env -> Renaming.Adaptive_rebatching.get_name_releasing env space );
+  ]
+
+let greedy_wrappers crashes =
+  [
+    ("plain", Fun.id);
+    ("crash0.3", Sim.Adversary.with_crashes ~fraction:0.3);
+    ("planned", Sim.Adversary.with_planned_crashes ~crashes);
+  ]
+
+let qcheck_greedy_matches_reference =
+  QCheck.Test.make ~name:"greedy == Hashtbl reference (trace and result)"
+    ~count:90
+    QCheck.(
+      make
+        ~print:(fun (seed, n, a, w, crashes) ->
+          Printf.sprintf "seed=%d n=%d algo=%s wrapper=%s crashes=%s" seed n
+            (fst (List.nth greedy_algos a))
+            (fst (List.nth (greedy_wrappers []) w))
+            (Print.list (Print.pair Print.int Print.int) crashes))
+        Gen.(
+          int_range 1 300 >>= fun n ->
+          map4
+            (fun seed a w crashes -> (seed, n, a, w, crashes))
+            (int_bound 100_000) (int_bound 2) (int_bound 2)
+            (list_size (int_range 0 8)
+               (pair (int_bound (n - 1)) (int_range 1 6)))))
+    (fun (seed, n, a, w, crashes) ->
+      let wrap = snd (List.nth (greedy_wrappers crashes) w) in
+      let run strategy =
+        let algo = snd (List.nth greedy_algos a) n in
+        let adversary, trace =
+          Sim.Trace.recorder (Sim.Validator.validated (wrap strategy))
+        in
+        let r = Sim.Runner.run ~adversary ~seed ~n ~algo () in
+        (Sim.Trace.decisions (trace ()), r)
+      in
+      let ref_trace, ref_result = run reference_greedy in
+      let trace, result = run Sim.Adversary.greedy_collision in
+      if trace <> ref_trace then QCheck.Test.fail_report "schedules differ";
+      if result <> ref_result then QCheck.Test.fail_report "results differ";
+      true)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -476,6 +808,7 @@ let suite =
         tc "growth" `Quick test_dynset_growth;
         tc "negative" `Quick test_dynset_negative;
         QCheck_alcotest.to_alcotest qcheck_dynset_model;
+        QCheck_alcotest.to_alcotest qcheck_dynset_list_model;
       ] );
     ( "sim.location_space",
       [
@@ -509,5 +842,7 @@ let suite =
         tc "round robin fairness" `Quick test_round_robin_fairness;
         QCheck_alcotest.to_alcotest
           qcheck_sequential_adversary_equals_sequential_runner;
+        QCheck_alcotest.to_alcotest qcheck_greedy_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_unique_names_reference;
       ] );
   ]
