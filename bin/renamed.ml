@@ -9,61 +9,71 @@
 
 let serve socket_path shards capacity seed backlog max_conns lease_ttl journal
     recover max_queue max_out_kb stall_timeout quiet =
-  let log =
-    if quiet then ignore
-    else fun s -> Printf.eprintf "[renamed] %s\n%!" s
-  in
-  let cfg =
-    {
-      (Service.Server.default_config ~socket_path) with
-      shards;
-      capacity;
-      seed;
-      backlog;
-      max_conns;
-      lease_ttl_s = lease_ttl;
-      journal_path = journal;
-      recover;
-      max_queue;
-      max_out_bytes = max_out_kb * 1024;
-      stall_s = stall_timeout;
-      log;
-    }
-  in
-  let handle = Service.Server.create_handle () in
-  let on_signal name =
-    Sys.Signal_handle
-      (fun _ ->
-        (* Signal-safe by construction: an Atomic set plus a pipe write. *)
-        log (Printf.sprintf "%s: draining" name);
-        Service.Server.stop handle)
-  in
-  Sys.set_signal Sys.sigterm (on_signal "SIGTERM");
-  Sys.set_signal Sys.sigint (on_signal "SIGINT");
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  match Service.Server.run ~handle cfg with
-  | Error e ->
-    Printf.eprintf "renamed: %s\n%!" e;
+  match
+    List.find_opt
+      (fun (_, v) -> v < 1)
+      [ ("--shards", shards); ("--capacity", capacity);
+        ("--max-queue", max_queue); ("--max-out-kb", max_out_kb) ]
+  with
+  | Some (flag, v) ->
+    Printf.eprintf "renamed: %s must be at least 1 (got %d)\n%!" flag v;
     2
-  | Ok r ->
-    log
-      (Printf.sprintf
-         "served %d conn(s), %d request(s): %d acquire(s), %d release(s), \
-          %d renew(s), %d error(s), %d shed busy, %d shed expired, %d \
-          stalled conn(s), %d drained, %d expired, %d recovered, %.1fs"
-         r.Service.Server.conns_served r.Service.Server.requests
-         r.Service.Server.acquires r.Service.Server.releases
-         r.Service.Server.renews r.Service.Server.errors
-         r.Service.Server.shed_busy r.Service.Server.shed_expired
-         r.Service.Server.stalled_conns r.Service.Server.drained_releases
-         r.Service.Server.expired_leases r.Service.Server.recovered
-         r.Service.Server.wall_s);
-    if Service.Server.report_clean r then 0
-    else begin
-      Printf.eprintf "renamed: %d slot(s) leaked at exit\n%!"
-        r.Service.Server.taken_at_exit;
-      1
-    end
+  | None -> (
+    let log =
+      if quiet then ignore
+      else fun s -> Printf.eprintf "[renamed] %s\n%!" s
+    in
+    let cfg =
+      {
+        (Service.Server.default_config ~socket_path) with
+        shards;
+        capacity;
+        seed;
+        backlog;
+        max_conns;
+        lease_ttl_s = lease_ttl;
+        journal_path = journal;
+        recover;
+        max_queue;
+        max_out_bytes = max_out_kb * 1024;
+        stall_s = stall_timeout;
+        log;
+      }
+    in
+    let handle = Service.Server.create_handle () in
+    let on_signal name =
+      Sys.Signal_handle
+        (fun _ ->
+          (* Signal-safe by construction: an Atomic set plus a pipe write. *)
+          log (Printf.sprintf "%s: draining" name);
+          Service.Server.stop handle)
+    in
+    Sys.set_signal Sys.sigterm (on_signal "SIGTERM");
+    Sys.set_signal Sys.sigint (on_signal "SIGINT");
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    match Service.Server.run ~handle cfg with
+    | Error e ->
+      Printf.eprintf "renamed: %s\n%!" e;
+      2
+    | Ok r ->
+      log
+        (Printf.sprintf
+           "served %d conn(s), %d request(s): %d acquire(s), %d release(s), \
+            %d renew(s), %d error(s), %d shed busy, %d shed expired, %d \
+            stalled conn(s), %d drained, %d expired, %d recovered, %.1fs"
+           r.Service.Server.conns_served r.Service.Server.requests
+           r.Service.Server.acquires r.Service.Server.releases
+           r.Service.Server.renews r.Service.Server.errors
+           r.Service.Server.shed_busy r.Service.Server.shed_expired
+           r.Service.Server.stalled_conns r.Service.Server.drained_releases
+           r.Service.Server.expired_leases r.Service.Server.recovered
+           r.Service.Server.wall_s);
+      if Service.Server.report_clean r then 0
+      else begin
+        Printf.eprintf "renamed: %d slot(s) leaked at exit\n%!"
+          r.Service.Server.taken_at_exit;
+        1
+      end)
 
 open Cmdliner
 

@@ -466,13 +466,22 @@ let artifact_kinds =
       Any Service.Overload_bench.kind;
     ]
 
+(* --json --out --check --threshold: how every producer prints, saves
+   and gates its artifact. *)
+type artifact_flags = {
+  json : bool;
+  out : string;
+  check : string option;
+  threshold : float;
+}
+
 (* Print [art] (its canonical JSON with --json, else rendered), save it
    as the next numbered file under [out], and gate it: on its own audit,
    or with --check on audit @ regress against the baseline.  Chatter
    goes to stderr as "[tag] ...", so --json leaves stdout one document.
    Exit 0 when there are no findings and [ok] holds, 1 on findings, 2
    when the baseline is missing, unreadable or of another kind. *)
-let emit_artifact ~tag ~json ~out ~check ~threshold ?(ok = true)
+let emit_artifact ~tag { json; out; check; threshold } ?(ok = true)
     (kind : _ Engine.Artifact.kind) art =
   let log fmt = Printf.ksprintf (Printf.eprintf "[%s] %s\n%!" tag) fmt in
   if json then print_string (kind.encode art)
@@ -704,38 +713,31 @@ let doctor dir =
              (* Overload telemetry: a queue peak past the admission
                 bound means the bound is not enforced — the daemon's
                 queues are growing without limit. *)
-             (match Service.Client.connect ~path () with
+             (match Service.Client.stats_once ~path with
              | Error _ -> ()
-             | Ok c ->
-               (match Service.Client.stats c with
-               | Error _ -> ()
-               | Ok j -> (
-                 let f = Jsonu.obj j in
-                 match List.assoc_opt "overload" f with
-                 | None -> ()
-                 | Some o ->
-                   let ov = Jsonu.obj o in
-                   let peak =
-                     try Jsonu.int_ f "queue_peak"
-                     with Jsonu.Malformed -> 0
-                   in
-                   let bound =
-                     try Jsonu.int_ ov "queue_bound"
-                     with Jsonu.Malformed -> max_int
-                   in
-                   let level =
-                     try Jsonu.str ov "level"
-                     with Jsonu.Malformed -> "healthy"
-                   in
-                   if peak > bound then
-                     problem
-                       "%s: daemon reports queue peak %d past its %d \
-                        admission bound — queues are growing without bound"
-                       file peak bound;
-                   if level <> "healthy" then
-                     note "%s: daemon is %s (deepest queue seen %d/%d)"
-                       file level peak bound));
-               Service.Client.close c)
+             | Ok f -> (
+               match List.assoc_opt "overload" f with
+               | None -> ()
+               | Some o ->
+                 let ov = Jsonu.obj o in
+                 let peak =
+                   try Jsonu.int_ f "queue_peak" with Jsonu.Malformed -> 0
+                 in
+                 let bound =
+                   try Jsonu.int_ ov "queue_bound"
+                   with Jsonu.Malformed -> max_int
+                 in
+                 let level =
+                   try Jsonu.str ov "level" with Jsonu.Malformed -> "healthy"
+                 in
+                 if peak > bound then
+                   problem
+                     "%s: daemon reports queue peak %d past its %d \
+                      admission bound — queues are growing without bound"
+                     file peak bound;
+                 if level <> "healthy" then
+                   note "%s: daemon is %s (deepest queue seen %d/%d)" file
+                     level peak bound))
            | exception Unix.Unix_error (ECONNREFUSED, _, _) ->
              problem
                "%s: stale socket file — the daemon behind it crashed \
@@ -1067,568 +1069,27 @@ let chaos_replay file out certify json =
       chaos_outcome_exit o)
 
 (* ------------------------------------------------------------------ *)
-(* chaos service: SIGKILL/--recover soak of the real daemon under
-   open-loop load, optionally through the wire-fault proxy *)
+(* chaos service / chaos overload: the daemon soaks.  The library runs
+   them; an [Error] (bad input, failed boot, a load generator that gave
+   up) exits 2, anything else is an artifact to emit. *)
 
-let status_describe = function
-  | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped by %d" s
-
-(* Nearest-rank percentile over an ascending array. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let idx = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
-(* Accepting = a direct connect to the daemon socket succeeds; the
-   daemon binds only after recovery completes, so this observes the
-   full boot (or SIGKILL -> serving-again) interval. *)
-let wait_accepting ~sock ~pid ~deadline =
-  let rec go () =
-    if Unix.gettimeofday () > deadline then
-      Error "daemon did not accept within its startup deadline"
-    else begin
-      let probe = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-      match Unix.connect probe (ADDR_UNIX sock) with
-      | () ->
-        Unix.close probe;
-        Ok ()
-      | exception Unix.Unix_error _ -> (
-        (try Unix.close probe with Unix.Unix_error _ -> ());
-        match Unix.waitpid [ WNOHANG ] pid with
-        | 0, _ ->
-          Unix.sleepf 0.005;
-          go ()
-        | _, status ->
-          Error
-            (Printf.sprintf "daemon died during startup (%s)"
-               (status_describe status)))
-    end
-  in
-  go ()
-
-(* Resident set of a live process, from /proc (kB); -1 if unreadable. *)
-let proc_rss_kb pid =
-  match open_in (Printf.sprintf "/proc/%d/statm" pid) with
-  | exception Sys_error _ -> -1
-  | ic ->
-    let r =
-      match input_line ic with
-      | exception End_of_file -> -1
-      | line -> (
-        match String.split_on_char ' ' line with
-        | _ :: resident :: _ -> (
-          match int_of_string_opt resident with
-          | Some pages -> pages * 4 (* 4 KiB pages *)
-          | None -> -1)
-        | _ -> -1)
-    in
-    close_in ic;
-    r
-
-let chaos_service json cycles rate duration conns clients shards capacity
-    lease_ttl seed wire_faults daemon keep out check threshold =
-  (* The soak writes to sockets whose peer it is busy killing. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let log fmt =
-    Printf.ksprintf (fun s -> Printf.eprintf "[soak] %s\n%!" s) fmt
-  in
-  let daemon_path =
-    match daemon with
-    | Some p -> p
-    | None ->
-      (* repro_cli and renamed are built side by side. *)
-      Filename.concat (Filename.dirname Sys.executable_name) "renamed.exe"
-  in
-  if not (Sys.file_exists daemon_path) then begin
-    log "no renamed binary at %s (build bin/ or pass --daemon)" daemon_path;
+let chaos_service flags cfg =
+  match Service.Recovery_bench.run cfg with
+  | Error e ->
+    Printf.eprintf "[soak] %s\n%!" e;
     2
-  end
-  else begin
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "renamed_soak_%d" (Unix.getpid ()))
-    in
-    Engine.Sink.mkdir_p dir;
-    let real_sock = Filename.concat dir "renamed.sock" in
-    let proxy_sock = Filename.concat dir "proxy.sock" in
-    let journal = Filename.concat dir "renamed.journal" in
-    let spawn_daemon () =
-      Unix.create_process daemon_path
-        [|
-          daemon_path; "--socket"; real_sock;
-          "--shards"; string_of_int shards;
-          "--capacity"; string_of_int capacity;
-          "--lease-ttl"; Printf.sprintf "%g" lease_ttl;
-          "--journal"; journal; "--recover"; "--quiet";
-        |]
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    let wait_accepting = wait_accepting ~sock:real_sock in
-    (* Journal audit, summed across compactions: each --recover boot
-       rewrites the file down to its live grants, so every dead window
-       (and the final drain) is scanned as its own segment. *)
-    let jrecords = ref 0 and jtorn = ref 0 and jdamaged = ref 0 in
-    let dups = ref 0 in
-    let scan_segment tag =
-      match Service.Journal.scan ~path:journal with
-      | Error e ->
-        log "%s: journal unreadable: %s" tag e;
-        incr jdamaged
-      | Ok s ->
-        let live = Service.Journal.replay s.Service.Journal.records in
-        jrecords := !jrecords + List.length s.Service.Journal.records;
-        if s.Service.Journal.torn_tail then incr jtorn;
-        jdamaged := !jdamaged + s.Service.Journal.damaged;
-        dups := !dups + live.Service.Journal.double_grants;
-        log "%s: %d record(s), %d live grant(s), %d duplicate(s)%s%s" tag
-          (List.length s.Service.Journal.records)
-          (List.length live.Service.Journal.grants)
-          live.Service.Journal.double_grants
-          (if s.Service.Journal.torn_tail then ", torn tail" else "")
-          (if s.Service.Journal.damaged > 0 then
-             Printf.sprintf ", %d DAMAGED" s.Service.Journal.damaged
-           else "")
-    in
-    let cleanup () =
-      if keep then log "keeping %s" dir
-      else begin
-        List.iter
-          (fun f -> try Sys.remove f with Sys_error _ -> ())
-          [ real_sock; proxy_sock; journal ];
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      end
-    in
-    let pid = ref (spawn_daemon ()) in
-    match wait_accepting ~pid:!pid ~deadline:(Unix.gettimeofday () +. 10.) with
-    | Error e ->
-      log "initial boot: %s" e;
-      cleanup ();
-      2
-    | Ok () -> (
-      let proxy =
-        if not wire_faults then Ok None
-        else
-          let pcfg =
-            {
-              (Chaos.Wire_fault.default_config ~listen_path:proxy_sock
-                 ~upstream_path:real_sock)
-              with
-              seed;
-              log = (fun s -> Printf.eprintf "[proxy] %s\n%!" s);
-            }
-          in
-          Result.map Option.some (Chaos.Wire_fault.start pcfg)
-      in
-      match proxy with
-      | Error e ->
-        log "proxy: %s" e;
-        (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] !pid);
-        cleanup ();
-        2
-      | Ok proxy ->
-        let load_cfg =
-          {
-            (Service.Load_gen.default_config
-               ~path:(if wire_faults then proxy_sock else real_sock))
-            with
-            conns;
-            clients;
-            rate;
-            duration_s = duration;
-            hold = Service.Load_gen.Exponential 0.02;
-            seed;
-            (* Generous: every daemon kill costs each slot a burst of
-               accept-then-reset retries against the proxy. *)
-            reconnect_attempts = 50;
-            reconnect_backoff = 0.02;
-            log = (fun s -> Printf.eprintf "[load] %s\n%!" s);
-          }
-        in
-        let load_res = ref (Error "load generator never ran") in
-        (* The kill/restart loop below must run while the load does. *)
-        let load_dom =
-          (* repro-lint: allow domain-spawn — joined soak-driver domain *)
-          Domain.spawn (fun () -> load_res := Service.Load_gen.run load_cfg)
-        in
-        let seg = duration /. float_of_int (cycles + 1) in
-        let recov = Array.make (max 1 cycles) 0. in
-        let failed = ref None in
-        for i = 0 to cycles - 1 do
-          if !failed = None then begin
-            Unix.sleepf seg;
-            let t0 = Unix.gettimeofday () in
-            log "cycle %d/%d: SIGKILL" (i + 1) cycles;
-            Unix.kill !pid Sys.sigkill;
-            ignore (Unix.waitpid [] !pid);
-            scan_segment (Printf.sprintf "cycle %d" (i + 1));
-            pid := spawn_daemon ();
-            match
-              wait_accepting ~pid:!pid
-                ~deadline:(Unix.gettimeofday () +. 10.)
-            with
-            | Ok () ->
-              recov.(i) <- (Unix.gettimeofday () -. t0) *. 1000.;
-              log "cycle %d/%d: recovered in %.0f ms" (i + 1) cycles recov.(i)
-            | Error e -> failed := Some e
-          end
-        done;
-        Domain.join load_dom;
-        (* Every name abandoned to a killed connection is protected only
-           by its lease: one TTL (plus sweep slack) later the server
-           must be empty. *)
-        let leaked =
-          match !failed with
-          | Some _ -> -1
-          | None -> (
-            Unix.sleepf (lease_ttl +. Float.max 0.5 (lease_ttl /. 5.));
-            match Service.Client.connect ~path:real_sock () with
-            | Error _ -> -1
-            | Ok c ->
-              let v =
-                match Service.Client.stats c with
-                | Ok j -> (
-                  try Jsonu.int_ (Jsonu.obj j) "taken"
-                  with Jsonu.Malformed -> -1)
-                | Error _ -> -1
-              in
-              Service.Client.close c;
-              v)
-        in
-        let daemon_exit =
-          match !failed with
-          | Some _ ->
-            (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-            (try ignore (Unix.waitpid [] !pid) with Unix.Unix_error _ -> ());
-            125
-          | None -> (
-            Unix.kill !pid Sys.sigterm;
-            match Unix.waitpid [] !pid with
-            | _, Unix.WEXITED c -> c
-            | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> 125)
-        in
-        scan_segment "final";
-        Option.iter Chaos.Wire_fault.stop proxy;
-        Option.iter
-          (fun p ->
-            let c = Chaos.Wire_fault.counters p in
-            log
-              "proxy: %d conn(s), %d refused, %d chop(s), %d stall(s), \
-               %d reset(s)"
-              c.Chaos.Wire_fault.conns c.Chaos.Wire_fault.refused
-              c.Chaos.Wire_fault.chops c.Chaos.Wire_fault.stalls
-              c.Chaos.Wire_fault.resets)
-          proxy;
-        cleanup ();
-        match (!failed, !load_res) with
-        | Some e, _ ->
-          log "soak failed: %s" e;
-          2
-        | None, Error e ->
-          log "load failed: %s" e;
-          2
-        | None, Ok r ->
-          let sorted = Array.sub recov 0 cycles in
-          Array.sort Float.compare sorted;
-          let art =
-            {
-              Service.Recovery_bench.cycles;
-              rate;
-              duration_s = duration;
-              seed;
-              shards;
-              capacity;
-              lease_ttl_s = lease_ttl;
-              wire_faults;
-              wall_s = r.Service.Load_gen.wall_s;
-              offered = r.Service.Load_gen.offered;
-              acquired = r.Service.Load_gen.acquired;
-              acquire_failures = r.Service.Load_gen.acquire_failures;
-              released = r.Service.Load_gen.released;
-              errors = r.Service.Load_gen.errors;
-              timeouts = r.Service.Load_gen.timeouts;
-              violations = r.Service.Load_gen.violations;
-              reconnects = r.Service.Load_gen.reconnects;
-              dropped = r.Service.Load_gen.dropped;
-              abandoned = r.Service.Load_gen.abandoned;
-              throughput = r.Service.Load_gen.throughput;
-              duplicate_grants = !dups;
-              leaked_after_expiry = leaked;
-              recovery_p50_ms = percentile sorted 50.;
-              recovery_p99_ms = percentile sorted 99.;
-              recovery_max_ms = percentile sorted 100.;
-              journal_records = !jrecords;
-              journal_torn_tails = !jtorn;
-              journal_damaged = !jdamaged;
-              daemon_exit;
-            }
-          in
-          emit_artifact ~tag:"soak" ~json ~out ~check ~threshold
-            Service.Recovery_bench.kind art)
-  end
+  | Ok art -> emit_artifact ~tag:"soak" flags Service.Recovery_bench.kind art
 
-(* chaos overload: drive the daemon far past capacity and check that it
-   degrades instead of collapsing *)
-
-let chaos_overload json overdrive calibrate_rate calibrate_duration duration
-    conns clients shards capacity max_queue deadline_ms drain_timeout seed
-    daemon keep out check threshold =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let log fmt =
-    Printf.ksprintf (fun s -> Printf.eprintf "[overload] %s\n%!" s) fmt
-  in
-  let daemon_path =
-    match daemon with
-    | Some p -> p
-    | None ->
-      Filename.concat (Filename.dirname Sys.executable_name) "renamed.exe"
-  in
-  if not (Sys.file_exists daemon_path) then begin
-    log "no renamed binary at %s (build bin/ or pass --daemon)" daemon_path;
+(* The daemon's own exit code is its shutdown leak audit: a condition
+   of the soak run, not a field of the artifact. *)
+let chaos_overload flags cfg =
+  match Service.Overload_bench.run cfg with
+  | Error e ->
+    Printf.eprintf "[overload] %s\n%!" e;
     2
-  end
-  else if overdrive < 1. then begin
-    log "--overdrive must be >= 1";
-    2
-  end
-  else begin
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "renamed_overload_%d" (Unix.getpid ()))
-    in
-    Engine.Sink.mkdir_p dir;
-    let sock = Filename.concat dir "renamed.sock" in
-    let cleanup () =
-      if keep then log "keeping %s" dir
-      else begin
-        (try Sys.remove sock with Sys_error _ -> ());
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      end
-    in
-    (* The generator and daemon timeshare this machine, so at heavy
-       overdrive the generator itself read-starves into looking like a
-       slow client; the default 5 s stall deadline would then sever the
-       measurement connections mid-soak (the disconnect path has its
-       own e2e test).  A long stall timeout keeps the daemon's
-       read-pausing backpressure — the behavior under test — while the
-       harness stays connected. *)
-    let pid =
-      Unix.create_process daemon_path
-        [|
-          daemon_path; "--socket"; sock;
-          "--shards"; string_of_int shards;
-          "--capacity"; string_of_int capacity;
-          "--max-queue"; string_of_int max_queue;
-          "--stall-timeout"; "60";
-          "--quiet";
-        |]
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    let kill_daemon () =
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-    in
-    let run_load ~tag ~rate ~duration_s =
-      Service.Load_gen.run
-        {
-          (Service.Load_gen.default_config ~path:sock) with
-          conns;
-          clients;
-          rate;
-          duration_s;
-          seed;
-          deadline_ms;
-          drain_timeout_s = drain_timeout;
-          log = (fun s -> Printf.eprintf "[%s] %s\n%!" tag s);
-        }
-    in
-    (* The daemon's cumulative served-acquire counter, from a stats
-       round-trip on a throwaway connection; -1 when unreadable. *)
-    let sample_acquires () =
-      match Service.Client.connect ~path:sock () with
-      | Error _ -> -1
-      | Ok c ->
-        let v =
-          match Service.Client.stats c with
-          | Error _ -> -1
-          | Ok j -> (
-            match Jsonu.int_ (Jsonu.obj j) "acquires" with
-            | v -> v
-            | exception Jsonu.Malformed -> -1)
-        in
-        Service.Client.close c;
-        v
-    in
-    (* Goodput measured where it is not distorted: the generator and
-       daemon timeshare the machine, so under heavy overdrive the
-       generator read-starves and grants land after the arrival window
-       — the client-side count then reports the generator's collapse,
-       not the daemon's.  Sample the daemon's own served counter at
-       both edges of the window instead; the client-side number rides
-       along in the artifact for comparison. *)
-    let timed_load ~tag ~rate ~duration_s =
-      let a0 = sample_acquires () in
-      let sampler =
-        (* repro-lint: allow domain-spawn — end-of-window stats sampler *)
-        Domain.spawn (fun () ->
-            Unix.sleepf duration_s;
-            sample_acquires ())
-      in
-      let r = run_load ~tag ~rate ~duration_s in
-      let a1 = Domain.join sampler in
-      match r with
-      | Error _ as e -> e
-      | Ok r ->
-        let daemon_goodput =
-          if a0 >= 0 && a1 >= a0 then
-            float_of_int (a1 - a0) /. Float.max 1e-9 duration_s
-          else r.Service.Load_gen.goodput
-        in
-        Ok (r, daemon_goodput)
-    in
-    match wait_accepting ~sock ~pid ~deadline:(Unix.gettimeofday () +. 10.) with
-    | Error e ->
-      log "boot: %s" e;
-      kill_daemon ();
-      cleanup ();
-      2
-    | Ok () -> (
-      (* Capacity is whatever the daemon actually serves when offered
-         more than it can take: calibration keeps doubling the offered
-         rate until goodput falls measurably short of it, and that
-         saturated goodput — generator and daemon bottlenecks included
-         — is the service rate the soak then overdrives.  Stopping at
-         the first unsaturated rate would report the offered rate, not
-         a capacity. *)
-      (* The generator and daemon share this machine, so the daemon's
-         service rate depends on how hard the generator is pushing:
-         capacity measured under a lazy generator would be a bar the
-         soak — whose generator runs flat out — could never meet.  The
-         saturated run is the one whose CPU split matches the soak's,
-         so {e its} daemon-side goodput is the capacity the plateau is
-         judged against. *)
-      let rec calibrate rate tries =
-        log "calibrating at %.0f/s for %.1fs" rate calibrate_duration;
-        match
-          timed_load ~tag:"calibrate" ~rate ~duration_s:calibrate_duration
-        with
-        | Error _ as e -> e
-        | Ok (_, g) ->
-          if g <= 0. then Error "calibration served nothing (goodput 0)"
-          else if g >= 0.9 *. rate && tries > 0 then begin
-            log "kept up at %.0f/s (goodput %.0f/s): not saturated, doubling"
-              rate g;
-            calibrate (2. *. rate) (tries - 1)
-          end
-          else Ok (rate, g)
-      in
-      match calibrate calibrate_rate 6 with
-      | Error e ->
-        log "calibration failed: %s" e;
-        kill_daemon ();
-        cleanup ();
-        2
-      | Ok (calibrated_rate, capacity_ops) -> (
-        let rate = overdrive *. capacity_ops in
-        let rss_start = proc_rss_kb pid in
-        log "capacity %.0f/s; soaking at %.1fx = %.0f/s for %.1fs"
-          capacity_ops overdrive rate duration;
-        match timed_load ~tag:"soak" ~rate ~duration_s:duration with
-        | Error e ->
-          log "soak failed: %s" e;
-          kill_daemon ();
-          cleanup ();
-          2
-        | Ok (r, goodput_daemon) ->
-          let rss_end = proc_rss_kb pid in
-          (* Final daemon-side snapshot: deepest queue seen and the
-             overload level the state machine ended at. *)
-          let queue_peak, level =
-            match Service.Client.connect ~path:sock () with
-            | Error _ -> (-1, "unreachable")
-            | Ok c ->
-              let snap =
-                match Service.Client.stats c with
-                | Error _ -> (-1, "unreachable")
-                | Ok j -> (
-                  let f = Jsonu.obj j in
-                  let peak =
-                    match Jsonu.int_ f "queue_peak" with
-                    | v -> v
-                    | exception Jsonu.Malformed -> -1
-                  in
-                  let level =
-                    match List.assoc_opt "overload" f with
-                    | Some o -> (
-                      match Jsonu.str (Jsonu.obj o) "level" with
-                      | s -> s
-                      | exception Jsonu.Malformed -> "unknown")
-                    | None -> "unknown"
-                  in
-                  (peak, level))
-              in
-              Service.Client.close c;
-              snap
-          in
-          let daemon_exit =
-            Unix.kill pid Sys.sigterm;
-            match Unix.waitpid [] pid with
-            | _, Unix.WEXITED c -> c
-            | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> 125
-          in
-          cleanup ();
-          if daemon_exit <> 0 then
-            log "daemon exited %d (leak audit at shutdown)" daemon_exit;
-          let q = Stats.Hdr.quantile r.Service.Load_gen.latency in
-          let art =
-            {
-              Service.Overload_bench.shards;
-              capacity;
-              conns;
-              clients;
-              calibrate_rate = calibrated_rate;
-              capacity_ops;
-              overdrive;
-              rate;
-              duration_s = duration;
-              seed;
-              max_queue;
-              deadline_ms;
-              wall_s = r.Service.Load_gen.wall_s;
-              offered = r.Service.Load_gen.offered;
-              acquired = r.Service.Load_gen.acquired;
-              shed = r.Service.Load_gen.shed;
-              expired = r.Service.Load_gen.expired;
-              acquire_failures = r.Service.Load_gen.acquire_failures;
-              released = r.Service.Load_gen.released;
-              errors = r.Service.Load_gen.errors;
-              timeouts = r.Service.Load_gen.timeouts;
-              violations = r.Service.Load_gen.violations;
-              leaked = r.Service.Load_gen.leaked;
-              goodput = r.Service.Load_gen.goodput;
-              goodput_daemon;
-              lat_p50 = q 0.5;
-              lat_p99 = q 0.99;
-              lat_max = Stats.Hdr.max_value r.Service.Load_gen.latency;
-              rss_start_kb = rss_start;
-              rss_end_kb = rss_end;
-              queue_peak;
-              queue_bound = max_queue;
-              level;
-              drain_complete = r.Service.Load_gen.drain_complete;
-            }
-          in
-          (* The daemon's own exit code is its shutdown leak audit: a
-             condition of the soak run, not a field of the artifact. *)
-          emit_artifact ~tag:"overload" ~json ~out ~check ~threshold
-            ~ok:(daemon_exit = 0) Service.Overload_bench.kind art))
-  end
+  | Ok (art, daemon_exit) ->
+    emit_artifact ~tag:"overload" flags ~ok:(daemon_exit = 0)
+      Service.Overload_bench.kind art
 
 (* ------------------------------------------------------------------ *)
 (* modelcheck: exhaustive DPOR exploration of small configurations *)
@@ -1960,6 +1421,93 @@ let job_timeout_t =
            (requires $(b,--out)).  A stuck attempt is abandoned by the \
            watchdog shortly after the deadline and quarantined; the rest \
            of the run continues.")
+
+(* The artifact flags every BENCH_* producer shares; only the
+   --threshold default differs between commands. *)
+let artifact_t ~threshold =
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:"Print the artifact as JSON instead of rendering it.")
+  in
+  let out =
+    Arg.(
+      value & opt string "bench"
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:"Directory for the numbered BENCH_*.json artifacts.")
+  in
+  let check =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "check" ] ~docv:"FILE"
+          ~doc:
+            "Baseline artifact of the same kind to gate against; \
+             regressions exit 1.")
+  in
+  let threshold =
+    Arg.(
+      value & opt float threshold
+      & info [ "threshold" ] ~docv:"T"
+          ~doc:"Relative regression tolerance of the $(b,--check) gates.")
+  in
+  Term.(
+    const (fun json out check threshold -> { json; out; check; threshold })
+    $ json $ out $ check $ threshold)
+
+(* Daemon and load-generator flags shared by load and the two soaks. *)
+let conns_t =
+  Arg.(
+    value & opt int 4
+    & info [ "conns" ] ~docv:"N" ~doc:"Load-generator connections.")
+
+let clients_t =
+  Arg.(
+    value & opt int 64
+    & info [ "clients" ] ~docv:"N"
+        ~doc:"Client-id space (the daemon's shard-routing keys).")
+
+let shards_t =
+  Arg.(
+    value & opt int 2
+    & info [ "shards" ] ~docv:"N" ~doc:"Daemon allocator shards.")
+
+let capacity_t ~default =
+  Arg.(
+    value & opt int default
+    & info [ "capacity" ] ~docv:"N" ~doc:"Daemon per-shard capacity.")
+
+let deadline_t ~default =
+  Arg.(
+    value & opt int default
+    & info [ "deadline" ] ~docv:"MS"
+        ~doc:
+          "Per-request budget stamped on each acquire (0 = none); the \
+           daemon sheds rather than serves work whose budget is spent.")
+
+let drain_timeout_t =
+  Arg.(
+    value & opt float 10.
+    & info [ "drain-timeout" ] ~docv:"SECONDS"
+        ~doc:
+          "How long past the load window the final drain may run before \
+           being cut short (reported in the artifact).")
+
+let daemon_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "daemon" ] ~docv:"PATH"
+        ~doc:
+          "renamed binary to soak (default: renamed.exe next to this \
+           executable).")
+
+let keep_t =
+  Arg.(
+    value & flag
+    & info [ "keep" ]
+        ~doc:"Keep the scratch directory (socket, journal) for autopsy.")
 
 let list_cmd =
   let doc = "List the available experiments." in
@@ -2450,26 +1998,6 @@ let chaos_cmd =
         & info [ "duration" ] ~docv:"SECONDS"
             ~doc:"Total load window across all cycles.")
     in
-    let conns_t =
-      Arg.(
-        value & opt int 4
-        & info [ "conns" ] ~docv:"N" ~doc:"Load-generator connections.")
-    in
-    let clients_t =
-      Arg.(
-        value & opt int 64
-        & info [ "clients" ] ~docv:"N" ~doc:"Client-id space.")
-    in
-    let shards_t =
-      Arg.(
-        value & opt int 2
-        & info [ "shards" ] ~docv:"N" ~doc:"Daemon allocator shards.")
-    in
-    let capacity_t =
-      Arg.(
-        value & opt int 1024
-        & info [ "capacity" ] ~docv:"N" ~doc:"Daemon per-shard capacity.")
-    in
     let lease_ttl_t =
       Arg.(
         value & opt float 2.
@@ -2481,49 +2009,19 @@ let chaos_cmd =
         & info [ "wire-faults" ] ~docv:"BOOL"
             ~doc:"Route load through the seeded socket fault proxy.")
     in
-    let daemon_t =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "daemon" ] ~docv:"PATH"
-            ~doc:
-              "renamed binary to soak (default: renamed.exe next to this \
-               executable).")
-    in
-    let keep_t =
-      Arg.(
-        value & flag
-        & info [ "keep" ]
-            ~doc:"Keep the scratch directory (sockets, journal) for autopsy.")
-    in
-    let sout_t =
-      Arg.(
-        value & opt string "bench"
-        & info [ "out" ] ~docv:"DIR"
-            ~doc:"Directory for BENCH_SERVICE_<k>.json files.")
-    in
-    let check_t =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "check" ] ~docv:"FILE"
-            ~doc:
-              "Baseline bench-service-recovery JSON to gate against; \
-               regressions exit 1.")
-    in
-    let threshold_t =
-      Arg.(
-        value & opt float 0.5
-        & info [ "threshold" ] ~docv:"T"
-            ~doc:
-              "Relative tolerance for the throughput and recovery-p99 \
-               gates of $(b,--check).")
+    let config_t =
+      Term.(
+        const
+          (fun cycles rate duration_s conns clients shards capacity
+               lease_ttl_s seed wire_faults daemon keep ->
+            { Service.Recovery_bench.cycles; rate; duration_s; conns; clients;
+              shards; capacity; lease_ttl_s; seed; wire_faults; daemon; keep })
+        $ cycles_t $ rate_t $ duration_t $ conns_t $ clients_t $ shards_t
+        $ capacity_t ~default:1024 $ lease_ttl_t $ seed_t $ wire_faults_t
+        $ daemon_t $ keep_t)
     in
     Cmd.v (Cmd.info "service" ~doc ~man ~exits:finding_exits)
-      Term.(
-        const chaos_service $ json_t $ cycles_t $ rate_t $ duration_t
-        $ conns_t $ clients_t $ shards_t $ capacity_t $ lease_ttl_t $ seed_t
-        $ wire_faults_t $ daemon_t $ keep_t $ sout_t $ check_t $ threshold_t)
+      Term.(const chaos_service $ artifact_t ~threshold:0.5 $ config_t)
   in
   let overload_cmd =
     let doc =
@@ -2582,89 +2080,29 @@ let chaos_cmd =
         value & opt float 10.
         & info [ "duration" ] ~docv:"SECONDS" ~doc:"Soak load window.")
     in
-    let conns_t =
-      Arg.(
-        value & opt int 4
-        & info [ "conns" ] ~docv:"N" ~doc:"Load-generator connections.")
-    in
-    let clients_t =
-      Arg.(
-        value & opt int 64
-        & info [ "clients" ] ~docv:"N" ~doc:"Client-id space.")
-    in
-    let shards_t =
-      Arg.(
-        value & opt int 2
-        & info [ "shards" ] ~docv:"N" ~doc:"Daemon allocator shards.")
-    in
-    let capacity_t =
-      Arg.(
-        value & opt int 4096
-        & info [ "capacity" ] ~docv:"N" ~doc:"Daemon per-shard capacity.")
-    in
     let max_queue_t =
       Arg.(
         value & opt int 512
         & info [ "max-queue" ] ~docv:"N"
             ~doc:"Daemon per-shard admission bound.")
     in
-    let deadline_t =
-      Arg.(
-        value & opt int 250
-        & info [ "deadline" ] ~docv:"MS"
-            ~doc:
-              "Per-request budget stamped by the generator (0 = none); \
-               the daemon sheds work whose budget is spent.")
-    in
-    let drain_timeout_t =
-      Arg.(
-        value & opt float 10.
-        & info [ "drain-timeout" ] ~docv:"SECONDS"
-            ~doc:"How long the final drain may run before being cut short.")
-    in
-    let daemon_t =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "daemon" ] ~docv:"PATH"
-            ~doc:
-              "renamed binary to soak (default: renamed.exe next to this \
-               executable).")
-    in
-    let keep_t =
-      Arg.(
-        value & flag
-        & info [ "keep" ] ~doc:"Keep the scratch directory for autopsy.")
-    in
-    let sout_t =
-      Arg.(
-        value & opt string "bench"
-        & info [ "out" ] ~docv:"DIR"
-            ~doc:"Directory for BENCH_SERVICE_<k>.json files.")
-    in
-    let check_t =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "check" ] ~docv:"FILE"
-            ~doc:
-              "Baseline bench-service-overload JSON to gate against; \
-               regressions exit 1.")
-    in
-    let threshold_t =
-      Arg.(
-        value & opt float 0.5
-        & info [ "threshold" ] ~docv:"T"
-            ~doc:
-              "Relative tolerance for the goodput and p99 gates of \
-               $(b,--check).")
+    let config_t =
+      Term.(
+        const
+          (fun overdrive calibrate_rate calibrate_duration_s duration_s conns
+               clients shards capacity max_queue deadline_ms drain_timeout_s
+               seed daemon keep ->
+            { Service.Overload_bench.overdrive; calibrate_rate;
+              calibrate_duration_s; duration_s; conns; clients; shards;
+              capacity; max_queue; deadline_ms; drain_timeout_s; seed; daemon;
+              keep })
+        $ overdrive_t $ calibrate_rate_t $ calibrate_duration_t $ duration_t
+        $ conns_t $ clients_t $ shards_t $ capacity_t ~default:4096
+        $ max_queue_t $ deadline_t ~default:250 $ drain_timeout_t $ seed_t
+        $ daemon_t $ keep_t)
     in
     Cmd.v (Cmd.info "overload" ~doc ~man ~exits:finding_exits)
-      Term.(
-        const chaos_overload $ json_t $ overdrive_t $ calibrate_rate_t
-        $ calibrate_duration_t $ duration_t $ conns_t $ clients_t $ shards_t
-        $ capacity_t $ max_queue_t $ deadline_t $ drain_timeout_t $ seed_t
-        $ daemon_t $ keep_t $ sout_t $ check_t $ threshold_t)
+      Term.(const chaos_overload $ artifact_t ~threshold:0.5 $ config_t)
   in
   Cmd.group
     (Cmd.info "chaos" ~doc ~man ~exits:finding_exits)
@@ -2723,8 +2161,7 @@ let verify_cmd =
 (* The large-n decade sweep: t1/t5 shapes on the streaming fast core, fanned
    across domains by Engine.Sweep with checkpoint/resume, aggregated into a
    kind="bench-large" BENCH_<k>.json. *)
-let bench_large json seed trials out check threshold jobs store resume max_n
-    max_k =
+let bench_large flags seed trials jobs store resume max_n max_k =
   if max_n < Harness.Exp_large.grid_lo || max_k < Harness.Exp_large.grid_lo
   then begin
     Printf.eprintf "[bench] --max-n and --max-k must be at least %d\n%!"
@@ -2770,18 +2207,14 @@ let bench_large json seed trials out check threshold jobs store resume max_n
       1
     end
     else
-      emit_artifact ~tag:"bench" ~json ~out ~check ~threshold Engine.Sweep.kind
+      emit_artifact ~tag:"bench" flags Engine.Sweep.kind
         (Engine.Sweep.aggregate ~store_dir:store ~plans)
   end
 
-let bench json seed scale out check threshold large trials jobs store resume
-    max_n max_k =
-  if large then
-    bench_large json seed trials out check threshold jobs store resume max_n
-      max_k
+let bench flags seed scale large trials jobs store resume max_n max_k =
+  if large then bench_large flags seed trials jobs store resume max_n max_k
   else
-    emit_artifact ~tag:"bench" ~json ~out ~check ~threshold
-      Engine.Kernel_bench.kind
+    emit_artifact ~tag:"bench" flags Engine.Kernel_bench.kind
       (Bench_kernels.run_suite ~seed ~scale)
 
 let bench_cmd =
@@ -2822,29 +2255,6 @@ let bench_cmd =
          timing is informational.";
     ]
   in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the suite as JSON instead of tables.")
-  in
-  let out_t =
-    Arg.(
-      value & opt string "bench"
-      & info [ "out" ] ~docv:"DIR" ~doc:"Directory for BENCH_<k>.json files.")
-  in
-  let check_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_<k>.json to diff against; regressions exit 1.")
-  in
-  let threshold_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "threshold" ] ~docv:"T"
-          ~doc:"Relative regression tolerance for $(b,--check).")
-  in
   let large_t =
     Arg.(
       value & flag
@@ -2883,15 +2293,14 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc ~man ~exits:finding_exits)
     Term.(
-      const bench $ json_t $ seed_t $ scale_t $ out_t $ check_t $ threshold_t
-      $ large_t $ bench_trials_t $ jobs_t $ store_t $ resume_t $ max_n_t
-      $ max_k_t)
+      const bench $ artifact_t ~threshold:0.25 $ seed_t $ scale_t $ large_t
+      $ bench_trials_t $ jobs_t $ store_t $ resume_t $ max_n_t $ max_k_t)
 
 (* ------------------------------------------------------------------ *)
 (* load: open-loop Poisson load against a running renamed daemon *)
 
-let load_daemon json socket mode conns clients rate duration hold_const
-    hold_mean deadline drain_timeout seed out check threshold =
+let load_daemon flags socket mode conns clients rate duration hold_const
+    hold_mean deadline drain_timeout seed =
   (* A daemon crash mid-run must surface as reconnect accounting, not
      kill the generator with SIGPIPE on its next buffered write. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -2917,21 +2326,10 @@ let load_daemon json socket mode conns clients rate duration hold_const
   in
   (* The artifact records the server's geometry; ask it. *)
   let geometry =
-    match Service.Client.connect ~path:socket () with
-    | Error e -> Error e
-    | Ok c ->
-      let g =
-        match Service.Client.stats c with
-        | Error e -> Error (Service.Client.failure_message e)
-        | Ok j -> (
-          match
-            (Jsonu.int_ (Jsonu.obj j) "shards", Jsonu.int_ (Jsonu.obj j) "capacity")
-          with
-          | g -> Ok g
-          | exception Jsonu.Malformed -> Error "stats reply missing geometry")
-      in
-      Service.Client.close c;
-      g
+    Result.bind (Service.Client.stats_once ~path:socket) (fun f ->
+        match (Jsonu.int_ f "shards", Jsonu.int_ f "capacity") with
+        | g -> Ok g
+        | exception Jsonu.Malformed -> Error "stats reply missing geometry")
   in
   match geometry with
   | Error e ->
@@ -2943,8 +2341,7 @@ let load_daemon json socket mode conns clients rate duration hold_const
       Printf.eprintf "[load] %s\n%!" e;
       2
     | Ok r ->
-      emit_artifact ~tag:"load" ~json ~out ~check ~threshold
-        Service.Service_bench.kind
+      emit_artifact ~tag:"load" flags Service.Service_bench.kind
         (Service.Service_bench.of_run ~shards ~capacity ~cfg r))
 
 let load_cmd =
@@ -2974,11 +2371,6 @@ let load_cmd =
          baseline — absolute latency is recorded but never gated.";
     ]
   in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the artifact as JSON instead of a summary.")
-  in
   let socket_t =
     Arg.(
       value
@@ -2993,17 +2385,6 @@ let load_cmd =
           Service.Wire.Binary
       & info [ "mode" ] ~docv:"MODE"
           ~doc:"Wire mode: $(b,binary) (native) or $(b,json) (line-JSON).")
-  in
-  let conns_t =
-    Arg.(
-      value & opt int 4
-      & info [ "conns" ] ~docv:"N" ~doc:"Connections to spread load over.")
-  in
-  let clients_t =
-    Arg.(
-      value & opt int 64
-      & info [ "clients" ] ~docv:"N"
-          ~doc:"Client-id space (the daemon's shard-routing keys).")
   in
   let rate_t =
     Arg.(
@@ -3029,48 +2410,11 @@ let load_cmd =
       & info [ "hold-mean" ] ~docv:"SECONDS"
           ~doc:"Mean of the exponential hold-time distribution.")
   in
-  let deadline_t =
-    Arg.(
-      value & opt int 0
-      & info [ "deadline" ] ~docv:"MS"
-          ~doc:
-            "Per-request budget stamped on each acquire (0 = none); the \
-             daemon sheds rather than serves work whose budget is spent.")
-  in
-  let drain_timeout_t =
-    Arg.(
-      value & opt float 10.
-      & info [ "drain-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "How long past the load window the final drain may run before \
-             being cut short (reported in the artifact).")
-  in
-  let out_t =
-    Arg.(
-      value & opt string "bench"
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:"Directory for BENCH_SERVICE_<k>.json files.")
-  in
-  let check_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:
-            "Baseline BENCH_SERVICE_<k>.json to diff against; regressions \
-             exit 1.")
-  in
-  let threshold_t =
-    Arg.(
-      value & opt float 0.5
-      & info [ "threshold" ] ~docv:"T"
-          ~doc:"Relative throughput tolerance for $(b,--check).")
-  in
   Cmd.v (Cmd.info "load" ~doc ~man ~exits:finding_exits)
     Term.(
-      const load_daemon $ json_t $ socket_t $ mode_t $ conns_t $ clients_t
-      $ rate_t $ duration_t $ hold_const_t $ hold_mean_t $ deadline_t
-      $ drain_timeout_t $ seed_t $ out_t $ check_t $ threshold_t)
+      const load_daemon $ artifact_t ~threshold:0.5 $ socket_t $ mode_t
+      $ conns_t $ clients_t $ rate_t $ duration_t $ hold_const_t $ hold_mean_t
+      $ deadline_t ~default:0 $ drain_timeout_t $ seed_t)
 
 let report_cmd =
   let doc = "Run every experiment and write a self-contained markdown report." in

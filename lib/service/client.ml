@@ -225,6 +225,19 @@ let stats ?timeout t =
   | Ok (Wire.Error { op; code; msg; _ }) -> remote ~op ~code ~msg
   | Ok _ -> Error (Transport "unexpected response to stats")
 
+let stats_once ~path =
+  match connect ~path () with
+  | Error _ as e -> e
+  | Ok c -> (
+    let r = stats c in
+    close c;
+    match r with
+    | Error f -> Error (failure_message f)
+    | Ok j -> (
+      match Jsonu.obj j with
+      | fields -> Ok fields
+      | exception Jsonu.Malformed -> Error "stats reply is not an object"))
+
 let shutdown ?timeout t =
   match roundtrip ?timeout t (Wire.Shutdown { id = fresh_id t }) with
   | Error _ as e -> e

@@ -72,6 +72,12 @@ val renew : ?timeout:float -> t -> client:int -> (int, failure) result
     returns how many were extended. *)
 
 val stats : ?timeout:float -> t -> (Jsonu.t, failure) result
+
+val stats_once : path:string -> ((string * Jsonu.t) list, string) result
+(** One [stats] round trip on a throwaway connection to [path]: the
+    reply's fields.  [Error] describes a connect, transport or server
+    failure, or a reply that is not an object. *)
+
 val shutdown : ?timeout:float -> t -> (unit, failure) result
 
 (** {1 Pipelined operations} *)

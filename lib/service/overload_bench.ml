@@ -232,3 +232,196 @@ let kind =
     audit;
     regress;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The soak *)
+
+type config = {
+  overdrive : float;
+  calibrate_rate : float;
+  calibrate_duration_s : float;
+  duration_s : float;
+  conns : int;
+  clients : int;
+  shards : int;
+  capacity : int;
+  max_queue : int;
+  deadline_ms : int;
+  drain_timeout_s : float;
+  seed : int;
+  daemon : string option;
+  keep : bool;
+}
+
+let log fmt =
+  Printf.ksprintf (fun s -> Printf.eprintf "[overload] %s\n%!" s) fmt
+let ( let* ) = Result.bind
+
+let validate c =
+  [
+    (c.overdrive >= 1., "overdrive must be >= 1");
+    (c.calibrate_rate > 0., "calibrate-rate must be > 0");
+    (c.calibrate_duration_s > 0., "calibrate-duration must be > 0");
+    (c.duration_s > 0., "duration must be > 0");
+    (c.conns >= 1, "conns must be >= 1");
+    (c.clients >= 1, "clients must be >= 1");
+  ]
+  |> List.find_opt (fun (ok, _) -> not ok)
+  |> Option.fold ~none:(Ok ()) ~some:(fun (_, e) -> Error e)
+
+let stat_int d key =
+  match Client.stats_once ~path:(Daemon.socket d) with
+  | Ok f -> ( try Jsonu.int_ f key with Jsonu.Malformed -> -1)
+  | Error _ -> -1
+
+(* Goodput measured where it is not distorted: the generator and daemon
+   timeshare the machine, so under heavy overdrive the generator
+   read-starves and grants land after the arrival window — the
+   client-side count then reports the generator's collapse, not the
+   daemon's.  Sample the daemon's own served counter at both edges of
+   the window instead; the client-side number rides along in the
+   artifact for comparison. *)
+let timed_load c d ~tag ~rate ~duration_s =
+  let a0 = stat_int d "acquires" in
+  let sampler =
+    (* repro-lint: allow domain-spawn — end-of-window stats sampler *)
+    Domain.spawn (fun () ->
+        Unix.sleepf duration_s;
+        stat_int d "acquires")
+  in
+  let r =
+    Load_gen.run
+      {
+        (Load_gen.default_config ~path:(Daemon.socket d)) with
+        conns = c.conns;
+        clients = c.clients;
+        rate;
+        duration_s;
+        seed = c.seed;
+        deadline_ms = c.deadline_ms;
+        drain_timeout_s = c.drain_timeout_s;
+        log = (fun s -> Printf.eprintf "[%s] %s\n%!" tag s);
+      }
+  in
+  let a1 = Domain.join sampler in
+  let* r = r in
+  let daemon_goodput =
+    if a0 >= 0 && a1 >= a0 then
+      float_of_int (a1 - a0) /. Float.max 1e-9 duration_s
+    else r.Load_gen.goodput
+  in
+  Ok (r, daemon_goodput)
+
+(* Capacity is whatever the daemon actually serves when offered more
+   than it can take: calibration keeps doubling the offered rate until
+   goodput falls measurably short of it, and that saturated goodput —
+   generator and daemon bottlenecks included — is the service rate the
+   soak then overdrives.  Stopping at the first unsaturated rate would
+   report the offered rate, not a capacity.  The generator and daemon
+   share this machine, so the daemon's service rate depends on how hard
+   the generator is pushing: the saturated run is the one whose CPU
+   split matches the soak's, so {e its} daemon-side goodput is the
+   capacity the plateau is judged against. *)
+let rec calibrate c d rate tries =
+  log "calibrating at %.0f/s for %.1fs" rate c.calibrate_duration_s;
+  let* _, g =
+    timed_load c d ~tag:"calibrate" ~rate ~duration_s:c.calibrate_duration_s
+  in
+  if g <= 0. then Error "calibration served nothing (goodput 0)"
+  else if g >= 0.9 *. rate && tries > 0 then begin
+    log "kept up at %.0f/s (goodput %.0f/s): not saturated, doubling" rate g;
+    calibrate c d (2. *. rate) (tries - 1)
+  end
+  else Ok (rate, g)
+
+let soak c d =
+  (* The generator and daemon timeshare this machine, so at heavy
+     overdrive the generator itself read-starves into looking like a
+     slow client; the default 5 s stall deadline would then sever the
+     measurement connections mid-soak (the disconnect path has its own
+     e2e test).  A long stall timeout keeps the daemon's read-pausing
+     backpressure — the behavior under test — while the harness stays
+     connected. *)
+  let* () =
+    Daemon.boot d
+      [
+        "--shards"; string_of_int c.shards;
+        "--capacity"; string_of_int c.capacity;
+        "--max-queue"; string_of_int c.max_queue;
+        "--stall-timeout"; "60";
+        "--quiet";
+      ]
+    |> Result.map_error (( ^ ) "boot: ")
+  in
+  let* calibrated_rate, capacity_ops =
+    calibrate c d c.calibrate_rate 6
+    |> Result.map_error (( ^ ) "calibration failed: ")
+  in
+  let rate = c.overdrive *. capacity_ops in
+  let rss_start = Daemon.rss_kb d in
+  log "capacity %.0f/s; soaking at %.1fx = %.0f/s for %.1fs" capacity_ops
+    c.overdrive rate c.duration_s;
+  let* r, goodput_daemon =
+    timed_load c d ~tag:"soak" ~rate ~duration_s:c.duration_s
+    |> Result.map_error (( ^ ) "soak failed: ")
+  in
+  let rss_end = Daemon.rss_kb d in
+  (* Final daemon-side snapshot: deepest queue seen and the overload
+     level the state machine ended at. *)
+  let queue_peak, level =
+    match Client.stats_once ~path:(Daemon.socket d) with
+    | Error _ -> (-1, "unreachable")
+    | Ok f ->
+      ( (try Jsonu.int_ f "queue_peak" with Jsonu.Malformed -> -1),
+        match List.assoc_opt "overload" f with
+        | Some o -> (
+          try Jsonu.str (Jsonu.obj o) "level" with Jsonu.Malformed -> "unknown")
+        | None -> "unknown" )
+  in
+  let daemon_exit = Daemon.drain d in
+  if daemon_exit <> 0 then
+    log "daemon exited %d (leak audit at shutdown)" daemon_exit;
+  let q = Stats.Hdr.quantile r.Load_gen.latency in
+  Ok
+    ( {
+        shards = c.shards;
+        capacity = c.capacity;
+        conns = c.conns;
+        clients = c.clients;
+        calibrate_rate = calibrated_rate;
+        capacity_ops;
+        overdrive = c.overdrive;
+        rate;
+        duration_s = c.duration_s;
+        seed = c.seed;
+        max_queue = c.max_queue;
+        deadline_ms = c.deadline_ms;
+        wall_s = r.Load_gen.wall_s;
+        offered = r.Load_gen.offered;
+        acquired = r.Load_gen.acquired;
+        shed = r.Load_gen.shed;
+        expired = r.Load_gen.expired;
+        acquire_failures = r.Load_gen.acquire_failures;
+        released = r.Load_gen.released;
+        errors = r.Load_gen.errors;
+        timeouts = r.Load_gen.timeouts;
+        violations = r.Load_gen.violations;
+        leaked = r.Load_gen.leaked;
+        goodput = r.Load_gen.goodput;
+        goodput_daemon;
+        lat_p50 = q 0.5;
+        lat_p99 = q 0.99;
+        lat_max = Stats.Hdr.max_value r.Load_gen.latency;
+        rss_start_kb = rss_start;
+        rss_end_kb = rss_end;
+        queue_peak;
+        queue_bound = c.max_queue;
+        level;
+        drain_complete = r.Load_gen.drain_complete;
+      },
+      daemon_exit )
+
+let run c =
+  let* () = validate c in
+  Daemon.with_scratch ?binary:c.daemon ~keep:c.keep ~name:"renamed_overload"
+    ~log:(log "%s") (soak c)

@@ -1,6 +1,7 @@
 (** The overload-soak artifact ([bench-service-overload], schema 1).
 
-    Written by [repro_cli chaos overload]: a calibration run measures
+    Written by {!run} (behind [repro_cli chaos overload]): a calibration
+    run measures
     the daemon's single-rate capacity, then a soak drives open-loop
     Poisson traffic at [overdrive] times that and records whether
     goodput plateaued (within 20% of capacity) instead of collapsing,
@@ -64,3 +65,32 @@ val kind : t Engine.Artifact.kind
     start, and a complete drain.  [regress] bounds daemon-side goodput
     below by [(1 - threshold) x baseline] and accepted p99 above by
     [(1 + threshold) x baseline], with a 500 ms absolute p99 floor. *)
+
+(** {1 The soak} *)
+
+type config = {
+  overdrive : float;  (** soak rate as a multiple of capacity, >= 1 *)
+  calibrate_rate : float;  (** first calibration rate, /s, > 0 *)
+  calibrate_duration_s : float;  (** per calibration run, > 0 *)
+  duration_s : float;  (** soak load window, > 0 *)
+  conns : int;  (** >= 1 *)
+  clients : int;  (** >= 1 *)
+  shards : int;
+  capacity : int;  (** per shard *)
+  max_queue : int;  (** the daemon's per-shard admission bound *)
+  deadline_ms : int;  (** per-request budget stamped by the generator *)
+  drain_timeout_s : float;
+  seed : int;
+  daemon : string option;  (** renamed binary; see {!Daemon.with_scratch} *)
+  keep : bool;  (** keep the scratch directory *)
+}
+
+val run : config -> (t * int, string) result
+(** Check [config] before anything boots, then inside one
+    {!Daemon.with_scratch}: boot the daemon, calibrate (double the rate
+    from [calibrate_rate], at most six times, until daemon-side goodput
+    falls below 90% of it; that goodput is the capacity), soak at
+    [overdrive] times capacity, snapshot the daemon's stats and drain
+    it.  Returns the artifact and the drain's exit code — the daemon's
+    leak audit, a condition of the run rather than an artifact field.
+    Progress goes to stderr as "[overload] ...". *)

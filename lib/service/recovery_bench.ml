@@ -189,3 +189,203 @@ let kind =
     audit;
     regress;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The soak *)
+
+type config = {
+  cycles : int;
+  rate : float;
+  duration_s : float;
+  conns : int;
+  clients : int;
+  shards : int;
+  capacity : int;
+  lease_ttl_s : float;
+  seed : int;
+  wire_faults : bool;
+  daemon : string option;
+  keep : bool;
+}
+
+let log fmt = Printf.ksprintf (fun s -> Printf.eprintf "[soak] %s\n%!" s) fmt
+let ( let* ) = Result.bind
+
+(* Nearest-rank percentile over an ascending array. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let idx = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) idx))
+
+let validate c =
+  [
+    (c.cycles >= 0, "cycles must be >= 0");
+    (c.conns >= 1, "conns must be >= 1");
+    (c.clients >= 1, "clients must be >= 1");
+    (c.rate > 0., "rate must be > 0");
+    (c.duration_s > 0., "duration must be > 0");
+  ]
+  |> List.find_opt (fun (ok, _) -> not ok)
+  |> Option.fold ~none:(Ok ()) ~some:(fun (_, e) -> Error e)
+
+(* Journal audit, summed across compactions: each --recover boot
+   rewrites the file down to its live grants, so every dead window (and
+   the final drain) is scanned as its own segment. *)
+type journal_audit = {
+  mutable records : int;
+  mutable torn : int;
+  mutable damaged : int;
+  mutable dups : int;
+}
+
+let scan_segment a ~path tag =
+  match Journal.scan ~path with
+  | Error e ->
+    log "%s: journal unreadable: %s" tag e;
+    a.damaged <- a.damaged + 1
+  | Ok s ->
+    let live = Journal.replay s.Journal.records in
+    a.records <- a.records + List.length s.Journal.records;
+    if s.Journal.torn_tail then a.torn <- a.torn + 1;
+    a.damaged <- a.damaged + s.Journal.damaged;
+    a.dups <- a.dups + live.Journal.double_grants;
+    log "%s: %d record(s), %d live grant(s), %d duplicate(s)%s%s" tag
+      (List.length s.Journal.records)
+      (List.length live.Journal.grants)
+      live.Journal.double_grants
+      (if s.Journal.torn_tail then ", torn tail" else "")
+      (if s.Journal.damaged > 0 then
+         Printf.sprintf ", %d DAMAGED" s.Journal.damaged
+       else "")
+
+let start_proxy c d ~listen_path =
+  if not c.wire_faults then Ok None
+  else
+    Chaos.Wire_fault.start
+      {
+        (Chaos.Wire_fault.default_config ~listen_path
+           ~upstream_path:(Daemon.socket d))
+        with
+        seed = c.seed;
+        log = (fun s -> Printf.eprintf "[proxy] %s\n%!" s);
+      }
+    |> Result.map Option.some
+    |> Result.map_error (( ^ ) "proxy: ")
+
+let stop_proxy p =
+  Chaos.Wire_fault.stop p;
+  let n = Chaos.Wire_fault.counters p in
+  log "proxy: %d conn(s), %d refused, %d chop(s), %d stall(s), %d reset(s)"
+    n.Chaos.Wire_fault.conns n.Chaos.Wire_fault.refused
+    n.Chaos.Wire_fault.chops n.Chaos.Wire_fault.stalls
+    n.Chaos.Wire_fault.resets
+
+let soak c d =
+  let journal = Filename.concat (Daemon.dir d) "renamed.journal" in
+  let proxy_sock = Filename.concat (Daemon.dir d) "proxy.sock" in
+  let args =
+    [
+      "--shards"; string_of_int c.shards;
+      "--capacity"; string_of_int c.capacity;
+      "--lease-ttl"; Printf.sprintf "%g" c.lease_ttl_s;
+      "--journal"; journal; "--recover"; "--quiet";
+    ]
+  in
+  let* () = Result.map_error (( ^ ) "initial boot: ") (Daemon.boot d args) in
+  let* proxy = start_proxy c d ~listen_path:proxy_sock in
+  Fun.protect ~finally:(fun () -> Option.iter stop_proxy proxy) @@ fun () ->
+  let load_cfg =
+    {
+      (Load_gen.default_config
+         ~path:(if c.wire_faults then proxy_sock else Daemon.socket d))
+      with
+      conns = c.conns;
+      clients = c.clients;
+      rate = c.rate;
+      duration_s = c.duration_s;
+      hold = Load_gen.Exponential 0.02;
+      seed = c.seed;
+      (* Generous: every daemon kill costs each slot a burst of
+         accept-then-reset retries against the proxy. *)
+      reconnect_attempts = 50;
+      reconnect_backoff = 0.02;
+      log = (fun s -> Printf.eprintf "[load] %s\n%!" s);
+    }
+  in
+  (* The kill/restart loop below must run while the load does. *)
+  let load =
+    (* repro-lint: allow domain-spawn — joined soak-driver domain *)
+    Domain.spawn (fun () -> Load_gen.run load_cfg)
+  in
+  let audit = { records = 0; torn = 0; damaged = 0; dups = 0 } in
+  let seg = c.duration_s /. float_of_int (c.cycles + 1) in
+  let recov = Array.make c.cycles 0. in
+  let rec cycle i =
+    if i = c.cycles then Ok ()
+    else begin
+      Unix.sleepf seg;
+      let t0 = Unix.gettimeofday () in
+      log "cycle %d/%d: SIGKILL" (i + 1) c.cycles;
+      Daemon.kill d;
+      scan_segment audit ~path:journal (Printf.sprintf "cycle %d" (i + 1));
+      let* () = Daemon.boot d args in
+      recov.(i) <- (Unix.gettimeofday () -. t0) *. 1000.;
+      log "cycle %d/%d: recovered in %.0f ms" (i + 1) c.cycles recov.(i);
+      cycle (i + 1)
+    end
+  in
+  let cycled = cycle 0 in
+  let load_res = Domain.join load in
+  let* () = Result.map_error (( ^ ) "soak failed: ") cycled in
+  let* r = Result.map_error (( ^ ) "load failed: ") load_res in
+  (* Every name abandoned to a killed connection is protected only by
+     its lease: one TTL (plus sweep slack) later the server must be
+     empty. *)
+  Unix.sleepf (c.lease_ttl_s +. Float.max 0.5 (c.lease_ttl_s /. 5.));
+  let leaked =
+    match Client.stats_once ~path:(Daemon.socket d) with
+    | Ok f -> ( try Jsonu.int_ f "taken" with Jsonu.Malformed -> -1)
+    | Error _ -> -1
+  in
+  let daemon_exit = Daemon.drain d in
+  scan_segment audit ~path:journal "final";
+  Array.sort Float.compare recov;
+  Ok
+    {
+      cycles = c.cycles;
+      rate = c.rate;
+      duration_s = c.duration_s;
+      seed = c.seed;
+      shards = c.shards;
+      capacity = c.capacity;
+      lease_ttl_s = c.lease_ttl_s;
+      wire_faults = c.wire_faults;
+      wall_s = r.Load_gen.wall_s;
+      offered = r.Load_gen.offered;
+      acquired = r.Load_gen.acquired;
+      acquire_failures = r.Load_gen.acquire_failures;
+      released = r.Load_gen.released;
+      errors = r.Load_gen.errors;
+      timeouts = r.Load_gen.timeouts;
+      violations = r.Load_gen.violations;
+      reconnects = r.Load_gen.reconnects;
+      dropped = r.Load_gen.dropped;
+      abandoned = r.Load_gen.abandoned;
+      throughput = r.Load_gen.throughput;
+      duplicate_grants = audit.dups;
+      leaked_after_expiry = leaked;
+      recovery_p50_ms = percentile recov 50.;
+      recovery_p99_ms = percentile recov 99.;
+      recovery_max_ms = percentile recov 100.;
+      journal_records = audit.records;
+      journal_torn_tails = audit.torn;
+      journal_damaged = audit.damaged;
+      daemon_exit;
+    }
+
+let run c =
+  let* () = validate c in
+  Daemon.with_scratch ?binary:c.daemon ~keep:c.keep ~name:"renamed_soak"
+    ~log:(log "%s") (soak c)

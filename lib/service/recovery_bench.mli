@@ -1,9 +1,9 @@
-(** The kill/restart soak artifact and its regression gate.
+(** The kill/restart soak, its artifact and its regression gate.
 
-    [repro_cli chaos service] drives {!Load_gen} through N
-    [SIGKILL]+[--recover] cycles of a real [renamed] daemon (optionally
-    through the {!Chaos.Wire_fault} proxy) and records the outcome in
-    the [BENCH_SERVICE_<k>.json] sequence with kind
+    {!run} (behind [repro_cli chaos service]) drives {!Load_gen} through
+    N [SIGKILL]+[--recover] cycles of a real [renamed] daemon
+    (optionally through the {!Chaos.Wire_fault} proxy), and the outcome
+    is recorded in the [BENCH_SERVICE_<k>.json] sequence with kind
     ["bench-service-recovery"], schema 1.  The committed baseline is
     [bench/BENCH_SERVICE_1.json]. *)
 
@@ -52,3 +52,29 @@ val kind : t Engine.Artifact.kind
     kill cycle (fewer means the kills missed the load path).  [regress]
     bounds recovery p99 by [(1 + threshold) x baseline], with a 1 s
     absolute floor, since process restart time is machine noise. *)
+
+(** {1 The soak} *)
+
+type config = {
+  cycles : int;  (** SIGKILL + --recover rounds, >= 0 *)
+  rate : float;  (** acquire arrivals per second, > 0 *)
+  duration_s : float;  (** total load window across all cycles, > 0 *)
+  conns : int;  (** load-generator connections, >= 1 *)
+  clients : int;  (** client-id space, >= 1 *)
+  shards : int;
+  capacity : int;  (** per shard *)
+  lease_ttl_s : float;
+  seed : int;
+  wire_faults : bool;  (** route the load through the fault proxy *)
+  daemon : string option;  (** renamed binary; see {!Daemon.with_scratch} *)
+  keep : bool;  (** keep the scratch directory (socket, journal) *)
+}
+
+val run : config -> (t, string) result
+(** Check [config] before anything boots, then inside one
+    {!Daemon.with_scratch}: boot a journaled daemon (and the proxy), run
+    the load on its own domain, and every [duration_s / (cycles + 1)]
+    seconds SIGKILL the daemon, scan and replay its journal segment and
+    reboot it with [--recover].  After the load, wait one lease TTL,
+    read [taken], drain and scan the last segment.  Progress goes to
+    stderr as "[soak] ...". *)

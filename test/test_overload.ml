@@ -5,6 +5,7 @@
    against a real serving loop. *)
 
 open Service
+open Server_helpers
 
 (* ------------------------------------------------------------------ *)
 (* Wire: the 13-byte pre-deadline acquire still decodes, the busy
@@ -195,42 +196,6 @@ let test_level_string_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end *)
 
-let fresh_socket_path () =
-  let path = Filename.temp_file "renamed_ovl" ".sock" in
-  Unix.unlink path;
-  path
-
-let start_server cfg =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let s = Server.spawn cfg in
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait () =
-    match Client.connect ~path:cfg.Server.socket_path () with
-    | Ok c ->
-      Client.close c;
-      s
-    | Error _ ->
-      if Unix.gettimeofday () > deadline then
-        Alcotest.fail "server did not come up within 10s"
-      else begin
-        ignore (Unix.select [] [] [] 0.02);
-        wait ()
-      end
-  in
-  wait ()
-
-let stop_server s =
-  Server.stop (Server.spawned_handle s);
-  match Server.join s with Ok _ -> () | Error _ -> ()
-
-let get cl = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" cl e
-
-let getf cl = function
-  | Ok v -> v
-  | Error f -> Alcotest.failf "%s: %s" cl (Client.failure_message f)
-
-let stat_int c key = Jsonu.int_ (Jsonu.obj (getf "stats" (Client.stats c))) key
-
 (* Post [n] pipelined acquires on one connection and collect every
    response, sorting them into grants / busy / expired / capacity /
    other. *)
@@ -286,7 +251,7 @@ let test_e2e_busy_shed () =
       }
   in
   Fun.protect
-    ~finally:(fun () -> stop_server s)
+    ~finally:(fun () -> ignore (stop_server s))
     (fun () ->
       let c = get "connect" (Client.connect ~path ()) in
       let acquired, busy, expired, cap, other =
@@ -335,7 +300,7 @@ let test_e2e_deadline_expiry () =
       }
   in
   Fun.protect
-    ~finally:(fun () -> stop_server s)
+    ~finally:(fun () -> ignore (stop_server s))
     (fun () ->
       let c = get "connect" (Client.connect ~path ()) in
       (* Fill in pipelined batches (each stays well under the
@@ -396,7 +361,7 @@ let test_e2e_slow_client_disconnect () =
       }
   in
   Fun.protect
-    ~finally:(fun () -> stop_server s)
+    ~finally:(fun () -> ignore (stop_server s))
     (fun () ->
       let slow = get "connect" (Client.connect ~path ()) in
       ignore (getf "acquire" (Client.acquire slow ~client:1));
@@ -439,7 +404,7 @@ let test_e2e_stats_overload_snapshot () =
   let path = fresh_socket_path () in
   let s = start_server (Server.default_config ~socket_path:path) in
   Fun.protect
-    ~finally:(fun () -> stop_server s)
+    ~finally:(fun () -> ignore (stop_server s))
     (fun () ->
       let c = get "connect" (Client.connect ~path ()) in
       let stats = Jsonu.obj (getf "stats" (Client.stats c)) in
@@ -469,7 +434,7 @@ let test_e2e_durable_busy_retry () =
       }
   in
   Fun.protect
-    ~finally:(fun () -> stop_server s)
+    ~finally:(fun () -> ignore (stop_server s))
     (fun () ->
       (* Fill the one-deep queue from a firehose connection so the
          durable client's first attempts race real congestion. *)

@@ -4,6 +4,7 @@
    (sync ops, JSON fallback, graceful SIGTERM drain, open-loop load). *)
 
 open Service
+open Server_helpers
 
 (* ------------------------------------------------------------------ *)
 (* Codec helpers and generators *)
@@ -476,54 +477,9 @@ let test_artifact_check () =
    SIGTERM path is covered by CI's service-smoke job against the
    renamed binary). *)
 
-let fresh_socket_path () =
-  let path = Filename.temp_file "renamed_test" ".sock" in
-  Unix.unlink path;
-  path
-
-let start_server ?(shards = 2) ?(capacity = 128) path =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let cfg =
-    { (Server.default_config ~socket_path:path) with shards; capacity }
-  in
-  let s = Server.spawn cfg in
-  (* Wait for the socket to accept. *)
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait () =
-    match Client.connect ~path () with
-    | Ok c ->
-      Client.close c;
-      s
-    | Error _ ->
-      if Unix.gettimeofday () > deadline then
-        Alcotest.fail "server did not come up within 10s"
-      else begin
-        ignore (Unix.select [] [] [] 0.02);
-        wait ()
-      end
-  in
-  wait ()
-
-(* Drain and map the report onto renamed's exit convention: 0 clean,
-   1 leaked, 2 startup failure. *)
-let wait_exit s =
-  match Server.join s with
-  | Error _ -> 2
-  | Ok r -> if Server.report_clean r then 0 else 1
-
-let stop_server s =
-  Server.stop (Server.spawned_handle s);
-  wait_exit s
-
-let get cl = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" cl e
-
-let getf cl = function
-  | Ok v -> v
-  | Error f -> Alcotest.failf "%s: %s" cl (Client.failure_message f)
-
 let test_e2e_sync_ops () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -556,7 +512,7 @@ let test_e2e_sync_ops () =
 
 let test_e2e_json_mode () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -570,18 +526,19 @@ let test_e2e_json_mode () =
 
 let test_e2e_shutdown_request () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   let c = get "connect" (Client.connect ~path ()) in
   ignore (getf "acquire" (Client.acquire c ~client:1));
   getf "shutdown" (Client.shutdown c);
   Client.close c;
   (* The held name is auto-released in the drain: exit must be clean. *)
-  Alcotest.(check int) "clean exit after shutdown request" 0 (wait_exit pid);
+  Alcotest.(check int) "clean exit after shutdown request" 0
+    (exit_code (Server.join pid));
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
 let test_e2e_sigterm_drains () =
   let path = fresh_socket_path () in
-  let s = start_server path in
+  let s = start_server (base_cfg path) in
   (* The signal glue renamed installs: SIGTERM triggers the stop
      handle, which must drain and release everything still held. *)
   let prev =
@@ -627,7 +584,7 @@ let test_e2e_sigterm_drains () =
    the client does get must be whole frames up to the close. *)
 let test_e2e_stop_mid_burst () =
   let path = fresh_socket_path () in
-  let s = start_server ~shards:1 ~capacity:4096 path in
+  let s = start_server (base_cfg ~shards:1 ~capacity:4096 path) in
   let c = get "connect" (Client.connect ~path ()) in
   let burst = 6000 in
   for client = 1 to burst do
@@ -684,7 +641,7 @@ let test_e2e_stop_mid_burst () =
 
 let test_e2e_dead_client_cleanup () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -711,7 +668,7 @@ let test_e2e_dead_client_cleanup () =
 
 let test_e2e_protocol_corruption () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -741,7 +698,7 @@ let test_e2e_stale_socket_reclaim () =
   let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   Unix.bind fd (ADDR_UNIX path);
   Unix.close fd;
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -751,7 +708,7 @@ let test_e2e_stale_socket_reclaim () =
 
 let test_e2e_load_gen () =
   let path = fresh_socket_path () in
-  let pid = start_server path in
+  let pid = start_server (base_cfg path) in
   Fun.protect
     ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
     (fun () ->
@@ -781,6 +738,108 @@ let test_e2e_load_gen () =
         Alcotest.(check bool) "work was done" true (r.Load_gen.acquired > 0);
         Alcotest.(check int) "every latency recorded" r.Load_gen.acquired
           (Stats.Hdr.count r.Load_gen.latency))
+
+(* ------------------------------------------------------------------ *)
+(* Daemon: the renamed binary as a child process, and the soaks on it *)
+
+let renamed = "../bin/renamed.exe"
+let ( let* ) = Result.bind
+
+(* No child process is left: waiting on any child fails with ECHILD. *)
+let check_no_child () =
+  Alcotest.(check bool) "no child process left" true
+    (match Unix.waitpid [ WNOHANG ] (-1) with
+    | exception Unix.Unix_error (ECHILD, _, _) -> true
+    | _ -> false)
+
+let check_scratch_gone name =
+  Alcotest.(check bool) "scratch dir removed" false
+    (Sys.file_exists
+       (Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "%s_%d" name (Unix.getpid ()))))
+
+let test_daemon_boot_stats_drain () =
+  let r =
+    Daemon.with_scratch ~binary:renamed ~keep:false ~name:"renamed_daemon_test"
+      ~log:ignore (fun d ->
+        let* () =
+          Daemon.boot d [ "--shards"; "1"; "--capacity"; "64"; "--quiet" ]
+        in
+        let* f = Client.stats_once ~path:(Daemon.socket d) in
+        Alcotest.(check int) "capacity from one-shot stats" 64
+          (Jsonu.int_ f "capacity");
+        Alcotest.(check bool) "rss readable" true (Daemon.rss_kb d > 0);
+        Ok (Daemon.drain d))
+  in
+  Alcotest.(check (result int string)) "clean drain" (Ok 0) r;
+  check_no_child ();
+  check_scratch_gone "renamed_daemon_test"
+
+let test_daemon_bad_flag () =
+  match
+    Daemon.with_scratch ~binary:renamed ~keep:false ~name:"renamed_daemon_test"
+      ~log:ignore (fun d -> Daemon.boot d [ "--capacity"; "0"; "--quiet" ])
+  with
+  | Ok () -> Alcotest.fail "renamed --capacity 0 booted"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error %S names exit 2" e)
+      true
+      (String.ends_with ~suffix:"(exit 2)" e);
+    check_no_child ();
+    check_scratch_gone "renamed_daemon_test"
+
+let test_recovery_soak () =
+  let cfg =
+    {
+      Recovery_bench.cycles = 1;
+      rate = 200.;
+      duration_s = 2.;
+      conns = 2;
+      clients = 32;
+      shards = 2;
+      capacity = 256;
+      lease_ttl_s = 0.5;
+      seed = 3;
+      wire_faults = true;
+      daemon = Some renamed;
+      keep = false;
+    }
+  in
+  match Recovery_bench.run cfg with
+  | Error e -> Alcotest.failf "soak: %s" e
+  | Ok art ->
+    Alcotest.(check (list string)) "the soak audits clean" []
+      (Recovery_bench.kind.Engine.Artifact.audit art);
+    check_no_child ();
+    check_scratch_gone "renamed_soak"
+
+let test_overload_bad_input () =
+  let cfg =
+    {
+      Overload_bench.overdrive = 3.;
+      calibrate_rate = 1000.;
+      calibrate_duration_s = 1.;
+      duration_s = 1.;
+      conns = 0;
+      clients = 64;
+      shards = 2;
+      capacity = 256;
+      max_queue = 128;
+      deadline_ms = 250;
+      drain_timeout_s = 1.;
+      seed = 1;
+      daemon = Some renamed;
+      keep = false;
+    }
+  in
+  (match Overload_bench.run cfg with
+  | Ok _ -> Alcotest.fail "conns = 0 ran a soak"
+  | Error e ->
+    Alcotest.(check string) "names the input" "conns must be >= 1" e);
+  check_no_child ();
+  check_scratch_gone "renamed_overload"
 
 (* ------------------------------------------------------------------ *)
 
@@ -840,5 +899,12 @@ let suite =
         tc "protocol corruption" `Quick test_e2e_protocol_corruption;
         tc "stale socket reclaim" `Quick test_e2e_stale_socket_reclaim;
         tc "open-loop load audit" `Quick test_e2e_load_gen;
+      ] );
+    ( "service.daemon",
+      [
+        tc "boot, one-shot stats, drain" `Quick test_daemon_boot_stats_drain;
+        tc "bad size flag exits 2" `Quick test_daemon_bad_flag;
+        tc "recovery soak audits clean" `Quick test_recovery_soak;
+        tc "overload soak rejects conns = 0" `Quick test_overload_bad_input;
       ] );
   ]

@@ -6,6 +6,7 @@
    rollback, crash recovery, and the durable client's reconnect. *)
 
 open Service
+open Server_helpers
 
 (* ------------------------------------------------------------------ *)
 (* Lease: unit coverage of the epoch tie-breaker *)
@@ -309,53 +310,6 @@ let test_journal_kill_point_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: leases, dedup, write-ahead, recovery, reconnect *)
-
-let fresh_socket_path () =
-  let path = Filename.temp_file "renamed_survive" ".sock" in
-  Unix.unlink path;
-  path
-
-let base_cfg ?(shards = 2) ?(capacity = 128) ?(lease_ttl = 30.) ?journal
-    ?(recover = false) path =
-  {
-    (Server.default_config ~socket_path:path) with
-    shards;
-    capacity;
-    lease_ttl_s = lease_ttl;
-    journal_path = journal;
-    recover;
-  }
-
-let start_server cfg =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let s = Server.spawn cfg in
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait () =
-    match Client.connect ~path:cfg.Server.socket_path () with
-    | Ok c ->
-      Client.close c;
-      s
-    | Error _ ->
-      if Unix.gettimeofday () > deadline then
-        Alcotest.fail "server did not come up within 10s"
-      else begin
-        ignore (Unix.select [] [] [] 0.02);
-        wait ()
-      end
-  in
-  wait ()
-
-let stop_server s =
-  Server.stop (Server.spawned_handle s);
-  Server.join s
-
-let get cl = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" cl e
-
-let getf cl = function
-  | Ok v -> v
-  | Error f -> Alcotest.failf "%s: %s" cl (Client.failure_message f)
-
-let stat_int c key = Jsonu.int_ (Jsonu.obj (getf "stats" (Client.stats c))) key
 
 let wait_for ?(deadline_s = 10.) what pred =
   let deadline = Unix.gettimeofday () +. deadline_s in
