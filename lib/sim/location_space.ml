@@ -1,8 +1,14 @@
 (* Storage is a dense preallocated prefix plus a sparse tail.
 
    The dense prefix is the large-n mode: [create ~capacity] (or
-   {!preallocate}) commits a flat byte per location up front, so every
-   probe of a measured sweep at n = 10^8 is one unsafe byte access.
+   {!preallocate}) commits one bit per location up front, a TAS object
+   being exactly one bit, free or taken (§2).  Cell [loc] is bit
+   [loc land 7] of byte [loc lsr 3], so every probe of a measured sweep
+   is one unsafe byte access, and ReBatching's 2n-cell namespace at
+   n = 10^7 is a 2.5 MB bitmap that stays in cache between the random
+   probes.  Invariant: bits of cells at or above
+   [min dense_len hwm] are zero, so clearing and snapshots touch only
+   the bytes below the high-water mark.
 
    The adaptive algorithms place object R_i at an offset exponential in
    i, so a process that overshoots the race ladder probes cells near
@@ -28,7 +34,7 @@ let group_bits = 3
 let initial_slots_log2 = 4  (* > group_bits *)
 
 type t = {
-  mutable dense : Bytes.t;  (* flat storage for locations < dense_len *)
+  mutable dense : Bytes.t;  (* one bit per location < dense_len *)
   mutable dense_len : int;
   mutable table : int array;  (* slot i: key at 2i, bitmap at 2i+1 *)
   mutable shift : int;  (* 63 - log2 slots *)
@@ -40,9 +46,12 @@ type t = {
 
 let empty_table () = Array.make (2 lsl initial_slots_log2) (-1)
 
+(* Bytes holding the bits of cells [0..cells-1]. *)
+let[@inline] bytes_for cells = (cells + 7) lsr 3
+
 let create ?(capacity = 0) () =
   {
-    dense = Bytes.make (max capacity 0) '\000';
+    dense = Bytes.make (bytes_for (max capacity 0)) '\000';
     dense_len = max capacity 0;
     table = empty_table ();
     shift = 63 - initial_slots_log2;
@@ -102,7 +111,11 @@ let set_block t key bits =
   let base = key lsl block_bits in
   let below = min (block_mask + 1) (max 0 (t.dense_len - base)) in
   for b = 0 to below - 1 do
-    if bits land (1 lsl b) <> 0 then Bytes.set t.dense (base + b) '\001'
+    if bits land (1 lsl b) <> 0 then begin
+      let loc = base + b in
+      let byte = Char.code (Bytes.get t.dense (loc lsr 3)) in
+      Bytes.set t.dense (loc lsr 3) (Char.chr (byte lor (1 lsl (loc land 7))))
+    end
   done;
   let above = bits land (-1 lsl below) in
   if above <> 0 then begin
@@ -118,8 +131,8 @@ let clear_bits t =
 
 let preallocate t ~capacity =
   if capacity > t.dense_len then begin
-    let d = Bytes.make capacity '\000' in
-    Bytes.blit t.dense 0 d 0 t.dense_len;
+    let d = Bytes.make (bytes_for capacity) '\000' in
+    Bytes.blit t.dense 0 d 0 (Bytes.length t.dense);
     t.dense <- d;
     t.dense_len <- capacity;
     (* Re-home every taken tail cell: [set_block] puts the cells now
@@ -139,13 +152,16 @@ let tas t loc =
   if loc < 0 then invalid_arg "Location_space.tas: negative location";
   t.probes <- t.probes + 1;
   if loc >= t.hwm then t.hwm <- loc + 1;
-  if loc < t.dense_len then
-    if Bytes.unsafe_get t.dense loc = '\000' then begin
-      Bytes.unsafe_set t.dense loc '\001';
+  if loc < t.dense_len then begin
+    let byte = Char.code (Bytes.unsafe_get t.dense (loc lsr 3)) in
+    let bit = 1 lsl (loc land 7) in
+    if byte land bit = 0 then begin
+      Bytes.unsafe_set t.dense (loc lsr 3) (Char.unsafe_chr (byte lor bit));
       t.wins <- t.wins + 1;
       true
     end
     else false
+  end
   else begin
     let j = (2 * find_or_add t (loc lsr block_bits)) + 1 in
     let bits = t.table.(j) in
@@ -162,8 +178,10 @@ let release t loc =
   if loc < 0 then invalid_arg "Location_space.release: negative location";
   if loc >= t.hwm then t.hwm <- loc + 1;
   if loc < t.dense_len then begin
-    if Bytes.unsafe_get t.dense loc = '\001' then begin
-      Bytes.unsafe_set t.dense loc '\000';
+    let byte = Char.code (Bytes.unsafe_get t.dense (loc lsr 3)) in
+    let bit = 1 lsl (loc land 7) in
+    if byte land bit <> 0 then begin
+      Bytes.unsafe_set t.dense (loc lsr 3) (Char.unsafe_chr (byte lxor bit));
       t.wins <- t.wins - 1
     end
   end
@@ -181,7 +199,9 @@ let release t loc =
 let is_taken t loc =
   loc >= 0
   &&
-  if loc < t.dense_len then Bytes.unsafe_get t.dense loc = '\001'
+  if loc < t.dense_len then
+    Char.code (Bytes.unsafe_get t.dense (loc lsr 3)) land (1 lsl (loc land 7))
+    <> 0
   else
     let key = loc lsr block_bits in
     let i = slot t key in
@@ -193,7 +213,7 @@ let clear t =
      execution then reaches allocation-free steady state, which the
      benchmark harness relies on when it re-runs a preallocated
      [Fast_core] handle thousands of times. *)
-  Bytes.fill t.dense 0 t.dense_len '\000';
+  Bytes.fill t.dense 0 (bytes_for (min t.dense_len t.hwm)) '\000';
   clear_bits t;
   t.probes <- 0;
   t.wins <- 0;
@@ -209,10 +229,10 @@ let probe_count t = t.probes
 let win_count t = t.wins
 let high_water_mark t = t.hwm
 
-(* Snapshots copy the occupied part of the dense prefix (up to the
-   high-water mark) and the non-empty blocks of the table, so for the
-   tiny spaces the systematic explorer drives (hwm of a few dozen
-   cells) a save is a handful of words per DFS transition. *)
+(* Snapshots copy the occupied part of the dense prefix (the bytes
+   below the high-water mark) and the non-empty blocks of the table, so
+   for the tiny spaces the systematic explorer drives (hwm of a few
+   dozen cells) a save is a handful of words per DFS transition. *)
 
 type snap = {
   s_probes : int;
@@ -234,14 +254,14 @@ let save t =
     s_probes = t.probes;
     s_wins = t.wins;
     s_hwm = t.hwm;
-    s_dense = Bytes.sub t.dense 0 (min t.dense_len t.hwm);
+    s_dense = Bytes.sub t.dense 0 (bytes_for (min t.dense_len t.hwm));
     s_blocks = !blocks;
   }
 
 let restore t s =
   (* Zero every cell that may have been touched since (or before) the
      snapshot, then write the saved state back. *)
-  Bytes.fill t.dense 0 (min t.dense_len (max t.hwm s.s_hwm)) '\000';
+  Bytes.fill t.dense 0 (bytes_for (min t.dense_len (max t.hwm s.s_hwm))) '\000';
   clear_bits t;
   Bytes.blit s.s_dense 0 t.dense 0 (Bytes.length s.s_dense);
   List.iter (fun (key, bits) -> set_block t key bits) s.s_blocks;

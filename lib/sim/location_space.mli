@@ -15,18 +15,21 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** [create ()] is an all-free space.  [capacity] (default 0) commits a
-    dense flat byte per location for locations [0..capacity-1] — the
-    preallocated large-n mode: probes below the boundary never grow or
-    allocate backing storage, so a measured sweep is regrow-free.
+    dense bitmap, one bit per location, for locations [0..capacity-1]
+    (⌈capacity/8⌉ bytes) — the preallocated large-n mode: probes below
+    the boundary never grow or allocate backing storage, so a measured
+    sweep is regrow-free.
     Locations at or above [capacity] fall back to a sparse hash table of
     32-cell bitmap blocks, filled on demand as an unbounded space
     requires: a far probe costs one table slot (two words), not a
     zero-filled page. *)
 
 val preallocate : t -> capacity:int -> unit
-(** [preallocate t ~capacity] widens the dense prefix to [capacity]
-    (no-op if already that wide), preserving the taken/free state of
-    every location.  Call outside measured loops. *)
+(** [preallocate t ~capacity] widens the dense bitmap to [capacity]
+    cells (no-op if already that wide), preserving the taken/free state
+    of every location: the old bytes are copied and the taken sparse
+    cells now below [capacity] move into the bitmap.  Call outside
+    measured loops. *)
 
 val tas : t -> int -> bool
 (** [tas t loc] wins (returns [true]) iff [loc] was free; afterwards [loc]
@@ -65,9 +68,10 @@ val high_water_mark : t -> int
 
     O(high-water-mark) structural snapshots, sized for the systematic
     explorer ([Analysis.Explore]) which saves and restores the space on
-    every DFS branch: only the occupied part of the dense prefix and the
-    non-empty sparse blocks are copied, so tiny configurations snapshot
-    in a few dozen bytes. *)
+    every DFS branch: only the bytes of the dense bitmap below the
+    high-water mark (⌈min(capacity, hwm)/8⌉ of them) and the non-empty
+    sparse blocks are copied, so tiny configurations snapshot in a few
+    bytes. *)
 
 type snap
 

@@ -238,9 +238,14 @@ let qcheck_one_winner_per_location =
 
 (* Model-based: random operation sequences against a Hashtbl of taken
    locations, on a space created with no dense prefix or with one of
-   [model_dense] cells.  Locations come from that prefix, the near tail
-   just past it, and 256 far blocks spread up to 2^40 — enough distinct
-   blocks to double the sparse table several times.  [Save] keeps a
+   [model_widths] cells.  The dense prefix is a bitmap, so the widths
+   include ones that end inside a byte.  Locations come from that
+   prefix, the cells within a byte either side of each width's boundary
+   (the partially used last byte and the tail just past it), the near
+   tail, and 256 far blocks spread up to 2^40 — enough distinct blocks
+   to double the sparse table several times.  [Preallocate] widens from
+   any of those widths, odd ones included, so a partial last byte is
+   copied and tail blocks are re-homed across it.  [Save] keeps a
    snapshot and a copy of the model; [Restore] returns both to it. *)
 type space_op =
   | Tas of int
@@ -253,13 +258,16 @@ type space_op =
   | Restore
 
 let model_dense = 64
+let model_widths = [ 0; model_dense - 3; model_dense; model_dense + 3 ]
 
 let space_op_gen =
   let open QCheck.Gen in
+  let straddle = int_range (model_dense - 3 - 8) (model_dense + 3 + 8) in
   let loc =
     frequency
       [
         (3, int_range 0 (model_dense - 1));
+        (3, straddle);
         (3, int_range model_dense (model_dense + (32 * 64)));
         ( 4,
           map2 (fun i off -> (i * 4_294_967_311) + off) (int_range 0 255)
@@ -274,6 +282,7 @@ let space_op_gen =
       (1, return Clear);
       (1, return Reset);
       (1, map (fun c -> Preallocate c) (int_range 0 (model_dense + (32 * 64))));
+      (1, map (fun c -> Preallocate c) straddle);
       (2, return Save);
       (2, return Restore);
     ]
@@ -302,7 +311,7 @@ let qcheck_space_model =
       make
         ~print:(Print.pair Print.int (Print.list space_op_print))
         Gen.(
-          pair (oneofl [ 0; model_dense ])
+          pair (oneofl model_widths)
             (list_size (int_range 0 400) space_op_gen)))
     (fun (capacity, ops) ->
       let sp = L.create ~capacity () in
@@ -377,6 +386,32 @@ let test_space_far_lookup_allocates_nothing () =
   checki "reachable words" before (Obj.reachable_words (Obj.repr sp));
   checki "wins" 1 (Sim.Location_space.win_count sp);
   checki "hwm" ((64 lsl 34) + 6) (Sim.Location_space.high_water_mark sp)
+
+(* The dense prefix costs one bit per cell: a fresh 2^20-cell space is
+   2^14 words of bitmap plus the 16-slot table and the record, and a
+   snapshot copies the ⌈h/8⌉ bytes below a high-water mark of [h]
+   (measured against a snapshot of a fresh space, whose prefix is
+   empty). *)
+let test_space_one_bit_per_cell () =
+  let module L = Sim.Location_space in
+  let cells = 1 lsl 20 in
+  let words = Obj.reachable_words (Obj.repr (L.create ~capacity:cells ())) in
+  checkb
+    (Printf.sprintf "%d words for %d cells" words cells)
+    true
+    (words <= (cells / 64) + 64);
+  let words_of_bytes n = Obj.reachable_words (Obj.repr (Bytes.create n)) in
+  let snap_words sp = Obj.reachable_words (Obj.repr (L.save sp)) in
+  let fixed = snap_words (L.create ~capacity:cells ()) - words_of_bytes 0 in
+  List.iter
+    (fun h ->
+      let sp = L.create ~capacity:cells () in
+      checkb "wins" true (L.tas sp (h - 1));
+      checki
+        (Printf.sprintf "snapshot words at hwm %d" h)
+        (fixed + words_of_bytes ((h + 7) / 8))
+        (snap_words sp))
+    [ 1; 61; 64; 67; 4093; (1 lsl 16) + 3; cells ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler + runner *)
@@ -818,6 +853,7 @@ let suite =
         tc "negative" `Quick test_space_negative;
         QCheck_alcotest.to_alcotest qcheck_one_winner_per_location;
         QCheck_alcotest.to_alcotest qcheck_space_model;
+        tc "one bit per dense cell" `Quick test_space_one_bit_per_cell;
         tc "far lookup allocates nothing" `Quick
           test_space_far_lookup_allocates_nothing;
       ] );
