@@ -5,10 +5,12 @@
    repro_cli all --scale 0.5           run everything, half-size
    Add --csv DIR to also write each table as DIR/<id>_<k>.csv.
 
-   With --out DIR the run goes through the parallel engine instead:
-   trial jobs fan out across --jobs N domains, every trial lands as one
-   JSONL record in DIR/<id>.jsonl (plus DIR/manifest.json), and --resume
-   skips jobs already present there.  Per-job seeds are derived
+   With --out DIR the run goes through the parallel engine instead, by
+   the same batch driver as `bench --large' (Engine.Plan.run_batch; this
+   file only wires flags to it and prints its result): trial jobs fan
+   out across --jobs N domains, every trial lands as one JSONL record in
+   DIR/<id>.jsonl (plus DIR/manifest.json), and --resume skips jobs
+   already present there.  Per-job seeds are derived
    deterministically from (seed, experiment, sweep point, trial), so any
    --jobs value produces identical records.  Without --out, each
    experiment runs serially: a job-grain experiment runs its jobs in
@@ -50,7 +52,7 @@ let make_ctx ~seed ~trials ~scale ~csv_dir ~current_id =
     log = print_endline;
   }
 
-let run_serial ids seed trials scale csv_dir =
+let run_serial exps seed trials scale csv_dir =
   (match csv_dir with
   | Some dir ->
     if Sys.file_exists dir && not (Sys.is_directory dir) then begin
@@ -63,24 +65,19 @@ let run_serial ids seed trials scale csv_dir =
   let ctx = make_ctx ~seed ~trials ~scale ~csv_dir ~current_id in
   let failures = ref [] in
   List.iter
-    (fun id ->
-      match Harness.Registry.find id with
-      | None ->
-        Printf.eprintf "unknown experiment %S; try `repro_cli list'\n" id;
-        failures := id :: !failures
-      | Some e ->
-        current_id := e.Harness.Experiment.id;
-        Printf.printf "\n=== %s: %s ===\n" (String.uppercase_ascii e.id) e.title;
-        Printf.printf "claim: %s\n" e.claim;
-        let t0 = Unix.gettimeofday () in
-        match Harness.Experiment.run e ctx with
-        | () ->
-          Printf.printf "[%s done in %.1fs]\n" e.id (Unix.gettimeofday () -. t0)
-        | exception Failure msg ->
-          flush stdout;
-          Printf.eprintf "[%s FAILED: %s]\n%!" id msg;
-          failures := id :: !failures)
-    ids;
+    (fun (e : Harness.Experiment.t) ->
+      current_id := e.id;
+      Printf.printf "\n=== %s: %s ===\n" (String.uppercase_ascii e.id) e.title;
+      Printf.printf "claim: %s\n" e.claim;
+      let t0 = Unix.gettimeofday () in
+      match Harness.Experiment.run e ctx with
+      | () ->
+        Printf.printf "[%s done in %.1fs]\n" e.id (Unix.gettimeofday () -. t0)
+      | exception Failure msg ->
+        flush stdout;
+        Printf.eprintf "[%s FAILED: %s]\n%!" e.id msg;
+        failures := e.id :: !failures)
+    exps;
   if !failures = [] then 0 else 1
 
 (* ------------------------------------------------------------------ *)
@@ -104,128 +101,100 @@ let install_signal_handlers () =
     (fun s -> try Sys.set_signal s (Sys.Signal_handle handle) with _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-(* The engine path: fan trial jobs out across domains into a JSONL store.
-   Experiments with a Serial body fall back to the serial runner so
-   `all --out DIR` still covers the whole registry. *)
-let run_engine ids seed trials scale csv_dir out_dir workers resume
+(* The engine path: fan trial jobs out across domains into a JSONL store
+   through Engine.Plan.run_batch.  Experiments with a Serial body fall
+   back to the serial runner so `all --out DIR` still covers the whole
+   registry. *)
+let run_engine exps seed trials scale csv_dir out_dir workers resume
     retries job_timeout =
   if Sys.file_exists out_dir && not (Sys.is_directory out_dir) then begin
     Printf.eprintf "--out: %s exists and is not a directory\n" out_dir;
     exit 1
   end;
-  (* Resuming against a store written with different parameters would
-     silently mix incompatible records; refuse up front. *)
-  (if resume then
-     match Engine.Sink.read_manifest ~dir:out_dir with
-     | None -> ()
-     | Some manifest -> (
-       match
-         Engine.Checkpoint.validate_manifest ~manifest ~ids ~seed ~trials
-           ~scale
-       with
-       | Ok () -> ()
-       | Error msg ->
-         Printf.eprintf "--resume: %s\n" msg;
-         exit 1));
-  Engine.Sink.mkdir_p out_dir;
   let ctx = Harness.Experiment.default_ctx ~seed ~trials ~scale () in
   install_signal_handlers ();
   let should_stop () = Atomic.get interrupt_requested in
-  let manifest status =
-    Engine.Plan.write_manifest ~out_dir ~ids ~workers ~resume ~status ~retries
-      ~job_timeout ~ctx
-  in
-  manifest "running";
-  let failures = ref [] in
-  let quarantined = ref [] in
-  let serial_fallback = ref [] in
-  List.iter
-    (fun id ->
-      if not (should_stop ()) then
-        match Harness.Registry.find id with
-        | None ->
-          Printf.eprintf "unknown experiment %S; try `repro_cli list'\n" id;
-          failures := id :: !failures
-        | Some e -> (
-          let t0 = Unix.gettimeofday () in
-          match
-            Engine.Plan.execute ~workers ~resume ~retries ?job_timeout
-              ~should_stop ~out_dir ~ctx e
-          with
-          | Some o ->
-            Printf.printf
-              "[%s: %d jobs (%d skipped via resume, %d executed) -> %s in \
-               %.1fs]\n\
-               %!"
-              o.Engine.Plan.experiment o.total_jobs o.skipped o.executed
-              o.store
-              (Unix.gettimeofday () -. t0);
-            if o.Engine.Plan.malformed > 0 then
-              Printf.printf
-                "[%s: %d malformed mid-file line(s) skipped on resume — \
-                 audit with `repro_cli doctor %s']\n\
-                 %!"
-                id o.Engine.Plan.malformed out_dir;
-            if o.Engine.Plan.quarantined > 0 then begin
-              Printf.printf
-                "[%s: %d job(s) quarantined after %d failed attempt(s) -> \
-                 %s]\n\
-                 %!"
-                id o.Engine.Plan.quarantined o.Engine.Plan.failures
-                o.Engine.Plan.failures_store;
-              quarantined :=
-                !quarantined @ List.map (fun k -> (id, k)) o.failed_keys
-            end
-          | None ->
-            Printf.eprintf "[%s has no job-grain port yet; running serially]\n%!"
-              e.Harness.Experiment.id;
-            serial_fallback := id :: !serial_fallback
-          | exception Failure msg ->
-            Printf.eprintf "[%s FAILED: %s]\n%!" id msg;
-            failures := id :: !failures))
-    ids;
-  let interrupted = should_stop () in
-  manifest (if interrupted then "interrupted" else "completed");
-  if interrupted then begin
-    let opts =
-      Printf.sprintf "--seed %d --trials %d --scale %g --jobs %d --retries %d%s"
-        seed trials scale workers retries
-        (match job_timeout with
-        | None -> ""
-        | Some t -> Printf.sprintf " --job-timeout %g" t)
-    in
-    Printf.eprintf
-      "[interrupted] store finalized; resume with:\n\
-      \  repro_cli run %s %s --out %s --resume\n\
-       %!"
-      (String.concat " " ids) opts out_dir;
-    130
-  end
-  else begin
-    if !quarantined <> [] then
-      Printf.eprintf "[%d job(s) quarantined: %s]\n%!"
-        (List.length !quarantined)
-        (String.concat " " (List.map snd !quarantined));
-    let serial_rc =
-      match List.rev !serial_fallback with
-      | [] -> 0
-      | fallback -> run_serial fallback seed trials scale csv_dir
-    in
-    if !failures <> [] || !quarantined <> [] then 1 else serial_rc
-  end
+  match
+    Engine.Plan.run_batch ~workers ~resume ~retries ?job_timeout ~should_stop
+      ~out_dir
+      (List.map (fun e -> (e, ctx)) exps)
+  with
+  | Error msg ->
+    (* Resuming against a store written with different parameters would
+       silently mix incompatible records; refused before any write. *)
+    Printf.eprintf "--resume: %s\n" msg;
+    1
+  | Ok batch ->
+    List.iter
+      (fun (o : Engine.Plan.outcome) ->
+        Printf.printf
+          "[%s: %d jobs (%d skipped via resume, %d executed) -> %s in %.1fs]\n"
+          o.experiment o.total_jobs o.skipped o.executed o.store o.wall_s;
+        if o.malformed > 0 then
+          Printf.printf
+            "[%s: %d malformed mid-file line(s) skipped on resume — audit \
+             with `repro_cli doctor %s']\n"
+            o.experiment o.malformed out_dir;
+        if o.quarantined > 0 then
+          Printf.printf
+            "[%s: %d job(s) quarantined after %d failed attempt(s) -> %s]\n"
+            o.experiment o.quarantined o.failures o.failures_store)
+      batch.outcomes;
+    flush stdout;
+    List.iter
+      (fun (id, msg) -> Printf.eprintf "[%s FAILED: %s]\n%!" id msg)
+      batch.failed;
+    if batch.interrupted then begin
+      let opts =
+        Printf.sprintf
+          "--seed %d --trials %d --scale %g --jobs %d --retries %d%s" seed
+          trials scale workers retries
+          (match job_timeout with
+          | None -> ""
+          | Some t -> Printf.sprintf " --job-timeout %g" t)
+      in
+      Printf.eprintf
+        "[interrupted] store finalized; resume with:\n\
+        \  repro_cli run %s %s --out %s --resume\n\
+         %!"
+        (String.concat " "
+           (List.map (fun (e : Harness.Experiment.t) -> e.id) exps))
+        opts out_dir;
+      130
+    end
+    else begin
+      let quarantined =
+        List.concat_map (fun (o : Engine.Plan.outcome) -> o.failed_keys)
+          batch.outcomes
+      in
+      if quarantined <> [] then
+        Printf.eprintf "[%d job(s) quarantined: %s]\n%!"
+          (List.length quarantined)
+          (String.concat " " quarantined);
+      List.iter
+        (fun (e : Harness.Experiment.t) ->
+          Printf.eprintf "[%s has no job-grain port yet; running serially]\n%!"
+            e.id)
+        batch.serial;
+      let serial_rc =
+        match batch.serial with
+        | [] -> 0
+        | fallback -> run_serial fallback seed trials scale csv_dir
+      in
+      if batch.failed <> [] || quarantined <> [] then 1 else serial_rc
+    end
 
 let run_experiments ids seed trials scale csv_dir jobs out_dir resume
     retries job_timeout =
-  match
-    List.filter (fun id -> Harness.Registry.find id = None) ids
-  with
+  match List.filter (fun id -> Harness.Registry.find id = None) ids with
   | _ :: _ as unknown ->
     Printf.eprintf "unknown experiment(s) %s; try `repro_cli list'\n"
       (String.concat ", " unknown);
     2
   | [] -> (
+    let exps = List.filter_map Harness.Registry.find ids in
     match (out_dir, jobs, resume) with
-    | None, None, false -> run_serial ids seed trials scale csv_dir
+    | None, None, false -> run_serial exps seed trials scale csv_dir
     | None, Some _, _ | None, _, true ->
       Printf.eprintf "--jobs/--resume require --out DIR (the JSONL store)\n";
       2
@@ -235,7 +204,7 @@ let run_experiments ids seed trials scale csv_dir jobs out_dir resume
         | Some j -> max 1 j
         | None -> Engine.Pool.default_workers ()
       in
-      run_engine ids seed trials scale csv_dir out workers resume
+      run_engine exps seed trials scale csv_dir out workers resume
         retries job_timeout)
 
 (* ------------------------------------------------------------------ *)
@@ -2159,8 +2128,8 @@ let verify_cmd =
     Term.(const verify $ seed_t $ rounds_t)
 
 (* The large-n decade sweep: t1/t5 shapes on the streaming fast core, fanned
-   across domains by Engine.Sweep with checkpoint/resume, aggregated into a
-   kind="bench-large" BENCH_<k>.json. *)
+   across domains by Engine.Plan.run_batch with checkpoint/resume, and
+   aggregated by Engine.Sweep into a kind="bench-large" BENCH_<k>.json. *)
 let bench_large flags seed trials jobs store resume max_n max_k =
   if max_n < Harness.Exp_large.grid_lo || max_k < Harness.Exp_large.grid_lo
   then begin
@@ -2183,32 +2152,43 @@ let bench_large flags seed trials jobs store resume max_n max_k =
     in
     install_signal_handlers ();
     let should_stop () = Atomic.get interrupt_requested in
-    let run =
-      try
-        Engine.Sweep.execute ?workers:jobs ~resume ~should_stop
-          ~store_dir:store ~plans ()
-      with Failure msg ->
-        Printf.eprintf "[bench] %s\n%!" msg;
-        exit 2
-    in
-    if run.Engine.Sweep.interrupted then begin
-      Printf.eprintf
-        "[bench] interrupted; store finalized, resume with:\n\
-        \  repro_cli bench --large --seed %d --trials %d --max-n %d --max-k \
-         %d --store %s --resume\n\
-         %!"
-        seed trials max_n max_k store;
-      130
-    end
-    else if run.Engine.Sweep.quarantined > 0 then begin
-      Printf.eprintf
-        "[bench] %d job(s) quarantined; audit with `repro_cli doctor %s'\n%!"
-        run.Engine.Sweep.quarantined store;
-      1
-    end
-    else
-      emit_artifact ~tag:"bench" flags Engine.Sweep.kind
-        (Engine.Sweep.aggregate ~store_dir:store ~plans)
+    match
+      Engine.Plan.run_batch ?workers:jobs ~resume ~should_stop ~out_dir:store
+        plans
+    with
+    | Error msg ->
+      Printf.eprintf "[bench] %s\n%!" msg;
+      2
+    | Ok batch ->
+      let quarantined =
+        List.fold_left
+          (fun acc (o : Engine.Plan.outcome) -> acc + o.quarantined)
+          0 batch.outcomes
+      in
+      if batch.failed <> [] then begin
+        List.iter
+          (fun (id, msg) -> Printf.eprintf "[bench] %s FAILED: %s\n%!" id msg)
+          batch.failed;
+        2
+      end
+      else if batch.interrupted then begin
+        Printf.eprintf
+          "[bench] interrupted; store finalized, resume with:\n\
+          \  repro_cli bench --large --seed %d --trials %d --max-n %d \
+           --max-k %d --store %s --resume\n\
+           %!"
+          seed trials max_n max_k store;
+        130
+      end
+      else if quarantined > 0 then begin
+        Printf.eprintf
+          "[bench] %d job(s) quarantined; audit with `repro_cli doctor %s'\n%!"
+          quarantined store;
+        1
+      end
+      else
+        emit_artifact ~tag:"bench" flags Engine.Sweep.kind
+          (Engine.Sweep.aggregate ~store_dir:store ~plans)
   end
 
 let bench flags seed scale large trials jobs store resume max_n max_k =

@@ -71,8 +71,6 @@ let scan_store file =
     malformed_tail = !last_malformed;
   }
 
-let completed_keys file = (scan_store file).keys
-
 let pending ~completed ~key jobs =
   let skipped = ref 0 in
   let todo =

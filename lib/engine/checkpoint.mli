@@ -39,9 +39,6 @@ val empty_scan : unit -> scan
 val scan_store : string -> scan
 (** One pass over the store.  A missing file yields {!empty_scan}. *)
 
-val completed_keys : string -> (string, unit) Hashtbl.t
-(** [scan_store file].keys — kept for callers that only dedupe. *)
-
 val pending :
   completed:(string, unit) Hashtbl.t ->
   key:('a -> string) ->

@@ -10,6 +10,7 @@ type outcome = {
   failures : int;
   malformed : int;
   interrupted : bool;
+  wall_s : float;
   store : string;
   failures_store : string;
 }
@@ -45,6 +46,7 @@ let execute ?workers ?(resume = false) ?(progress = true) ?(retries = 0)
     let store = Sink.store_path ~dir:out_dir ~experiment:id in
     let failures_store = Fault.store_path ~dir:out_dir ~experiment:id in
     let total_jobs = List.length jobs in
+    let started = wall_now () in
     let scan =
       if resume then Checkpoint.scan_store store else Checkpoint.empty_scan ()
     in
@@ -245,6 +247,7 @@ let execute ?workers ?(resume = false) ?(progress = true) ?(retries = 0)
         failures = !failure_count;
         malformed = scan.Checkpoint.malformed_mid;
         interrupted = !interrupted;
+        wall_s = wall_now () -. started;
         store;
         failures_store;
       }
@@ -284,3 +287,68 @@ let write_manifest ~out_dir ~ids ~workers ~resume ~status ~retries ~job_timeout
       ("status", status);
       ("written_at", Printf.sprintf "%.0f" (wall_now ()));
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Batch driver: the one loop of [execute] over a list of experiments *)
+
+type batch = {
+  outcomes : outcome list;
+  failed : (string * string) list;
+  serial : Experiment.t list;
+  interrupted : bool;
+}
+
+let run_batch ?workers ?(resume = false) ?progress ?retries ?job_timeout
+    ?(should_stop = fun () -> false) ?log ~out_dir
+    (plans : (Experiment.t * Experiment.ctx) list) =
+  let ctx0 =
+    match plans with
+    | (_, ctx) :: _ -> ctx
+    | [] -> invalid_arg "Plan.run_batch: no experiments"
+  in
+  let ids = List.map (fun (e, _) -> e.Experiment.id) plans in
+  let workers =
+    match workers with Some w -> max 1 w | None -> Pool.default_workers ()
+  in
+  let checked =
+    match if resume then Sink.read_manifest ~dir:out_dir else None with
+    | Some manifest ->
+      Checkpoint.validate_manifest ~manifest ~ids ~seed:ctx0.Experiment.seed
+        ~trials:ctx0.Experiment.trials ~scale:ctx0.Experiment.scale
+    | None -> Ok ()
+  in
+  Result.map
+    (fun () ->
+      let manifest status =
+        write_manifest ~out_dir ~ids ~workers ~resume ~status
+          ~retries:(Option.value ~default:0 retries)
+          ~job_timeout ~ctx:ctx0
+      in
+      manifest "running";
+      let rec go outcomes failed serial = function
+        | (exp, ctx) :: rest when not (should_stop ()) -> (
+          match
+            execute ~workers ~resume ?progress ?retries ?job_timeout
+              ~should_stop ?log ~out_dir ~ctx exp
+          with
+          | Some o when o.interrupted -> (o :: outcomes, failed, serial, true)
+          | Some o -> go (o :: outcomes) failed serial rest
+          | None -> go outcomes failed (exp :: serial) rest
+          | exception Failure msg ->
+            go outcomes ((exp.Experiment.id, msg) :: failed) serial rest)
+        | rest -> (outcomes, failed, serial, rest <> [])
+      in
+      let outcomes, failed, serial, interrupted = go [] [] [] plans in
+      manifest
+        (if interrupted then "interrupted"
+         else if failed <> [] then "failed"
+         else if List.exists (fun o -> o.quarantined > 0) outcomes then
+           "quarantined"
+         else "completed");
+      {
+        outcomes = List.rev outcomes;
+        failed = List.rev failed;
+        serial = List.rev serial;
+        interrupted;
+      })
+    checked

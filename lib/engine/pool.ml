@@ -1,82 +1,5 @@
 let default_workers () = min 8 (Domain.recommended_domain_count ())
 
-let run_serial ~f ~consume tasks =
-  Array.iteri (fun i task -> consume i (f i task)) tasks
-
-let run_parallel ~workers ~f ~consume tasks =
-  let n = Array.length tasks in
-  let next = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let failure = Atomic.make None in
-  let lock = Mutex.create () in
-  let worker () =
-    let rec loop () =
-      if not (Atomic.get stop) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match f i tasks.(i) with
-          | result ->
-            Mutex.lock lock;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock lock)
-              (fun () -> consume i result)
-          | exception e ->
-            (* Keep the first failure; let the other workers drain out. *)
-            let bt = Printexc.get_raw_backtrace () in
-            if Atomic.compare_and_set failure None (Some (e, bt)) then
-              Atomic.set stop true);
-          loop ()
-        end
-      end
-    in
-    (try loop ()
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       if Atomic.compare_and_set failure None (Some (e, bt)) then
-         Atomic.set stop true)
-  in
-  let domains = List.init workers (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let run ~workers ~f ~consume tasks =
-  let n = Array.length tasks in
-  if n > 0 then
-    let workers = min workers n in
-    if workers <= 1 then run_serial ~f ~consume tasks
-    else run_parallel ~workers ~f ~consume tasks
-
-let map ~workers f tasks =
-  let results = Array.map (fun _ -> None) tasks in
-  run ~workers
-    ~f:(fun _ task -> f task)
-    ~consume:(fun i r -> results.(i) <- Some r)
-    tasks;
-  Array.map
-    (function Some r -> r | None -> assert false (* run is exhaustive *))
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Guarded execution: the fault-tolerant path.
-
-   Differences from [run]:
-
-   - [f] is expected to capture its own job failures (the engine wraps
-     job execution in a result type); an exception escaping [f] or
-     [consume] is an infrastructure fault — it still stops the pool and
-     re-raises, but only after every domain is accounted for, so no fd
-     or domain leaks on the failure path.
-   - [should_stop] is polled before each claim: once true, no new tasks
-     are claimed, in-flight ones drain, and the outcome is [Interrupted]
-     if anything was left unclaimed (graceful SIGINT/SIGTERM).
-   - with a [watchdog], a worker whose in-flight job exceeds
-     [timeout + grace] is abandoned: its task is settled as failed via
-     [on_abandon] and the pool stops waiting for that domain.  Each task
-     settles exactly once — if the stuck computation eventually returns,
-     its result is discarded. *)
-
 type outcome = Completed | Interrupted
 
 let run_guarded ~workers ?watchdog ?(should_stop = fun () -> false)

@@ -1,19 +1,14 @@
-(** A [Domain]-based worker pool for independent trial jobs.
+(** A [Domain]-based worker pool for independent trial jobs, with one
+    execution mode: {!run_guarded}, the fault-tolerant mode {!Plan}
+    runs every job through.
 
     Tasks are drawn from a shared atomic counter (the "queue" is just the
     next-unclaimed index, so claiming is a single [fetch_and_add]);
     results are handed to a consumer callback serialized by an internal
     mutex, so the consumer may write to a shared sink without further
-    locking.
-
-    Two execution modes:
-
-    - {!run} — the historical fail-fast mode: the first exception
-      anywhere aborts the run (after joining every domain) and re-raises.
-    - {!run_guarded} — the fault-tolerant mode used by {!Plan}: job
-      failures are the {e caller's} values (wrap them in a result type
-      inside [f]), the pool adds cooperative interruption, watchdog
-      abandonment of stuck workers, and a leak-free failure path.
+    locking.  Job failures are the {e caller's} values (wrap them in a
+    result type inside [f]); the pool adds cooperative interruption,
+    watchdog abandonment of stuck workers, and a leak-free failure path.
 
     The pool executes; it does not seed.  Determinism across worker
     counts is the seed tree's job ({!Seed_tree}): as long as [f] is a
@@ -23,29 +18,6 @@
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count ()] capped at 8 — the same policy as
     {!Shm.Domain_runner}. *)
-
-val run :
-  workers:int ->
-  f:(int -> 'a -> 'b) ->
-  consume:(int -> 'b -> unit) ->
-  'a array ->
-  unit
-(** [run ~workers ~f ~consume tasks] applies [f i tasks.(i)] to every
-    task and calls [consume i result] exactly once per task, in
-    completion order, under the pool's mutex.  [f] runs concurrently on
-    up to [workers] domains and must not touch shared mutable state.
-
-    If any [f] or [consume] raises, remaining unclaimed tasks are
-    abandoned, all domains are joined, and the first exception is
-    re-raised in the calling domain — no domain leaks on the failure
-    path.  With [workers <= 1] everything runs inline in the calling
-    domain, in task order. *)
-
-val map : workers:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~workers f tasks] is order-preserving parallel map, built on
-    {!run}. *)
-
-(** {1 Guarded execution} *)
 
 type outcome =
   | Completed  (** every task settled (consumed or abandoned-as-failed) *)
@@ -63,8 +35,11 @@ val run_guarded :
   consume:(int -> 'b -> unit) ->
   'a array ->
   outcome
-(** [run_guarded ~workers ~f ~consume tasks] is {!run} with the
-    fault-tolerance contract:
+(** [run_guarded ~workers ~f ~consume tasks] applies [f ~worker i
+    tasks.(i)] to every task on up to [workers] domains and calls
+    [consume i result] at most once per task, in completion order, under
+    the pool's mutex.  [f] runs concurrently and must not touch shared
+    mutable state.  The fault-tolerance contract:
 
     - [f ~worker i task] receives its worker index so it can heartbeat a
       {!Watchdog}.  [f] is expected to capture per-job failures in its

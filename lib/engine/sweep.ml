@@ -1,12 +1,13 @@
-(* The large-n batch driver: fan (series, n, trial) jobs across domains
-   through [Plan.execute] (hence [Pool], the seed tree, the JSONL store
-   and resume), then fold the stores into a committed BENCH artifact.
+(* The large-n artifact: fold the JSONL stores that [Plan.run_batch]
+   wrote for the t1l/t5l (series, n, trial) jobs into a committed BENCH
+   artifact.
 
    Everything the artifact contains except the timing fields is a pure
    function of (seed, grid): jobs are seeded per (sweep_point, trial)
-   coordinate by [Seed_tree], records are deduplicated by key and
-   aggregated in sorted order, so one domain or eight produce the same
-   rows — the domain-count-independence property test_sweep pins.
+   coordinate by [Seed_tree], only the records of the jobs the plans
+   request are read, deduplicated by key and aggregated in sorted order,
+   so one domain or eight, and a fresh store or a resumed one, produce
+   the same rows — the properties test_sweep pins.
 
    Artifact kind is "bench-large" (schema 1), sharing the BENCH_<k>.json
    numbering with the kernel microbench (kind "bench", [Kernel_bench]);
@@ -36,67 +37,6 @@ type row = {
 type artifact = { seed : int; rows : row list }
 
 (* ------------------------------------------------------------------ *)
-(* Execution *)
-
-type run = {
-  outcomes : Plan.outcome list;
-  interrupted : bool;
-  quarantined : int;
-}
-
-let execute ?workers ?(resume = false) ?(progress = true) ?(retries = 0)
-    ?(should_stop = fun () -> false)
-    ?(log = fun msg -> Printf.eprintf "%s\n%!" msg) ~store_dir
-    ~(plans : (Experiment.t * Experiment.ctx) list) () =
-  let ids = List.map (fun (e, _) -> e.Experiment.id) plans in
-  let workers = Option.value ~default:(Pool.default_workers ()) workers in
-  (match (plans, resume) with
-  | (_, ctx) :: _, true -> (
-    match Sink.read_manifest ~dir:store_dir with
-    | None -> ()
-    | Some manifest -> (
-      match
-        Checkpoint.validate_manifest ~manifest ~ids ~seed:ctx.Experiment.seed
-          ~trials:ctx.Experiment.trials ~scale:ctx.Experiment.scale
-      with
-      | Ok () -> ()
-      | Error msg -> failwith msg))
-  | _ -> ());
-  let manifest status =
-    match plans with
-    | (_, ctx) :: _ ->
-      Plan.write_manifest ~out_dir:store_dir ~ids ~workers ~resume ~status
-        ~retries ~job_timeout:None ~ctx
-    | [] -> ()
-  in
-  manifest "running";
-  let rec go acc stopped = function
-    | [] -> (List.rev acc, stopped)
-    | (exp, ctx) :: rest ->
-      if stopped then (List.rev acc, true)
-      else begin
-        match
-          Plan.execute ~workers ~resume ~progress ~retries ~should_stop ~log
-            ~out_dir:store_dir ~ctx exp
-        with
-        | None ->
-          failwith
-            (Printf.sprintf "Sweep.execute: experiment %s has no job view"
-               exp.Experiment.id)
-        | Some outcome -> go (outcome :: acc) outcome.Plan.interrupted rest
-      end
-  in
-  let outcomes, interrupted = go [] false plans in
-  let quarantined =
-    List.fold_left (fun acc o -> acc + o.Plan.quarantined) 0 outcomes
-  in
-  manifest
-    (if interrupted then "interrupted"
-     else if quarantined > 0 then "quarantined"
-     else "completed");
-  { outcomes; interrupted; quarantined }
-
-(* ------------------------------------------------------------------ *)
 (* Aggregation *)
 
 let series_of_label label =
@@ -112,20 +52,18 @@ let value key r =
       (Printf.sprintf "Sweep.aggregate: record %s has no %S value" r.Sink.key
          key)
 
-let rows_of_store ~store ~experiment =
-  let records = Checkpoint.records store in
-  (* Dedup by key, keeping the first occurrence (the one a resume scan
-     counts); later duplicates can only come from crash overlap. *)
-  let seen = Hashtbl.create 256 in
+let rows_of_store ~store ~experiment ~requested =
+  (* Keep the first record of each requested job key (the one a resume
+     scan counts) and drop its key from [requested]: later duplicates can
+     only come from crash overlap, and records of keys never requested
+     from a store first written with a wider grid. *)
   let records =
     List.filter
       (fun r ->
-        if Hashtbl.mem seen r.Sink.key then false
-        else begin
-          Hashtbl.replace seen r.Sink.key ();
-          r.Sink.experiment = experiment
-        end)
-      records
+        Hashtbl.mem requested r.Sink.key
+        && (Hashtbl.remove requested r.Sink.key;
+            true))
+      (Checkpoint.records store)
   in
   let groups = Hashtbl.create 64 in
   List.iter
@@ -179,11 +117,16 @@ let aggregate ~store_dir ~(plans : (Experiment.t * Experiment.ctx) list) =
   | (_, ctx0) :: _ ->
     let rows =
       List.concat_map
-        (fun (exp, _) ->
-          let id = exp.Experiment.id in
+        (fun (exp, ctx) ->
+          let experiment = exp.Experiment.id in
+          let requested = Hashtbl.create 256 in
+          List.iter
+            (fun job ->
+              Hashtbl.replace requested (Plan.job_key ~experiment job) ())
+            (Option.value ~default:[] (Plan.plan ~ctx exp));
           rows_of_store
-            ~store:(Sink.store_path ~dir:store_dir ~experiment:id)
-            ~experiment:id)
+            ~store:(Sink.store_path ~dir:store_dir ~experiment)
+            ~experiment ~requested)
         plans
     in
     { seed = ctx0.Experiment.seed; rows }

@@ -1,16 +1,18 @@
-(** The large-n batch driver behind `repro_cli bench --large`.
+(** The large-n artifact behind `repro_cli bench --large`: kind
+    ["bench-large"], committed as [bench/BENCH_1.json].
 
-    Fans the trial jobs of a list of (experiment, ctx) plans across
-    domains via {!Plan.execute} — so the sweep inherits the seed tree,
-    the crash-safe JSONL store, quarantine and [--resume] — then folds
-    the stores into one committed artifact ([bench/BENCH_1.json], kind
-    ["bench-large"]).
+    The t1l/t5l trial jobs run through {!Plan.run_batch} like any other
+    engine batch (seed tree, crash-safe JSONL store, quarantine,
+    [--resume]); this module folds the resulting stores into artifact
+    rows ({!aggregate}) and carries the kind's codec, audit and
+    regression gate ({!kind}).
 
     Determinism: everything in the artifact except the timing fields
     ([ns_per_op], [wall_s]) is a pure function of (seed, grid).  Worker
-    count, resume points and record order never change the measured
-    values; [aggregate] additionally sorts rows by (experiment, series,
-    n) so even the artifact bytes agree (timing aside). *)
+    count, resume points, record order and records left in the store by
+    an earlier run over a wider grid never change the rows; [aggregate]
+    additionally sorts rows by (experiment, series, n) so even the
+    artifact bytes agree (timing aside). *)
 
 type row = {
   experiment : string;  (** registry id, e.g. ["t1l"] *)
@@ -33,41 +35,20 @@ type row = {
 
 type artifact = { seed : int; rows : row list }
 
-(** {1 Execution} *)
-
-type run = {
-  outcomes : Plan.outcome list;  (** one per experiment, in plan order *)
-  interrupted : bool;
-  quarantined : int;  (** total across experiments *)
-}
-
-val execute :
-  ?workers:int ->
-  ?resume:bool ->
-  ?progress:bool ->
-  ?retries:int ->
-  ?should_stop:(unit -> bool) ->
-  ?log:(string -> unit) ->
-  store_dir:string ->
-  plans:(Harness.Experiment.t * Harness.Experiment.ctx) list ->
-  unit ->
-  run
-(** Run every plan's jobs into [<store_dir>/<id>.jsonl] via
-    {!Plan.execute}, writing a shared run manifest before and after.  On
-    [resume], the existing manifest (if any) is validated against the
-    first plan's ctx and the experiment ids first — mismatches
-    [failwith] rather than silently mixing parameters.  Experiments
-    after an interrupted one are not started. *)
+(** {1 Aggregation} *)
 
 val aggregate :
   store_dir:string ->
   plans:(Harness.Experiment.t * Harness.Experiment.ctx) list ->
   artifact
-(** Fold the stores of [plans] into artifact rows: records deduplicated
-    by job key (first wins, matching the resume scan), grouped by
-    (series, n) with the series parsed from the ["series/n=..."] point
-    labels, trials summed in trial order, rows sorted by (experiment,
-    series, n).  @raise Invalid_argument on an empty plan list. *)
+(** Fold the stores of [plans] into artifact rows.  Only the records of
+    the jobs each plan requests ({!Plan.plan} under its own ctx) are
+    read, so a store resumed with a narrower grid yields the rows of a
+    fresh narrow run.  Records are deduplicated by job key (first wins,
+    matching the resume scan) and grouped by (series, n), with the series
+    parsed from the ["series/n=..."] point labels; trials are summed in
+    trial order and rows sorted by (experiment, series, n).
+    @raise Invalid_argument on an empty plan list. *)
 
 (** {1 Artifact} *)
 

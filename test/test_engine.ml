@@ -71,11 +71,23 @@ let test_seed_tree_order_independent () =
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
+(* Order-preserving map on the pool's one execution mode. *)
+let pool_map ~workers f tasks =
+  let results = Array.make (Array.length tasks) None in
+  let outcome =
+    Engine.Pool.run_guarded ~workers
+      ~f:(fun ~worker:_ _ task -> f task)
+      ~consume:(fun i r -> results.(i) <- Some r)
+      tasks
+  in
+  checkb "every task settled" true (outcome = Engine.Pool.Completed);
+  Array.map Option.get results
+
 let test_pool_map_matches_serial () =
   let tasks = Array.init 53 (fun i -> i) in
   let f x = x * x in
-  let serial = Engine.Pool.map ~workers:1 f tasks in
-  let parallel = Engine.Pool.map ~workers:4 f tasks in
+  let serial = pool_map ~workers:1 f tasks in
+  let parallel = pool_map ~workers:4 f tasks in
   checkb "map agrees across worker counts" true (serial = parallel);
   checki "first" 0 parallel.(0);
   checki "last" (52 * 52) parallel.(52)
@@ -83,21 +95,25 @@ let test_pool_map_matches_serial () =
 let test_pool_consume_exactly_once () =
   let n = 101 in
   let seen = Array.make n 0 in
-  Engine.Pool.run ~workers:4
-    ~f:(fun i _ -> i)
-    ~consume:(fun i r ->
-      checki "consume index matches result" i r;
-      seen.(i) <- seen.(i) + 1)
-    (Array.init n (fun i -> i));
+  let outcome =
+    Engine.Pool.run_guarded ~workers:4
+      ~f:(fun ~worker:_ i _ -> i)
+      ~consume:(fun i r ->
+        checki "consume index matches result" i r;
+        seen.(i) <- seen.(i) + 1)
+      (Array.init n (fun i -> i))
+  in
+  checkb "completed" true (outcome = Engine.Pool.Completed);
   Array.iteri (fun i c -> checki (Printf.sprintf "task %d consumed once" i) 1 c) seen
 
 let test_pool_propagates_exception () =
   let raised =
     try
-      Engine.Pool.run ~workers:4
-        ~f:(fun i _ -> if i = 17 then failwith "boom" else i)
-        ~consume:(fun _ _ -> ())
-        (Array.init 64 (fun i -> i));
+      ignore
+        (Engine.Pool.run_guarded ~workers:4
+           ~f:(fun ~worker:_ i _ -> if i = 17 then failwith "boom" else i)
+           ~consume:(fun _ _ -> ())
+           (Array.init 64 (fun i -> i)));
       false
     with Failure msg -> msg = "boom"
   in

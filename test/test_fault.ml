@@ -47,6 +47,11 @@ let synth ~id ~points body : Harness.Experiment.t =
         };
   }
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let value_of ~seed = [ ("v", float_of_int (seed land 0xffff)) ]
 
 let ctx2 = Harness.Experiment.default_ctx ~seed:11 ~trials:2 ~scale:1.0 ()
@@ -356,6 +361,134 @@ let test_interrupt_drains_and_resumes () =
             ra rb))
 
 (* ------------------------------------------------------------------ *)
+(* Batch driver: Plan.run_batch, behind both `repro_cli run --out` (one
+   ctx for every experiment) and `repro_cli bench --large` (one ctx per
+   experiment) *)
+
+let run_batch ?resume ?should_stop ~dir plans =
+  Engine.Plan.run_batch ~workers:2 ?resume ~progress:false ?should_stop
+    ~log:(fun _ -> ())
+    ~out_dir:dir plans
+
+let batch_ok ?resume ?should_stop ~dir plans =
+  match run_batch ?resume ?should_stop ~dir plans with
+  | Ok b -> b
+  | Error msg -> Alcotest.fail ("batch refused: " ^ msg)
+
+let manifest_status ~dir =
+  match Engine.Sink.read_manifest ~dir with
+  | None -> "<no manifest>"
+  | Some m -> Option.value ~default:"<no status>" (List.assoc_opt "status" m)
+
+let ran (b : Engine.Plan.batch) =
+  List.map (fun (o : Engine.Plan.outcome) -> o.experiment) b.outcomes
+
+let healthy id = synth ~id ~points:2 (fun ~p:_ ~t:_ ~seed -> value_of ~seed)
+
+let with_body body (e : Harness.Experiment.t) = { e with body }
+
+let test_batch_failed_experiment_does_not_stop_next () =
+  let broken =
+    with_body
+      (Harness.Experiment.Trials
+         { jobs = (fun _ -> failwith "no plan"); tables = (fun _ _ -> ()) })
+      (healthy "synb")
+  in
+  with_temp_dir (fun dir ->
+      let b = batch_ok ~dir [ (broken, ctx2); (healthy "syno", ctx2) ] in
+      checkb "the failure is reported with its message" true
+        (b.Engine.Plan.failed = [ ("synb", "no plan") ]);
+      checkb "the second experiment still ran" true (ran b = [ "syno" ]);
+      checki "... to completion" 4
+        (List.length (sorted_records ~dir ~id:"syno"));
+      checkb "not interrupted" false b.Engine.Plan.interrupted;
+      checks "manifest status" "failed" (manifest_status ~dir))
+
+let test_batch_quarantine_status () =
+  let quarantining =
+    synth ~id:"synq" ~points:2 (fun ~p ~t ~seed ->
+        if p = 1 && t = 1 then failwith "injected" else value_of ~seed)
+  in
+  let serial =
+    with_body
+      (Harness.Experiment.Serial
+         (fun _ -> Alcotest.fail "the driver ran a Serial body"))
+      (healthy "syns")
+  in
+  let ctx_wide = { ctx2 with Harness.Experiment.scale = 2.0 } in
+  List.iter
+    (fun (shape, plans) ->
+      with_temp_dir (fun dir ->
+          let b = batch_ok ~dir plans in
+          checks (shape ^ ": manifest status") "quarantined"
+            (manifest_status ~dir);
+          checkb (shape ^ ": both job-grain experiments ran") true
+            (List.sort compare (ran b) = [ "syno"; "synq" ]);
+          checkb (shape ^ ": one job quarantined") true
+            (List.concat_map
+               (fun (o : Engine.Plan.outcome) -> o.failed_keys)
+               b.Engine.Plan.outcomes
+            = [ "synq/1/1" ])))
+    [
+      ( "run --out",
+        [ (quarantining, ctx2); (serial, ctx2); (healthy "syno", ctx2) ] );
+      ("bench --large", [ (healthy "syno", ctx2); (quarantining, ctx_wide) ]);
+    ];
+  with_temp_dir (fun dir ->
+      let b = batch_ok ~dir [ (serial, ctx2); (healthy "syno", ctx2) ] in
+      checkb "Serial experiments are listed, not run" true
+        (List.map
+           (fun (e : Harness.Experiment.t) -> e.id)
+           b.Engine.Plan.serial
+        = [ "syns" ]);
+      checkb "nothing is written for them" false
+        (Sys.file_exists (Engine.Sink.store_path ~dir ~experiment:"syns"));
+      checks "a clean batch is completed" "completed" (manifest_status ~dir))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_batch_resume_mismatch_writes_nothing () =
+  with_temp_dir (fun dir ->
+      ignore (batch_ok ~dir [ (healthy "syno", ctx2) ]);
+      let manifest = Filename.concat dir "manifest.json" in
+      let store = Engine.Sink.store_path ~dir ~experiment:"syno" in
+      let before = (read_file manifest, read_file store) in
+      let reseeded = { ctx2 with Harness.Experiment.seed = 999 } in
+      (match
+         run_batch ~resume:true ~dir
+           [ (healthy "syno", reseeded); (healthy "synn", reseeded) ]
+       with
+      | Ok _ -> Alcotest.fail "resume with a different seed was accepted"
+      | Error msg ->
+        checkb "the error names the seed" true (contains msg "\"seed\""));
+      checkb "manifest and store untouched" true
+        (before = (read_file manifest, read_file store));
+      checkb "no store opened for the next experiment" false
+        (Sys.file_exists (Engine.Sink.store_path ~dir ~experiment:"synn")))
+
+let test_batch_interrupt_skips_rest () =
+  let stop = Atomic.make false in
+  let stopping =
+    synth ~id:"syni" ~points:1 (fun ~p:_ ~t:_ ~seed ->
+        Atomic.set stop true;
+        value_of ~seed)
+  in
+  with_temp_dir (fun dir ->
+      let b =
+        batch_ok
+          ~should_stop:(fun () -> Atomic.get stop)
+          ~dir
+          [ (stopping, ctx2); (healthy "syno", ctx2) ]
+      in
+      checkb "interrupted" true b.Engine.Plan.interrupted;
+      checkb "the next experiment was not started" true (ran b = [ "syni" ]);
+      checks "manifest status" "interrupted" (manifest_status ~dir))
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint: scan and manifest validation *)
 
 let test_scan_counts_malformed () =
@@ -414,11 +547,6 @@ let test_validate_manifest () =
       ~trials:5 ~scale:0.5
   in
   checkb "matching invocation validates" true (ok = Ok ());
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
   let expect_error ~field r =
     match r with
     | Ok () -> Alcotest.fail ("expected a mismatch on " ^ field)
@@ -550,7 +678,9 @@ let sink_killpoint ~kind ~expect_b_durable () =
       Engine.Io_fault.disarm ();
       Engine.Sink.close sink;
       let store = Engine.Sink.store_path ~dir ~experiment:"synf" in
-      let completed = Engine.Checkpoint.completed_keys store in
+      let completed =
+        (Engine.Checkpoint.scan_store store).Engine.Checkpoint.keys
+      in
       checkb "A settled and survived" true
         (Hashtbl.mem completed a.Engine.Sink.key);
       checkb "B durability matches the fault kind" expect_b_durable
@@ -652,6 +782,14 @@ let suite =
           test_watchdog_abandons_stuck_job;
         Alcotest.test_case "plan: interrupt drains and resumes" `Quick
           test_interrupt_drains_and_resumes;
+        Alcotest.test_case "batch: a failed experiment does not stop the next"
+          `Quick test_batch_failed_experiment_does_not_stop_next;
+        Alcotest.test_case "batch: quarantine sets the manifest status"
+          `Quick test_batch_quarantine_status;
+        Alcotest.test_case "batch: mismatched resume writes nothing" `Quick
+          test_batch_resume_mismatch_writes_nothing;
+        Alcotest.test_case "batch: interrupt skips the rest" `Quick
+          test_batch_interrupt_skips_rest;
         Alcotest.test_case "checkpoint: malformed lines counted" `Quick
           test_scan_counts_malformed;
         Alcotest.test_case "checkpoint: manifest validation" `Quick

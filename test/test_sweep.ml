@@ -1,9 +1,11 @@
-(* Engine.Sweep: the large-n batch driver behind `repro_cli bench
-   --large`.  Pins the properties the committed BENCH_1.json stands on:
-   domain-count independence (1 worker and 4 produce the same rows),
+(* Engine.Sweep: the large-n artifact behind `repro_cli bench --large`,
+   run through the engine's batch driver (Engine.Plan.run_batch) as the
+   CLI runs it.  Pins the properties the committed BENCH_1.json stands
+   on: domain-count independence (1 worker and 4 produce the same rows),
    crash-safe resume (a truncated store reruns only the lost tail and
-   aggregates identically), and the bench-large artifact round-trip
-   through save/load, audit and the regression check. *)
+   aggregates identically; a store first written over a wider grid
+   aggregates to the narrow run's rows), and the bench-large artifact
+   round-trip through save/load, audit and the regression check. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -35,21 +37,22 @@ let quiet_ctx ~trials ~scale =
 (* Tiny grids: t1l scaled to decades 10^3..10^4 (8 series-points), t5l
    to 10^3 only.  Cheap enough for the suite, wide enough to exercise
    grouping, series parsing and the decade-monotonicity audit. *)
-let plans ~trials =
+let plans ?(t5l_scale = 1e-4) ~trials () =
   [
     (Harness.Exp_large.t1l, quiet_ctx ~trials ~scale:1e-4);
-    (Harness.Exp_large.t5l, quiet_ctx ~trials ~scale:1e-4);
+    (Harness.Exp_large.t5l, quiet_ctx ~trials ~scale:t5l_scale);
   ]
 
 let silent = ignore
 
-let run_sweep ?(workers = 1) ?(resume = false) ~dir ~trials () =
-  let plans = plans ~trials in
-  let run =
-    Engine.Sweep.execute ~workers ~resume ~progress:false ~log:silent
-      ~store_dir:dir ~plans ()
-  in
-  (run, Engine.Sweep.aggregate ~store_dir:dir ~plans)
+let run_sweep ?(workers = 1) ?(resume = false) ?t5l_scale ~dir ~trials () =
+  let plans = plans ?t5l_scale ~trials () in
+  match
+    Engine.Plan.run_batch ~workers ~resume ~progress:false ~log:silent
+      ~out_dir:dir plans
+  with
+  | Ok batch -> (batch, Engine.Sweep.aggregate ~store_dir:dir ~plans)
+  | Error msg -> failwith msg
 
 (* Rows minus the machine-dependent timing fields — what determinism is
    stated over. *)
@@ -86,8 +89,10 @@ let test_resume_after_truncation () =
   with_temp_dir (fun dir ->
       let run, full = run_sweep ~dir ~trials:2 () in
       checkb "fresh sweep completes" true
-        ((not run.Engine.Sweep.interrupted)
-        && run.Engine.Sweep.quarantined = 0);
+        ((not run.Engine.Plan.interrupted)
+        && List.for_all
+             (fun (o : Engine.Plan.outcome) -> o.Engine.Plan.quarantined = 0)
+             run.Engine.Plan.outcomes);
       let store = Engine.Sink.store_path ~dir ~experiment:"t1l" in
       let lines =
         let ic = open_in store in
@@ -117,7 +122,7 @@ let test_resume_after_truncation () =
           (fun acc (o : Engine.Plan.outcome) ->
             if o.Engine.Plan.experiment = "t1l" then acc + o.Engine.Plan.skipped
             else acc)
-          0 resumed.Engine.Sweep.outcomes
+          0 resumed.Engine.Plan.outcomes
       in
       checki "resume skipped exactly the surviving t1l records" keep
         t1l_skipped;
@@ -131,6 +136,31 @@ let test_resume_parameter_mismatch () =
       match run_sweep ~resume:true ~dir ~trials:3 () with
       | _ -> Alcotest.fail "resume with different trials did not fail"
       | exception Failure _ -> ())
+
+(* Resuming with a narrower t5l grid (a smaller --max-k) over a store
+   written with a wider one passes the manifest check — the manifest
+   records only the first plan's scale — and must aggregate exactly the
+   rows of a fresh narrow run, not the stored wider decades. *)
+let test_resume_narrower_grid () =
+  with_temp_dir (fun wide ->
+      with_temp_dir (fun fresh ->
+          let _, stored = run_sweep ~t5l_scale:1e-3 ~dir:wide ~trials:2 () in
+          checkb "the wide store holds a t5l decade past 10^3" true
+            (List.exists
+               (fun (r : Engine.Sweep.row) ->
+                 r.Engine.Sweep.experiment = "t5l" && r.Engine.Sweep.n > 1_000)
+               stored.Engine.Sweep.rows);
+          let _, narrow = run_sweep ~dir:fresh ~trials:2 () in
+          let resumed, again = run_sweep ~resume:true ~dir:wide ~trials:2 () in
+          checkb "the resume ran nothing" true
+            (List.for_all
+               (fun (o : Engine.Plan.outcome) -> o.Engine.Plan.executed = 0)
+               resumed.Engine.Plan.outcomes);
+          checki "same row count as a fresh narrow run"
+            (List.length narrow.Engine.Sweep.rows)
+            (List.length again.Engine.Sweep.rows);
+          checkb "resumed narrow aggregate equals the fresh one" true
+            (measured_rows narrow = measured_rows again)))
 
 (* ------------------------------------------------------------------ *)
 (* Artifact round-trip, audit, check *)
@@ -269,6 +299,8 @@ let suite =
           test_resume_after_truncation;
         Alcotest.test_case "resume refuses changed parameters" `Quick
           test_resume_parameter_mismatch;
+        Alcotest.test_case "resume with a narrower grid" `Quick
+          test_resume_narrower_grid;
       ] );
     ( "sweep.artifact",
       [
