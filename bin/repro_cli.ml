@@ -16,13 +16,12 @@
    experiment runs serially: a job-grain experiment runs its jobs in
    order with seed + trial and renders its tables from their results.
 
-   The engine path is fault-tolerant: a raising job retries up to
-   --retries times (per-attempt seeds, deterministic), then quarantines
-   into DIR/<id>.failures.jsonl while the other jobs complete;
-   --job-timeout bounds each attempt, with a watchdog abandoning truly
-   stuck workers; SIGINT/SIGTERM drain in-flight jobs and print the
-   exact --resume command; --resume is validated against the stored
-   manifest and continues interrupted retry budgets.  repro_cli doctor
+   The engine path is fault-tolerant: each job runs once on its own
+   seed; a raising job leaves one line in DIR/<id>.failures.jsonl and
+   no record while the other jobs complete, and the run exits 1;
+   SIGINT/SIGTERM drain in-flight jobs and print the exact --resume
+   command; --resume is validated against the stored manifest and runs
+   every job with no record again on the same seed.  repro_cli doctor
    DIR audits a store offline (truncated tails, duplicate keys, seed
    re-derivation, quarantine). *)
 
@@ -105,8 +104,7 @@ let install_signal_handlers () =
    through Engine.Plan.run_batch.  Experiments with a Serial body fall
    back to the serial runner so `all --out DIR` still covers the whole
    registry. *)
-let run_engine exps seed trials scale csv_dir out_dir workers resume
-    retries job_timeout =
+let run_engine exps seed trials scale csv_dir out_dir workers resume =
   if Sys.file_exists out_dir && not (Sys.is_directory out_dir) then begin
     Printf.eprintf "--out: %s exists and is not a directory\n" out_dir;
     exit 1
@@ -115,8 +113,7 @@ let run_engine exps seed trials scale csv_dir out_dir workers resume
   install_signal_handlers ();
   let should_stop () = Atomic.get interrupt_requested in
   match
-    Engine.Plan.run_batch ~workers ~resume ~retries ?job_timeout ~should_stop
-      ~out_dir
+    Engine.Plan.run_batch ~workers ~resume ~should_stop ~out_dir
       (List.map (fun e -> (e, ctx)) exps)
   with
   | Error msg ->
@@ -136,9 +133,8 @@ let run_engine exps seed trials scale csv_dir out_dir workers resume
              with `repro_cli doctor %s']\n"
             o.experiment o.malformed out_dir;
         if o.quarantined > 0 then
-          Printf.printf
-            "[%s: %d job(s) quarantined after %d failed attempt(s) -> %s]\n"
-            o.experiment o.quarantined o.failures o.failures_store)
+          Printf.printf "[%s: %d job(s) quarantined -> %s]\n" o.experiment
+            o.quarantined o.failures_store)
       batch.outcomes;
     flush stdout;
     List.iter
@@ -146,12 +142,8 @@ let run_engine exps seed trials scale csv_dir out_dir workers resume
       batch.failed;
     if batch.interrupted then begin
       let opts =
-        Printf.sprintf
-          "--seed %d --trials %d --scale %g --jobs %d --retries %d%s" seed
-          trials scale workers retries
-          (match job_timeout with
-          | None -> ""
-          | Some t -> Printf.sprintf " --job-timeout %g" t)
+        Printf.sprintf "--seed %d --trials %d --scale %g --jobs %d" seed trials
+          scale workers
       in
       Printf.eprintf
         "[interrupted] store finalized; resume with:\n\
@@ -184,8 +176,7 @@ let run_engine exps seed trials scale csv_dir out_dir workers resume
       if batch.failed <> [] || quarantined <> [] then 1 else serial_rc
     end
 
-let run_experiments ids seed trials scale csv_dir jobs out_dir resume
-    retries job_timeout =
+let run_experiments ids seed trials scale csv_dir jobs out_dir resume =
   match List.filter (fun id -> Harness.Registry.find id = None) ids with
   | _ :: _ as unknown ->
     Printf.eprintf "unknown experiment(s) %s; try `repro_cli list'\n"
@@ -204,8 +195,7 @@ let run_experiments ids seed trials scale csv_dir jobs out_dir resume
         | Some j -> max 1 j
         | None -> Engine.Pool.default_workers ()
       in
-      run_engine exps seed trials scale csv_dir out workers resume
-        retries job_timeout)
+      run_engine exps seed trials scale csv_dir out workers resume)
 
 (* ------------------------------------------------------------------ *)
 (* simulate: one configurable run with detailed output *)
@@ -563,10 +553,10 @@ let doctor dir =
           List.iter
             (fun (r : Engine.Sink.record) ->
               let expect =
-                Engine.Seed_tree.derive_attempt ~root
+                Engine.Seed_tree.derive ~root
                   ~experiment:r.Engine.Sink.experiment
                   ~sweep_point:r.Engine.Sink.sweep_point
-                  ~trial:r.Engine.Sink.trial ~attempt:r.Engine.Sink.attempt
+                  ~trial:r.Engine.Sink.trial
               in
               if expect <> r.Engine.Sink.seed then incr mismatches)
             (Engine.Checkpoint.records path);
@@ -575,24 +565,14 @@ let doctor dir =
               "%s: %d record(s) whose seed does not match the seed tree \
                (wrong --seed, or records from another run mixed in)"
               file !mismatches);
-        let fpath =
-          Engine.Fault.store_path ~dir ~experiment
-        in
-        if Sys.file_exists fpath then begin
-          let counts = Engine.Fault.attempt_counts fpath in
-          let total = List.length (Engine.Fault.load fpath) in
-          note "%s: quarantine holds %d failure record(s) across %d job(s)"
-            file total (Hashtbl.length counts);
-          (* Sorted: quarantine keys must print in a stable order, not
-             in Hashtbl bucket order. *)
-          Hashtbl.to_seq counts |> List.of_seq
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.iter (fun (key, attempts) ->
-                 let completed = Hashtbl.mem scan.Engine.Checkpoint.keys key in
-                 Printf.printf "           %s: %d failed attempt(s)%s\n" key
-                   attempts
-                   (if completed then " (later succeeded)" else " (no record)"))
-        end)
+        (* A job that raised has a failure line and no record: each one
+           is a hole in the sample. *)
+        Engine.Fault.load (Engine.Fault.store_path ~dir ~experiment)
+        |> List.sort (fun (a : Engine.Fault.failure) b ->
+               String.compare a.key b.key)
+        |> List.iter (fun (f : Engine.Fault.failure) ->
+               problem "%s: job %s quarantined (raised at seed %d): %s" file
+                 f.key f.seed f.error))
       stores;
     (* Chaos artifacts: recorded fault plans must parse and re-encode
        canonically (the replay contract), and a recorded verdict is a
@@ -652,7 +632,25 @@ let doctor dir =
     |> List.sort compare
     |> List.iter (fun file ->
            let path = Filename.concat dir file in
-           match Mcheck.Worlds.audit_fixture_replay (read_text path) with
+           (* The recorded violation must reproduce byte-for-byte. *)
+           let audit =
+             Result.bind (Mcheck.Worlds.replay_fixture (read_text path))
+               (fun (fx, verdict) ->
+                 match verdict with
+                 | None ->
+                   Error "schedule replays clean (recorded violation gone)"
+                 | Some v
+                   when v.Analysis.Explore.message
+                        <> fx.Analysis.Explore.fx_violation ->
+                   Error
+                     (Printf.sprintf
+                        "replay reproduces a different violation: %S \
+                         (recorded %S)"
+                        v.Analysis.Explore.message
+                        fx.Analysis.Explore.fx_violation)
+                 | Some _ -> Ok fx)
+           in
+           match audit with
            | Error e -> problem "%s: model-check counterexample: %s" file e
            | Ok fx ->
              Printf.printf
@@ -1141,30 +1139,18 @@ let mc_replay file =
     Printf.eprintf "modelcheck: %s\n" e;
     2
   | source -> (
-    match Explore.audit_fixture source with
+    match Mcheck.Worlds.replay_fixture source with
     | Error e ->
       Printf.eprintf "modelcheck: %s: %s\n" file e;
       2
-    | Ok fx -> (
-      match Mcheck.Worlds.world_of_fixture fx with
-      | Error e ->
-        Printf.eprintf "modelcheck: %s: orphaned fixture: %s\n" file e;
-        2
-      | Ok w -> (
-        let keys = List.map (fun (pid, tag, _) -> (pid, tag)) fx.Explore.fx_schedule in
-        match Explore.replay w keys with
-        | Error e ->
-          Printf.eprintf "modelcheck: %s: %s\n" file e;
-          2
-        | Ok None ->
-          Printf.printf
-            "%s: schedule replays clean — the recorded violation is gone\n"
-            file;
-          0
-        | Ok (Some v) ->
-          Printf.printf "%s: violation reproduced in %d step(s): %s\n" file
-            (List.length v.Explore.schedule) v.Explore.message;
-          1)))
+    | Ok (_, None) ->
+      Printf.printf
+        "%s: schedule replays clean — the recorded violation is gone\n" file;
+      0
+    | Ok (_, Some v) ->
+      Printf.printf "%s: violation reproduced in %d step(s): %s\n" file
+        (List.length v.Explore.schedule) v.Explore.message;
+      1)
 
 let modelcheck model procs seed seeds t0 crashes rounds step_budget clients
     names acquires ticks mutation no_sleep quick max_transitions out replay
@@ -1365,31 +1351,8 @@ let resume_t =
            (crash-safe restart; no duplicate records).  The stored \
            manifest.json is validated against this invocation's seed, \
            trials, scale and experiment set first; a mismatch is an \
-           error.  Quarantined jobs re-schedule with whatever retry \
-           budget they have left.")
-
-let retries_t =
-  Arg.(
-    value & opt int 1
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Re-attempts after a job's first failure (requires $(b,--out)).  \
-           Each failed attempt is quarantined in \
-           $(b,<out>/<id>.failures.jsonl); a job failing $(docv)+1 times \
-           is given up on without aborting the run.  Retry seeds fold the \
-           attempt index into the seed tree, so retries are reproducible \
-           at any $(b,--jobs) value.")
-
-let job_timeout_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "job-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Fail any job attempt that runs longer than $(docv) seconds \
-           (requires $(b,--out)).  A stuck attempt is abandoned by the \
-           watchdog shortly after the deadline and quarantined; the rest \
-           of the run continues.")
+           error.  Every job with no record runs again on its own seed, \
+           quarantined ones included.")
 
 (* The artifact flags every BENCH_* producer shares; only the
    --threshold default differs between commands. *)
@@ -1499,20 +1462,20 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ ids_t $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
+      const run_experiments $ ids_t $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t)
 
 let all_cmd =
   let doc =
     "Run every experiment in order (not the large-n sweeps t1l and t5l)."
   in
-  let run seed trials scale csv jobs out resume retries job_timeout =
+  let run seed trials scale csv jobs out resume =
     run_experiments
       (List.map (fun e -> e.Harness.Experiment.id) Harness.Registry.all)
-      seed trials scale csv jobs out resume retries job_timeout
+      seed trials scale csv jobs out resume
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const run $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t $ retries_t $ job_timeout_t)
+      const run $ seed_t $ trials_t $ scale_t $ csv_t $ jobs_t $ out_t $ resume_t)
 
 let doctor_cmd =
   let doc =

@@ -39,18 +39,18 @@ let all =
       id = "wall-clock";
       doc =
         "wall-clock reads make records differ run to run; only timing \
-         infrastructure (watchdog, progress, shm measurement, benches) \
-         and operator-facing CLI/test timing may consult the clock";
+         infrastructure (progress, shm measurement, benches) and \
+         operator-facing CLI/test timing may consult the clock";
       banned = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ];
       applies_to = [];
       allowed =
         [
-          "lib/engine/watchdog.ml";
           "lib/engine/progress.ml";
           "lib/shm/";
           "bench/";
           (* bin/: elapsed-time prints for the operator; never enters a
-             result record.  test/: timeout tests must time attempts. *)
+             result record.  test/: timeout and latency tests must read
+             the clock. *)
           "bin/";
           "test/";
           (* The serving layer measures real latency and schedules real
@@ -64,7 +64,7 @@ let all =
       doc =
         "domains may only be created by the audited substrates \
          (lib/shm, the engine pool); ad-hoc spawns bypass the \
-         happens-before instrumentation and the watchdog";
+         happens-before instrumentation";
       banned = [ "Domain.spawn" ];
       applies_to = [];
       (* service/server.ml: [Server.spawn] runs the serving loop on a

@@ -3,7 +3,6 @@ type failure = {
   experiment : string;
   sweep_point : int;
   trial : int;
-  attempt : int;
   seed : int;
   error : string;
   backtrace : string;
@@ -27,7 +26,6 @@ let failure_to_json f =
   field "sweep_point" (fun () ->
       Buffer.add_string b (string_of_int f.sweep_point));
   field "trial" (fun () -> Buffer.add_string b (string_of_int f.trial));
-  field "attempt" (fun () -> Buffer.add_string b (string_of_int f.attempt));
   field "seed" (fun () -> Buffer.add_string b (string_of_int f.seed));
   field "error" (fun () -> Sink.Json.escape_string b f.error);
   field "backtrace" (fun () -> Sink.Json.escape_string b f.backtrace);
@@ -45,7 +43,6 @@ let failure_of_json line =
           experiment = Sink.Json.str fields "experiment";
           sweep_point = Sink.Json.int_ fields "sweep_point";
           trial = Sink.Json.int_ fields "trial";
-          attempt = Sink.Json.int_ fields "attempt";
           seed = Sink.Json.int_ fields "seed";
           error = Sink.Json.str fields "error";
           backtrace = Sink.Json.str fields "backtrace";
@@ -75,22 +72,14 @@ let load file =
         go [])
   end
 
-let attempt_counts file =
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt counts f.key) in
-      Hashtbl.replace counts f.key (max prev (f.attempt + 1)))
-    (load file);
-  counts
-
 (* ------------------------------------------------------------------ *)
 (* Writing
 
    The sink opens its file lazily so a clean run leaves no empty
-   .failures.jsonl behind; a fresh (non-append) run still removes any
-   stale quarantine eagerly, so the store and its quarantine are always
-   from the same run. *)
+   .failures.jsonl behind.  [create] removes any earlier quarantine
+   eagerly: every job without a record runs again in this invocation,
+   so the file only ever holds the failures of the latest run of each
+   job, and never a key that also has a record. *)
 
 type t = {
   dir : string;
@@ -99,9 +88,9 @@ type t = {
   mutable closed : bool;
 }
 
-let create ~dir ~experiment ~append =
+let create ~dir ~experiment =
   let file = store_path ~dir ~experiment in
-  if not append && Sys.file_exists file then Sys.remove file;
+  if Sys.file_exists file then Sys.remove file;
   { dir; experiment; oc = None; closed = false }
 
 let path t = store_path ~dir:t.dir ~experiment:t.experiment
@@ -112,17 +101,9 @@ let channel t =
   | None ->
     if t.closed then invalid_arg "Fault.write: sink is closed";
     Sink.mkdir_p t.dir;
-    let file = path t in
-    (* Same crash hygiene as the result store: terminate a dangling
-       partial line before appending. *)
-    let needs_newline = Sink.ends_mid_line file in
     let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 file
+      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 (path t)
     in
-    if needs_newline then begin
-      output_char oc '\n';
-      flush oc
-    end;
     t.oc <- Some oc;
     oc
 

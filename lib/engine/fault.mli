@@ -1,32 +1,26 @@
 (** Per-job fault isolation: the quarantine store.
 
-    A raising (or timed-out) trial job must not kill the pool — the
-    engine captures it as one structured {!failure} line in
-    [<dir>/<experiment>.failures.jsonl] and moves on.  Each failed
-    attempt appends one line, so a job that exhausts a retry budget of
-    [r] leaves exactly [r + 1] lines, each carrying the exact seed that
-    attempt ran with ({!Seed_tree.derive_attempt}) — enough to replay any
-    failure in isolation.
+    A raising trial job must not kill the pool — the engine captures it
+    as one structured {!failure} line in
+    [<dir>/<experiment>.failures.jsonl] and moves on.  A job runs once
+    per invocation, on its {!Seed_tree.derive} seed, so a quarantined job
+    leaves exactly one line, carrying that seed — enough to replay the
+    failure in isolation — and no record in the result store.
 
-    The quarantine is append-only JSONL with the same crash hygiene as
-    the result store ({!Sink}): flushed per line, dangling partial lines
-    terminated before appending.  On resume, {!attempt_counts} tells the
-    planner how much of each job's budget previous runs already burned,
-    so an interrupted retry sequence continues where it stopped instead
-    of restarting at attempt 0. *)
+    The quarantine is append-only JSONL, flushed per line like the
+    result store ({!Sink}).  It holds the failures of the latest
+    invocation only: a resume re-runs every job that has no record, so
+    {!create} starts the file afresh. *)
 
 type failure = {
   key : string;  (** the job key, same format as {!Sink.record.key} *)
   experiment : string;
   sweep_point : int;
   trial : int;
-  attempt : int;  (** which attempt failed, starting at 0 *)
-  seed : int;  (** the {!Seed_tree.derive_attempt} seed of that attempt *)
-  error : string;
-      (** [Printexc.to_string] of the exception, or a [timeout:]/
-          [watchdog:] description for enforced deadlines *)
+  seed : int;  (** the {!Seed_tree.derive} seed the job ran with *)
+  error : string;  (** [Printexc.to_string] of the exception *)
   backtrace : string;  (** raw backtrace, [""] if unavailable *)
-  wall_ns : float;  (** wall-clock nanoseconds the attempt burned *)
+  wall_ns : float;  (** wall-clock nanoseconds the job ran before raising *)
 }
 
 val store_path : dir:string -> experiment:string -> string
@@ -42,23 +36,14 @@ val load : string -> failure list
 (** Every well-formed failure in the file, in file order.  A missing
     file is an empty quarantine; malformed lines are skipped. *)
 
-val attempt_counts : string -> (string, int) Hashtbl.t
-(** Per job key, the number of attempts already burned:
-    [max attempt + 1] over the key's failure lines.  Robust to duplicate
-    lines (a crash between quarantine write and result write can replay
-    one attempt). *)
-
 (** {1 Writing} *)
 
 type t
 
-val create : dir:string -> experiment:string -> append:bool -> t
-(** A quarantine sink.  [append:false] (fresh run) deletes any stale
-    failures file immediately; the file itself is only (re)created when
-    the first failure is written, so clean runs leave no empty
-    quarantine.  [append:true] is the resume path. *)
-
-val path : t -> string
+val create : dir:string -> experiment:string -> t
+(** A quarantine sink.  Deletes any earlier failures file immediately;
+    the file itself is only created when the first failure is written,
+    so clean runs leave no empty quarantine. *)
 
 val write : t -> failure -> unit
 (** Appends one line and flushes.  Not thread-safe; the engine serializes

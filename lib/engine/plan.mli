@@ -5,28 +5,28 @@
     [Experiment.Trials] body.  {!execute} runs one plan: it (1) drops
     jobs already present in the store when resuming, (2) fans the rest
     out on {!Pool.run_guarded}, (3) appends one {!Sink.record} per
-    successful job and one {!Fault.failure} per failed attempt as they
+    successful job and one {!Fault.failure} per raising job as they
     complete, and (4) reports progress.  {!run_batch} is the one driver
     over a list of experiments — [repro_cli run --out] and [repro_cli
     bench --large] both go through it: it checks the stored manifest
     before a resume, brackets the batch with the manifest, runs each
     experiment with {!execute}, and stops on interrupt.  The pipeline is
-    deterministic end to end: worker count, resume points and retry
-    sequences change only [wall_ns] and record order, never the measured
-    values — per-attempt seeds come from {!Seed_tree.derive_attempt}.
+    deterministic end to end: worker count and resume points change only
+    [wall_ns] and record order, never the measured values.
 
-    Fault-tolerance contract:
-    - a raising job is retried up to [retries] times, each failed attempt
-      quarantined in [<out_dir>/<id>.failures.jsonl]; other jobs are
-      unaffected;
-    - a job finishing over [job_timeout] seconds counts as a failed
-      attempt; one stuck past [job_timeout + grace] is abandoned by the
-      watchdog ({!Pool.run_guarded}) and quarantined;
+    Fault model: a job is a pure function of its seed.
+    - each job runs exactly once per invocation, on
+      {!Seed_tree.derive} of its coordinates;
+    - a job that raises leaves one failure line (key, seed, error,
+      backtrace, wall time) in [<out_dir>/<id>.failures.jsonl] and no
+      record; the other jobs are unaffected, and the batch's manifest
+      ends ["quarantined"];
     - [should_stop] (poll it from a signal flag) stops claiming new jobs
       and drains in-flight ones; the outcome then has
-      [interrupted = true];
-    - on resume, previously quarantined jobs re-schedule with the
-      attempts they have already burned, up to the budget;
+      [interrupted = true].  Nothing bounds a job's wall time: a job
+      that hangs holds its worker until the process is stopped;
+    - on resume, every job with no record runs again, on the same seed —
+      a quarantined job included;
     - in a batch, an experiment that raises [Failure] is reported and the
       next experiment still runs. *)
 
@@ -35,15 +35,13 @@ type outcome = {
   total_jobs : int;  (** size of the full plan *)
   skipped : int;  (** already complete in the store (resume) *)
   executed : int;  (** jobs settled in this invocation (success or not) *)
-  quarantined : int;
-      (** jobs with no successful record: budget exhausted (now or in a
-          previous run) or abandoned by the watchdog *)
-  failed_keys : string list;  (** keys of the quarantined jobs *)
-  failures : int;  (** failure records appended to the quarantine *)
+  quarantined : int;  (** jobs that raised in this invocation *)
+  failed_keys : string list;
+      (** keys of the quarantined jobs, in completion order *)
   malformed : int;
       (** malformed mid-file store lines found while resuming (see
           {!Checkpoint.scan}); [0] on fresh runs *)
-  interrupted : bool;  (** stopped early via [should_stop] / watchdog *)
+  interrupted : bool;  (** stopped early via [should_stop] *)
   wall_s : float;
       (** wall-clock seconds this invocation spent (nondeterministic) *)
   store : string;  (** path of the JSONL result file *)
@@ -63,10 +61,7 @@ val execute :
   ?workers:int ->
   ?resume:bool ->
   ?progress:bool ->
-  ?retries:int ->
-  ?job_timeout:float ->
   ?should_stop:(unit -> bool) ->
-  ?grace:float ->
   ?log:(string -> unit) ->
   out_dir:string ->
   ctx:Harness.Experiment.ctx ->
@@ -79,18 +74,13 @@ val execute :
     [workers] defaults to {!Pool.default_workers}[ ()]; [resume]
     (default [false]) keeps the existing store and skips completed keys,
     otherwise both store and quarantine are reset; [progress] (default
-    [true]) prints stderr progress lines; [retries] (default [0]) is the
-    number of re-attempts after a job's first failure — a job failing
-    [retries + 1] times is quarantined; [job_timeout] (seconds, default
-    none) fails attempts that run over it and, together with [grace]
-    (default [2.0]), bounds how long a stuck attempt can hold a worker;
-    [should_stop] (default: never) makes the run stop claiming new jobs
-    once true; [log] (default: stderr) receives warnings (malformed
-    store lines, watchdog stalls, exhausted-budget jobs).
+    [true]) prints stderr progress lines; [should_stop] (default: never)
+    makes the run stop claiming new jobs once true; [log] (default:
+    stderr) receives warnings (malformed store lines).
 
     Returns [None] if the experiment exposes no job view (nothing is
-    written).  All sinks are closed and the watchdog joined even when an
-    infrastructure exception (store write failure) propagates. *)
+    written).  Both sinks are closed even when an infrastructure
+    exception (store write failure) propagates. *)
 
 val write_manifest :
   out_dir:string ->
@@ -98,8 +88,6 @@ val write_manifest :
   workers:int ->
   resume:bool ->
   status:string ->
-  retries:int ->
-  job_timeout:float option ->
   ctx:Harness.Experiment.ctx ->
   unit
 (** Record the run parameters in [<out_dir>/manifest.json], including the
@@ -123,15 +111,13 @@ type batch = {
       (** experiments with a [Serial] body, skipped (nothing written for
           them), in batch order — the caller may run them serially *)
   interrupted : bool;
-      (** [should_stop] or the watchdog left part of the batch undone *)
+      (** [should_stop] left part of the batch undone *)
 }
 
 val run_batch :
   ?workers:int ->
   ?resume:bool ->
   ?progress:bool ->
-  ?retries:int ->
-  ?job_timeout:float ->
   ?should_stop:(unit -> bool) ->
   ?log:(string -> unit) ->
   out_dir:string ->

@@ -17,15 +17,3 @@ let rng ~root ~experiment ~sweep_point ~trial =
 
 let derive ~root ~experiment ~sweep_point ~trial =
   Prng.Splitmix.bits (rng ~root ~experiment ~sweep_point ~trial)
-
-(* Retries descend one more level, keyed on the attempt index, so a
-   retried job's seed is still a pure function of its coordinates — the
-   same at any worker count, and the same when a resumed run re-attempts
-   a quarantined job.  Attempt 0 must coincide with [derive] so stores
-   written before retries existed stay record-identical, hence the
-   special case (split_at g 0 is a child of g, not g itself). *)
-let derive_attempt ~root ~experiment ~sweep_point ~trial ~attempt =
-  if attempt < 0 then invalid_arg "Seed_tree.derive_attempt: attempt < 0";
-  let g = rng ~root ~experiment ~sweep_point ~trial in
-  let g = if attempt = 0 then g else Prng.Splitmix.split_at g attempt in
-  Prng.Splitmix.bits g

@@ -7,7 +7,8 @@
     completion order, not on which jobs a resumed run skips — [--jobs 1]
     and [--jobs 8] produce bit-identical per-trial statistics, and a
     resumed run re-executes a missing job with exactly the seed the
-    original run would have used.
+    original run would have used.  A job has this one seed: one that
+    raises is quarantined on it, never re-run on another ({!Plan}).
 
     This mirrors how the simulator already keys per-process coin streams
     on [(seed, pid)] (see {!Prng.Splitmix}): the seed tree is one level
@@ -23,17 +24,3 @@ val derive : root:int -> experiment:string -> sweep_point:int -> trial:int -> in
     62-bit seed drawn from {!rng} — what the engine passes to
     [Experiment.job.run_job].  Stable across calls, processes and
     library versions (pure SplitMix64 arithmetic, no [Hashtbl.hash]). *)
-
-val derive_attempt :
-  root:int ->
-  experiment:string ->
-  sweep_point:int ->
-  trial:int ->
-  attempt:int ->
-  int
-(** The seed for retry [attempt] of a job (see {!Fault}): one more
-    derivation level keyed on the attempt index, so retries are
-    reproducible at any [--jobs] value and across resumes.
-    [derive_attempt ~attempt:0] equals {!derive} — first attempts are
-    bit-compatible with stores written before retries existed.
-    @raise Invalid_argument if [attempt < 0]. *)

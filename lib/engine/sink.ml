@@ -1,7 +1,9 @@
 (* The schema version is bumped whenever the record or manifest layout
    changes incompatibly.  "2" added the per-record [attempt] field and the
-   manifest [schema]/[git]/[status] fields (fault-tolerance layer). *)
-let schema_version = "2"
+   manifest [schema]/[git]/[status] fields (fault-tolerance layer).  "3"
+   dropped [attempt] with retries: a schema-2 store may hold records
+   measured on a retry seed, so it must not be resumed. *)
+let schema_version = "3"
 
 type record = {
   key : string;
@@ -9,7 +11,6 @@ type record = {
   sweep_point : int;
   point_label : string;
   trial : int;
-  attempt : int;
   seed : int;
   params : (string * float) list;
   values : (string * float) list;
@@ -40,7 +41,6 @@ let record_to_json r =
   field "sweep_point" (fun () -> Buffer.add_string b (string_of_int r.sweep_point));
   field "point_label" (fun () -> escape_string b r.point_label);
   field "trial" (fun () -> Buffer.add_string b (string_of_int r.trial));
-  field "attempt" (fun () -> Buffer.add_string b (string_of_int r.attempt));
   field "seed" (fun () -> Buffer.add_string b (string_of_int r.seed));
   field "params" (fun () -> add_assoc b r.params);
   field "values" (fun () -> add_assoc b r.values);
@@ -59,9 +59,6 @@ let record_of_json line =
           sweep_point = Json.int_ fields "sweep_point";
           point_label = Json.str fields "point_label";
           trial = Json.int_ fields "trial";
-          (* Absent in schema-1 stores (pre-retry); those records were
-             necessarily first attempts. *)
-          attempt = Json.int_opt fields "attempt" ~default:0;
           seed = Json.int_ fields "seed";
           params = Json.assoc fields "params";
           values = Json.assoc fields "values";
@@ -80,7 +77,7 @@ let equal_ignoring_wall a b =
   a.key = b.key && a.experiment = b.experiment
   && a.sweep_point = b.sweep_point
   && a.point_label = b.point_label
-  && a.trial = b.trial && a.attempt = b.attempt && a.seed = b.seed
+  && a.trial = b.trial && a.seed = b.seed
   && assoc_eq a.params b.params
   && assoc_eq a.values b.values
 

@@ -25,13 +25,7 @@ type record = {
   sweep_point : int;
   point_label : string;
   trial : int;
-  attempt : int;
-      (** retry attempt index that produced this record; [0] unless the
-          job failed and was retried (see {!Fault}).  Schema-1 stores
-          have no attempt field; they decode as [0]. *)
-  seed : int;
-      (** the {!Seed_tree}-derived seed the job ran with
-          ([Seed_tree.derive_attempt] at [attempt]) *)
+  seed : int;  (** the {!Seed_tree.derive} seed the job ran with *)
   params : (string * float) list;
   values : (string * float) list;  (** the job's measured values *)
   wall_ns : float;  (** wall-clock nanoseconds spent in [run_job] *)
@@ -80,11 +74,6 @@ val write : t -> record -> unit
     here.  @raise Io_fault.Injected when an armed fault fires. *)
 
 val close : t -> unit
-
-val ends_mid_line : string -> bool
-(** [true] if the file exists, is non-empty and does not end in a
-    newline — the signature of a crash mid-write.  Shared with {!Fault}
-    and [repro_cli doctor]. *)
 
 (** {1 Run manifest} *)
 

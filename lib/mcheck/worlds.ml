@@ -89,26 +89,17 @@ let world_of_fixture (fx : Explore.fixture) =
       | exception Invalid_argument e -> Error e))
   | m -> Error (Printf.sprintf "unknown model %S" m)
 
-(* Full audit for `doctor` and the test suite: schema + canonical bytes
-   (via [Explore.audit_fixture]), then strict byte-replay of the
-   recorded schedule, which must reproduce the recorded violation. *)
-let audit_fixture_replay source =
+(* The one replay path for a recorded counterexample, behind both
+   `modelcheck --replay` and `doctor`: schema + canonical bytes (via
+   [Explore.audit_fixture]), model dispatch, then strict byte-replay of
+   the recorded schedule.  Callers judge the verdict. *)
+let replay_fixture source =
   match Explore.audit_fixture source with
   | Error e -> Error e
   | Ok fx -> (
     match world_of_fixture fx with
     | Error e -> Error ("orphaned fixture: " ^ e)
-    | Ok w -> (
-      match
-        Explore.replay w
-          (List.map (fun (pid, tag, _) -> (pid, tag)) fx.Explore.fx_schedule)
-      with
-      | Error e -> Error e
-      | Ok None -> Error "schedule replays clean (recorded violation gone)"
-      | Ok (Some v) ->
-        if v.Explore.message <> fx.Explore.fx_violation then
-          Error
-            (Printf.sprintf
-               "replay reproduces a different violation: %S (recorded %S)"
-               v.Explore.message fx.Explore.fx_violation)
-        else Ok fx))
+    | Ok w ->
+      Explore.replay w
+        (List.map (fun (pid, tag, _) -> (pid, tag)) fx.Explore.fx_schedule)
+      |> Result.map (fun v -> (fx, v)))

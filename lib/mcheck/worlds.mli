@@ -26,7 +26,11 @@ val world_of_fixture : Explore.fixture -> (Explore.world, string) result
 (** The model-name dispatch; [Error] marks an orphaned fixture (model or
     params no longer buildable). *)
 
-val audit_fixture_replay : string -> (Explore.fixture, string) result
-(** Full artifact audit: schema + canonical-bytes check, then strict
-    replay of the recorded schedule, which must reproduce the recorded
-    violation message byte-for-byte. *)
+val replay_fixture :
+  string -> (Explore.fixture * Explore.violation option, string) result
+(** Audit a counterexample artifact (schema + canonical bytes), build its
+    world and strictly replay its recorded schedule.  [Ok (fx, Some v)]:
+    the replay reaches violation [v] — the recorded one iff
+    [v.message = fx.fx_violation]; [Ok (fx, None)]: the schedule now
+    runs clean; [Error]: unreadable, orphaned (model or params no longer
+    buildable) or not replayable. *)

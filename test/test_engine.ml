@@ -76,7 +76,7 @@ let pool_map ~workers f tasks =
   let results = Array.make (Array.length tasks) None in
   let outcome =
     Engine.Pool.run_guarded ~workers
-      ~f:(fun ~worker:_ _ task -> f task)
+      ~f
       ~consume:(fun i r -> results.(i) <- Some r)
       tasks
   in
@@ -97,7 +97,7 @@ let test_pool_consume_exactly_once () =
   let seen = Array.make n 0 in
   let outcome =
     Engine.Pool.run_guarded ~workers:4
-      ~f:(fun ~worker:_ i _ -> i)
+      ~f:Fun.id
       ~consume:(fun i r ->
         checki "consume index matches result" i r;
         seen.(i) <- seen.(i) + 1)
@@ -111,7 +111,7 @@ let test_pool_propagates_exception () =
     try
       ignore
         (Engine.Pool.run_guarded ~workers:4
-           ~f:(fun ~worker:_ i _ -> if i = 17 then failwith "boom" else i)
+           ~f:(fun i -> if i = 17 then failwith "boom" else i)
            ~consume:(fun _ _ -> ())
            (Array.init 64 (fun i -> i)));
       false
@@ -129,7 +129,6 @@ let sample_record =
     sweep_point = 1;
     point_label = "eps=0.25 \"quoted\"\n";
     trial = 2;
-    attempt = 1;
     seed = 123456789;
     params = [ ("epsilon", 0.25); ("n", 205.) ];
     values = [ ("max_steps", 57.); ("ratio", 1.1023456789012345) ];

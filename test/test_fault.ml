@@ -1,6 +1,6 @@
 (* Tests for the engine's fault-tolerance layer: quarantine store,
-   deterministic retries, timeout/watchdog enforcement, graceful
-   interruption, resume validation, and crash-recovery properties. *)
+   one run per job on its own seed, graceful interruption, resume
+   validation, and crash-recovery properties. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -47,6 +47,12 @@ let synth ~id ~points body : Harness.Experiment.t =
         };
   }
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
@@ -56,11 +62,11 @@ let value_of ~seed = [ ("v", float_of_int (seed land 0xffff)) ]
 
 let ctx2 = Harness.Experiment.default_ctx ~seed:11 ~trials:2 ~scale:1.0 ()
 
-let execute ?(workers = 2) ?(resume = false) ?(retries = 0) ?job_timeout
-    ?should_stop ?grace ~dir exp =
+let healthy id = synth ~id ~points:2 (fun ~p:_ ~t:_ ~seed -> value_of ~seed)
+
+let execute ?(workers = 2) ?(resume = false) ?should_stop ~dir exp =
   match
-    Engine.Plan.execute ~workers ~resume ~progress:false ~retries ?job_timeout
-      ?should_stop ?grace
+    Engine.Plan.execute ~workers ~resume ~progress:false ?should_stop
       ~log:(fun _ -> ())
       ~out_dir:dir ~ctx:ctx2 exp
   with
@@ -73,27 +79,7 @@ let sorted_records ~dir ~id =
     (Engine.Checkpoint.records (Engine.Sink.store_path ~dir ~experiment:id))
 
 (* ------------------------------------------------------------------ *)
-(* Seed_tree: attempt level *)
-
-let test_derive_attempt_zero_is_derive () =
-  let d = Engine.Seed_tree.derive ~root:3 ~experiment:"t1" ~sweep_point:2 ~trial:4 in
-  let d0 =
-    Engine.Seed_tree.derive_attempt ~root:3 ~experiment:"t1" ~sweep_point:2
-      ~trial:4 ~attempt:0
-  in
-  checki "attempt 0 is the schema-1 derivation" d d0;
-  let d1 =
-    Engine.Seed_tree.derive_attempt ~root:3 ~experiment:"t1" ~sweep_point:2
-      ~trial:4 ~attempt:1
-  in
-  let d2 =
-    Engine.Seed_tree.derive_attempt ~root:3 ~experiment:"t1" ~sweep_point:2
-      ~trial:4 ~attempt:2
-  in
-  checkb "attempts give distinct seeds" true (d0 <> d1 && d1 <> d2 && d0 <> d2)
-
-(* ------------------------------------------------------------------ *)
-(* Fault: failure record round-trip and attempt accounting *)
+(* Fault: failure record round-trip *)
 
 let sample_failure =
   {
@@ -101,7 +87,6 @@ let sample_failure =
     experiment = "x";
     sweep_point = 1;
     trial = 2;
-    attempt = 3;
     seed = 987654321;
     error = "Failure(\"boom\")";
     backtrace = "Raised at line 1\nCalled from line 2\n";
@@ -120,200 +105,45 @@ let test_failure_roundtrip () =
     checkb "garbage rejected" true
       (Engine.Fault.failure_of_json (String.sub line 0 20) = None)
 
-let test_attempt_counts () =
-  with_temp_dir (fun dir ->
-      let sink = Engine.Fault.create ~dir ~experiment:"x" ~append:false in
-      let file = Engine.Fault.path sink in
-      checkb "lazy sink: no file before first write" true
-        (not (Sys.file_exists file));
-      Engine.Fault.write sink { sample_failure with attempt = 0 };
-      Engine.Fault.write sink { sample_failure with attempt = 1 };
-      Engine.Fault.write sink
-        { sample_failure with key = "x/9/9"; attempt = 0 };
-      Engine.Fault.close sink;
-      let counts = Engine.Fault.attempt_counts file in
-      checki "two keys" 2 (Hashtbl.length counts);
-      checki "x/1/2 burned 2 attempts" 2 (Hashtbl.find counts "x/1/2");
-      checki "x/9/9 burned 1 attempt" 1 (Hashtbl.find counts "x/9/9");
-      (* A fresh (non-append) sink removes the stale quarantine. *)
-      let sink2 = Engine.Fault.create ~dir ~experiment:"x" ~append:false in
-      checkb "fresh sink removed stale quarantine" true
-        (not (Sys.file_exists file));
-      Engine.Fault.close sink2)
-
 (* ------------------------------------------------------------------ *)
-(* Plan: isolation, retries, quarantine *)
+(* Plan: isolation and quarantine *)
+
+let derive_seed ~experiment ~sweep_point ~trial =
+  Engine.Seed_tree.derive ~root:11 ~experiment ~sweep_point ~trial
 
 let test_failing_job_quarantined_others_complete () =
+  (* The job raises iff it is handed its own derive seed: the engine
+     must run it exactly once, on that seed, and store no record. *)
+  let bad_seed = derive_seed ~experiment:"synq" ~sweep_point:1 ~trial:0 in
+  let exp =
+    synth ~id:"synq" ~points:3 (fun ~p:_ ~t:_ ~seed ->
+        if seed = bad_seed then failwith "injected" else value_of ~seed)
+  in
   with_temp_dir (fun dir ->
-      let exp =
-        synth ~id:"synq" ~points:3 (fun ~p ~t ~seed ->
-            if p = 1 && t = 0 then failwith "injected" else value_of ~seed)
-      in
-      let o = execute ~workers:4 ~retries:2 ~dir exp in
+      let o = execute ~workers:4 ~dir exp in
       checki "all six jobs settled" 6 o.Engine.Plan.executed;
       checki "exactly one job quarantined" 1 o.Engine.Plan.quarantined;
       checkb "summary names the key" true
         (o.Engine.Plan.failed_keys = [ "synq/1/0" ]);
-      checki "retries+1 failure records" 3 o.Engine.Plan.failures;
       checkb "not interrupted" true (not o.Engine.Plan.interrupted);
       let records = sorted_records ~dir ~id:"synq" in
       checki "five successful records" 5 (List.length records);
       checkb "failing key absent from store" true
         (not (List.exists (fun r -> r.Engine.Sink.key = "synq/1/0") records));
-      let fails = Engine.Fault.load o.Engine.Plan.failures_store in
-      checki "three quarantine lines" 3 (List.length fails);
-      List.iteri
-        (fun i (f : Engine.Fault.failure) ->
-          checks "key" "synq/1/0" f.Engine.Fault.key;
-          checki "attempt index" i f.Engine.Fault.attempt;
-          checki "seed matches the attempt derivation"
-            (Engine.Seed_tree.derive_attempt ~root:11 ~experiment:"synq"
-               ~sweep_point:1 ~trial:0 ~attempt:i)
-            f.Engine.Fault.seed;
-          checkb "error mentions the exception" true
-            (String.length f.Engine.Fault.error > 0))
-        fails)
-
-let test_retry_deterministic_across_workers () =
-  (* Fails exactly on attempt 0 of job (1, 1): the job raises iff it is
-     handed that attempt's seed, so the retry sequence is a pure function
-     of the coordinates — identical at any worker count. *)
-  let bad_seed =
-    Engine.Seed_tree.derive_attempt ~root:11 ~experiment:"synd" ~sweep_point:1
-      ~trial:1 ~attempt:0
-  in
-  let exp =
-    synth ~id:"synd" ~points:3 (fun ~p:_ ~t:_ ~seed ->
-        if seed = bad_seed then failwith "flaky" else value_of ~seed)
-  in
-  with_temp_dir (fun dir_a ->
-      with_temp_dir (fun dir_b ->
-          let oa = execute ~workers:1 ~retries:1 ~dir:dir_a exp in
-          let ob = execute ~workers:8 ~retries:1 ~dir:dir_b exp in
-          checki "jobs=1: one failure" 1 oa.Engine.Plan.failures;
-          checki "jobs=8: one failure" 1 ob.Engine.Plan.failures;
-          checki "no quarantined jobs either way" 0
-            (oa.Engine.Plan.quarantined + ob.Engine.Plan.quarantined);
-          let ra = sorted_records ~dir:dir_a ~id:"synd" in
-          let rb = sorted_records ~dir:dir_b ~id:"synd" in
-          checki "same record count" (List.length ra) (List.length rb);
-          List.iter2
-            (fun a b ->
-              checkb
-                ("record " ^ a.Engine.Sink.key ^ " identical")
-                true
-                (Engine.Sink.equal_ignoring_wall a b))
-            ra rb;
-          let retried =
-            List.find (fun r -> r.Engine.Sink.key = "synd/1/1") ra
-          in
-          checki "retried record carries attempt 1" 1
-            retried.Engine.Sink.attempt;
-          checki "and the attempt-1 seed"
-            (Engine.Seed_tree.derive_attempt ~root:11 ~experiment:"synd"
-               ~sweep_point:1 ~trial:1 ~attempt:1)
-            retried.Engine.Sink.seed))
-
-let test_resume_continues_retry_budget () =
-  with_temp_dir (fun dir ->
-      let exp =
-        synth ~id:"synb" ~points:2 (fun ~p ~t ~seed ->
-            if p = 0 && t = 0 then failwith "always" else value_of ~seed)
-      in
-      let ctx1 = Harness.Experiment.default_ctx ~seed:11 ~trials:1 ~scale:1.0 () in
-      let exec ?(resume = false) ~retries () =
-        match
-          Engine.Plan.execute ~workers:2 ~resume ~progress:false ~retries
-            ~log:(fun _ -> ())
-            ~out_dir:dir ~ctx:ctx1 exp
-        with
-        | Some o -> o
-        | None -> Alcotest.fail "no jobs view"
-      in
-      let o1 = exec ~retries:0 () in
-      checki "first run: one failure line" 1 o1.Engine.Plan.failures;
-      checki "first run: quarantined" 1 o1.Engine.Plan.quarantined;
-      (* Resume with a bigger budget: attempts continue at 1, not 0. *)
-      let o2 = exec ~resume:true ~retries:2 () in
-      checki "resume skips the completed job" 1 o2.Engine.Plan.skipped;
-      checki "resume burns the remaining budget" 2 o2.Engine.Plan.failures;
-      checki "still quarantined" 1 o2.Engine.Plan.quarantined;
-      let fails = Engine.Fault.load o2.Engine.Plan.failures_store in
-      checki "three failure lines total" 3 (List.length fails);
-      List.iteri
-        (fun i (f : Engine.Fault.failure) ->
-          checki "attempt sequence 0,1,2" i f.Engine.Fault.attempt)
-        fails;
-      (* Budget exhausted: a further resume re-runs nothing. *)
-      let o3 = exec ~resume:true ~retries:2 () in
-      checki "exhausted job not re-run" 0 o3.Engine.Plan.executed;
-      checki "no new failure lines" 0 o3.Engine.Plan.failures;
-      checki "reported as still quarantined" 1 o3.Engine.Plan.quarantined;
-      checkb "by key" true (o3.Engine.Plan.failed_keys = [ "synb/0/0" ]))
-
-let test_timeout_quarantines () =
-  with_temp_dir (fun dir ->
-      let exp =
-        synth ~id:"synt" ~points:2 (fun ~p ~t ~seed ->
-            if p = 0 && t = 0 then Unix.sleepf 0.08;
-            value_of ~seed)
-      in
-      let ctx1 = Harness.Experiment.default_ctx ~seed:11 ~trials:1 ~scale:1.0 () in
-      match
-        Engine.Plan.execute ~workers:2 ~progress:false ~retries:0
-          ~job_timeout:0.02
-          ~log:(fun _ -> ())
-          ~out_dir:dir ~ctx:ctx1 exp
-      with
-      | None -> Alcotest.fail "no jobs view"
-      | Some o ->
-        checki "slow job quarantined" 1 o.Engine.Plan.quarantined;
-        checkb "fast job recorded" true
-          (List.exists
-             (fun r -> r.Engine.Sink.key = "synt/1/0")
-             (sorted_records ~dir ~id:"synt"));
-        let fails = Engine.Fault.load o.Engine.Plan.failures_store in
-        checki "one failure line" 1 (List.length fails);
-        let f = List.hd fails in
-        checkb "error is a timeout" true
-          (String.length f.Engine.Fault.error >= 7
-          && String.sub f.Engine.Fault.error 0 7 = "timeout"))
-
-let test_watchdog_abandons_stuck_job () =
-  with_temp_dir (fun dir ->
-      let exp =
-        synth ~id:"synw" ~points:2 (fun ~p ~t ~seed ->
-            if p = 0 && t = 0 then Unix.sleepf 0.8;
-            value_of ~seed)
-      in
-      let ctx1 = Harness.Experiment.default_ctx ~seed:11 ~trials:1 ~scale:1.0 () in
-      let t0 = Unix.gettimeofday () in
-      match
-        Engine.Plan.execute ~workers:2 ~progress:false ~retries:0
-          ~job_timeout:0.05 ~grace:0.05
-          ~log:(fun _ -> ())
-          ~out_dir:dir ~ctx:ctx1 exp
-      with
-      | None -> Alcotest.fail "no jobs view"
-      | Some o ->
-        let elapsed = Unix.gettimeofday () -. t0 in
-        checkb "returned well before the stuck job finished" true
-          (elapsed < 0.7);
-        checki "stuck job quarantined" 1 o.Engine.Plan.quarantined;
-        checkb "fast job recorded" true
-          (List.exists
-             (fun r -> r.Engine.Sink.key = "synw/1/0")
-             (sorted_records ~dir ~id:"synw"));
-        let fails = Engine.Fault.load o.Engine.Plan.failures_store in
-        checki "one failure line" 1 (List.length fails);
-        let f = List.hd fails in
-        checkb "error names the watchdog" true
-          (String.length f.Engine.Fault.error >= 8
-          && String.sub f.Engine.Fault.error 0 8 = "watchdog");
-        (* Let the parked domain wake and exit before the temp dir
-           teardown races with it. *)
-        Unix.sleepf 0.8)
+      (match Engine.Fault.load o.Engine.Plan.failures_store with
+      | [ f ] ->
+        checks "key" "synq/1/0" f.Engine.Fault.key;
+        checki "seed is the job's derive seed" bad_seed f.Engine.Fault.seed;
+        checks "error names the exception" "Failure(\"injected\")"
+          f.Engine.Fault.error
+      | fails ->
+        Alcotest.failf "expected one quarantine line, got %d"
+          (List.length fails));
+      (* A fresh clean run under the same id removes the quarantine and,
+         writing no failure, leaves no file behind. *)
+      ignore (execute ~dir (healthy "synq"));
+      checkb "no quarantine file after a clean run" false
+        (Sys.file_exists o.Engine.Plan.failures_store))
 
 let test_interrupt_drains_and_resumes () =
   (* The job body bumps a counter that should_stop watches, so the stop
@@ -383,8 +213,6 @@ let manifest_status ~dir =
 let ran (b : Engine.Plan.batch) =
   List.map (fun (o : Engine.Plan.outcome) -> o.experiment) b.outcomes
 
-let healthy id = synth ~id ~points:2 (fun ~p:_ ~t:_ ~seed -> value_of ~seed)
-
 let with_body body (e : Harness.Experiment.t) = { e with body }
 
 let test_batch_failed_experiment_does_not_stop_next () =
@@ -445,12 +273,6 @@ let test_batch_quarantine_status () =
         (Sys.file_exists (Engine.Sink.store_path ~dir ~experiment:"syns"));
       checks "a clean batch is completed" "completed" (manifest_status ~dir))
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_batch_resume_mismatch_writes_nothing () =
   with_temp_dir (fun dir ->
       ignore (batch_ok ~dir [ (healthy "syno", ctx2) ]);
@@ -487,6 +309,74 @@ let test_batch_interrupt_skips_rest () =
       checkb "interrupted" true b.Engine.Plan.interrupted;
       checkb "the next experiment was not started" true (ran b = [ "syni" ]);
       checks "manifest status" "interrupted" (manifest_status ~dir))
+
+(* The job raises on its own seed, so every run of it fails the same
+   way; the message carries the seed the job was handed. *)
+let always_failing =
+  synth ~id:"synr" ~points:2 (fun ~p ~t ~seed ->
+      if p = 0 && t = 0 then failwith (Printf.sprintf "bad seed %d" seed)
+      else value_of ~seed)
+
+let test_resume_reruns_quarantined_job () =
+  let seed = derive_seed ~experiment:"synr" ~sweep_point:0 ~trial:0 in
+  let quarantine ~dir =
+    Engine.Fault.load (Engine.Fault.store_path ~dir ~experiment:"synr")
+  in
+  with_temp_dir (fun dir ->
+      ignore (batch_ok ~dir [ (always_failing, ctx2) ]);
+      checks "first run: manifest" "quarantined" (manifest_status ~dir);
+      let first = quarantine ~dir in
+      let b = batch_ok ~resume:true ~dir [ (always_failing, ctx2) ] in
+      let o = List.hd b.Engine.Plan.outcomes in
+      checki "resume skips the three recorded jobs" 3 o.Engine.Plan.skipped;
+      checki "and re-runs the quarantined one" 1 o.Engine.Plan.executed;
+      checkb "which is quarantined again" true
+        (o.Engine.Plan.failed_keys = [ "synr/0/0" ]);
+      (match quarantine ~dir with
+      | [ f ] ->
+        checki "on its own seed" seed f.Engine.Fault.seed;
+        checks "with the same failure"
+          (Printf.sprintf "Failure(\"bad seed %d\")" seed)
+          f.Engine.Fault.error;
+        checkb "the line matches the first run's" true
+          (List.map
+             (fun (f : Engine.Fault.failure) ->
+               (f.key, f.seed, f.error, f.backtrace))
+             first
+          = [ (f.key, f.seed, f.error, f.backtrace) ])
+      | fails ->
+        Alcotest.failf "expected one quarantine line, got %d"
+          (List.length fails));
+      checkb "still no record for the job" false
+        (List.exists
+           (fun r -> r.Engine.Sink.key = "synr/0/0")
+           (sorted_records ~dir ~id:"synr"));
+      checks "manifest stays quarantined" "quarantined" (manifest_status ~dir))
+
+(* repro_cli doctor over an engine store: exit 0 when clean, 1 when a
+   job is quarantined. *)
+let doctor dir =
+  let out = Filename.concat dir "doctor.txt" in
+  let rc =
+    Sys.command
+      (Filename.quote_command "../bin/repro_cli.exe" ~stdout:out
+         [ "doctor"; dir ])
+  in
+  let text = read_file out in
+  Sys.remove out;
+  (rc, text)
+
+let test_doctor_flags_quarantine () =
+  with_temp_dir (fun dir ->
+      ignore (batch_ok ~dir [ (healthy "syno", ctx2) ]);
+      let rc, text = doctor dir in
+      checki ("clean store: exit 0\n" ^ text) 0 rc);
+  with_temp_dir (fun dir ->
+      ignore (batch_ok ~dir [ (always_failing, ctx2) ]);
+      let rc, text = doctor dir in
+      checki "quarantined store: exit 1" 1 rc;
+      checkb ("the problem names the job\n" ^ text) true
+        (contains text "PROBLEM  synr.jsonl: job synr/0/0 quarantined"))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: scan and manifest validation *)
@@ -583,8 +473,7 @@ let test_manifest_roundtrip () =
   with_temp_dir (fun dir ->
       let ctx = Harness.Experiment.default_ctx ~seed:7 ~trials:5 ~scale:0.5 () in
       Engine.Plan.write_manifest ~out_dir:dir ~ids:[ "t1"; "t9" ] ~workers:4
-        ~resume:false ~status:"completed" ~retries:2 ~job_timeout:(Some 30.)
-        ~ctx;
+        ~resume:false ~status:"completed" ~ctx;
       match Engine.Sink.read_manifest ~dir with
       | None -> Alcotest.fail "manifest did not read back"
       | Some m ->
@@ -596,8 +485,9 @@ let test_manifest_roundtrip () =
         checks "schema" Engine.Sink.schema_version (get "schema");
         checks "seed" "7" (get "seed");
         checks "status" "completed" (get "status");
-        checks "retries" "2" (get "retries");
-        checks "job_timeout" "30" (get "job_timeout");
+        checks "workers" "4" (get "workers");
+        checkb "no retry or timeout fields" false
+          (List.mem_assoc "retries" m || List.mem_assoc "job_timeout" m);
         checkb "git field present" true (String.length (get "git") > 0);
         checkb "validates against itself" true
           (Engine.Checkpoint.validate_manifest ~manifest:m ~ids:[ "t9" ]
@@ -655,7 +545,6 @@ let sample_record ~trial : Engine.Sink.record =
     sweep_point = 0;
     point_label = "p=0";
     trial;
-    attempt = 0;
     seed = 1000 + trial;
     params = [ ("p", 0.) ];
     values = [ ("v", float_of_int (77 * trial)) ];
@@ -764,22 +653,10 @@ let suite =
   [
     ( "fault",
       [
-        Alcotest.test_case "seed_tree: attempt level" `Quick
-          test_derive_attempt_zero_is_derive;
         Alcotest.test_case "fault: failure round-trip" `Quick
           test_failure_roundtrip;
-        Alcotest.test_case "fault: attempt counts + lazy sink" `Quick
-          test_attempt_counts;
         Alcotest.test_case "plan: failing job quarantined, others complete"
           `Quick test_failing_job_quarantined_others_complete;
-        Alcotest.test_case "plan: retries deterministic across workers" `Quick
-          test_retry_deterministic_across_workers;
-        Alcotest.test_case "plan: resume continues retry budget" `Quick
-          test_resume_continues_retry_budget;
-        Alcotest.test_case "plan: job timeout quarantines" `Quick
-          test_timeout_quarantines;
-        Alcotest.test_case "plan: watchdog abandons stuck job" `Quick
-          test_watchdog_abandons_stuck_job;
         Alcotest.test_case "plan: interrupt drains and resumes" `Quick
           test_interrupt_drains_and_resumes;
         Alcotest.test_case "batch: a failed experiment does not stop the next"
@@ -790,11 +667,15 @@ let suite =
           test_batch_resume_mismatch_writes_nothing;
         Alcotest.test_case "batch: interrupt skips the rest" `Quick
           test_batch_interrupt_skips_rest;
+        Alcotest.test_case "plan: resume re-runs a quarantined job with its own seed"
+          `Quick test_resume_reruns_quarantined_job;
+        Alcotest.test_case "doctor: a quarantined job exits 1" `Quick
+          test_doctor_flags_quarantine;
         Alcotest.test_case "checkpoint: malformed lines counted" `Quick
           test_scan_counts_malformed;
         Alcotest.test_case "checkpoint: manifest validation" `Quick
           test_validate_manifest;
-        Alcotest.test_case "manifest: round-trip with fault fields" `Quick
+        Alcotest.test_case "manifest: round-trip" `Quick
           test_manifest_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_truncated_resume;
         Alcotest.test_case "io_fault: dropped write re-runs" `Quick

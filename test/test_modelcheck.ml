@@ -287,11 +287,15 @@ let test_fixture_roundtrip () =
 let test_committed_fixtures_replay () =
   List.iter
     (fun file ->
-      match Worlds.audit_fixture_replay (read_file file) with
-      | Ok fx ->
+      match Worlds.replay_fixture (read_file file) with
+      | Ok (fx, Some v) ->
+        Alcotest.(check string)
+          (file ^ " reproduces its recorded violation")
+          fx.Explore.fx_violation v.Explore.message;
         Alcotest.(check bool)
           (file ^ " carries a mutation") true
           (fx.Explore.fx_mutation <> None)
+      | Ok (_, None) -> Alcotest.failf "%s: schedule replays clean" file
       | Error e -> Alcotest.failf "%s: %s" file e)
     [
       "fixtures/modelcheck_claim_on_lose.cex.json";
