@@ -221,4 +221,6 @@ let cmd =
       $ max_conns_t $ lease_ttl_t $ journal_t $ recover_t $ max_queue_t
       $ max_out_kb_t $ stall_timeout_t $ quiet_t)
 
-let () = exit (Cmd.eval' cmd)
+let () =
+  Printexc.record_backtrace true;
+  exit (Cmd.eval' cmd)

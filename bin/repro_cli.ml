@@ -770,12 +770,6 @@ let doctor dir =
   end
 
 (* ------------------------------------------------------------------ *)
-(* lint: AST-level determinism lint over the source tree *)
-
-let lint json root paths =
-  Analysis.Lint.run ~json ~root ~paths ~out:print_string ()
-
-(* ------------------------------------------------------------------ *)
 (* racecheck: happens-before certification of multicore executions *)
 
 (* The algorithm table lives in Chaos.Algos so racecheck, the chaos
@@ -1491,56 +1485,6 @@ let doctor_cmd =
       & info [] ~docv:"DIR" ~doc:"The $(b,--out) directory to audit.")
   in
   Cmd.v (Cmd.info "doctor" ~doc ~exits:finding_exits) Term.(const doctor $ dir_t)
-
-let lint_cmd =
-  let doc =
-    "Lint the source tree for determinism hazards (AST-level, \
-     compiler-libs parser)."
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Parses every .ml file with the compiler's own parser and flags \
-         identifier uses that break reproducibility: Stdlib.Random outside \
-         lib/prng, wall-clock reads outside the timing layers, raw \
-         Domain.spawn outside the runner/pool, Hashtbl iteration in \
-         result-producing code, polymorphic compare in lib/stats, and \
-         stray stdout prints.  One structural rule, atomic-get-set, flags \
-         an Atomic.get followed by Atomic.set of the same atomic inside \
-         one function in the concurrent layers (lib/service, lib/shm) — \
-         a lost-update window.  Silence a justified use with a \
-         `repro-lint: allow <rule-id>' comment on the flagged line or the \
-         line above.";
-    ]
-  in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit a versioned JSON report: {\"schema\":\"repro-lint/1\", \
-             \"findings\":[...]}.")
-  in
-  let root_t =
-    Arg.(
-      value & opt string "."
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:
-            "Repository root; stripped from paths so rule scopes (lib/prng, \
-             bin, ...) match.")
-  in
-  let paths_t =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint (default: bin lib examples bench \
-             test under $(b,--root)).")
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc ~man ~exits:finding_exits)
-    Term.(const lint $ json_t $ root_t $ paths_t)
 
 let racecheck_cmd =
   let doc =
@@ -2378,7 +2322,11 @@ let main_cmd =
   Cmd.group
     (Cmd.info "repro_cli" ~version:"1.0.0" ~doc)
     [ list_cmd; run_cmd; all_cmd; simulate_cmd; verify_cmd; bench_cmd;
-      load_cmd; report_cmd; doctor_cmd; lint_cmd; racecheck_cmd;
+      load_cmd; report_cmd; doctor_cmd; racecheck_cmd;
       modelcheck_cmd; chaos_cmd ]
 
-let () = exit (Cmd.eval' main_cmd)
+let () =
+  (* Before anything can raise: engine failure lines carry the
+     backtrace of the job's exception only while recording is on. *)
+  Printexc.record_backtrace true;
+  exit (Cmd.eval' main_cmd)

@@ -1,11 +1,11 @@
-(* Standalone determinism linter — the same engine as `repro_cli lint`,
-   packaged as a single-purpose binary for editor integrations and CI
-   hooks that should not need the full experiment driver. *)
+(* repro_lint: the determinism linter, the repository's one lint entry
+   point.  It is kept out of repro_cli and renamed because it is the only
+   program that links the OCaml compiler frontend (compiler-libs). *)
 
 open Cmdliner
 
 let lint json root paths =
-  Analysis.Lint.run ~json ~root ~paths ~out:print_string ()
+  Lint.run ~json ~root ~paths ~out:print_string ()
 
 let exits =
   [
@@ -22,13 +22,27 @@ let cmd =
       `P
         "Parses every .ml file with the compiler's own parser \
          (compiler-libs) and flags identifier uses that break \
-         reproducibility; see `repro_cli lint --help' for the rule \
-         table.  Silence a justified use with a `repro-lint: allow \
-         <rule-id>' comment on the flagged line or the line above.";
+         reproducibility: Stdlib.Random outside lib/prng, wall-clock \
+         reads outside the timing layers, raw Domain.spawn outside the \
+         runner/pool, Hashtbl iteration in result-producing code, \
+         polymorphic compare in lib/stats, raw Unix writes in the serving \
+         layer outside Service.Journal, and stray stdout prints.  One \
+         structural rule, atomic-get-set, flags an Atomic.get followed by \
+         Atomic.set of the same atomic inside one function in the \
+         concurrent layers (lib/service, lib/shm) — a lost-update \
+         window.  The rule table is lib/lint/lint_rules.ml.";
+      `P
+        "Silence a justified use with a `repro-lint: allow <rule-id>' \
+         comment on the flagged line or the line above.";
     ]
   in
   let json_t =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as a JSON array.")
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:
+            "Emit a versioned JSON report: {\"schema\":\"repro-lint/1\", \
+             \"findings\":[...]}.")
   in
   let root_t =
     Arg.(

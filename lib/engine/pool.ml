@@ -10,7 +10,12 @@ let run_guarded ~workers ?(should_stop = fun () -> false) ~f ~consume tasks =
     let next = Atomic.make 0 in
     let fatal = Atomic.make None in
     let lock = Mutex.create () in
+    (* A spawned domain starts with backtrace recording off; give the
+       workers the caller's setting so a job's failure line carries the
+       backtrace its raise recorded. *)
+    let record_backtrace = Printexc.backtrace_status () in
     let body () =
+      Printexc.record_backtrace record_backtrace;
       let rec loop () =
         if Atomic.get fatal = None && not (should_stop ()) then begin
           let i = Atomic.fetch_and_add next 1 in

@@ -50,4 +50,5 @@ val run_guarded :
 
     A job that never returns holds its worker until the process exits;
     the pool has no deadline.  Always runs on spawned domains, even with
-    [workers = 1]. *)
+    [workers = 1]; each worker records backtraces iff the calling domain
+    does ({!Printexc.backtrace_status}). *)

@@ -326,7 +326,7 @@ let findings_to_json findings =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* CLI driver, shared by bin/repro_lint and `repro_cli lint`.
+(* CLI driver behind bin/repro_lint.
    Exit codes: 0 clean, 1 findings, 2 usage/internal error. *)
 
 let run ?(json = false) ~root ~paths ~out () =

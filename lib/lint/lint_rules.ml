@@ -1,4 +1,4 @@
-(* The declarative rule table behind `repro_cli lint`.
+(* The declarative rule table behind `repro_lint`.
 
    Each rule bans a set of identifier paths in part of the tree.  Paths
    in [banned] are matched against the fully-qualified identifier as it

@@ -6,13 +6,13 @@
 (* Lint: helpers *)
 
 let lint ~path source =
-  match Analysis.Lint.lint_source ~path ~source with
+  match Lint.lint_source ~path ~source with
   | Ok findings -> findings
   | Error msg -> Alcotest.failf "unexpected parse error for %s: %s" path msg
 
 let rule_ids findings =
   List.sort_uniq String.compare
-    (List.map (fun f -> f.Analysis.Lint.rule) findings)
+    (List.map (fun f -> f.Lint.rule) findings)
 
 let check_rules what expected findings =
   Alcotest.(check (list string)) what expected (rule_ids findings)
@@ -84,8 +84,8 @@ let test_lint_stdout_print () =
 let test_lint_stdlib_prefix_stripped () =
   match lint ~path:"lib/sim/x.ml" "let x () = Stdlib.Random.bits ()\n" with
   | [ f ] ->
-    Alcotest.(check string) "rule" "stdlib-random" f.Analysis.Lint.rule;
-    Alcotest.(check string) "ident" "Random.bits" f.Analysis.Lint.ident
+    Alcotest.(check string) "rule" "stdlib-random" f.Lint.rule;
+    Alcotest.(check string) "ident" "Random.bits" f.Lint.ident
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
@@ -122,12 +122,12 @@ let test_lint_locations () =
   let source = "let a = 1\nlet b = 2\nlet c () = Random.int 9\n" in
   match lint ~path:"lib/sim/x.ml" source with
   | [ f ] ->
-    Alcotest.(check int) "line" 3 f.Analysis.Lint.line;
-    Alcotest.(check string) "file" "lib/sim/x.ml" f.Analysis.Lint.file
+    Alcotest.(check int) "line" 3 f.Lint.line;
+    Alcotest.(check string) "file" "lib/sim/x.ml" f.Lint.file
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_lint_parse_error () =
-  match Analysis.Lint.lint_source ~path:"lib/sim/x.ml" ~source:"let let = in" with
+  match Lint.lint_source ~path:"lib/sim/x.ml" ~source:"let let = in" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a parse error"
 
@@ -138,14 +138,14 @@ let contains hay needle =
 
 let test_lint_json () =
   let findings = lint ~path:"lib/sim/x.ml" "let f () = Random.int 5\n" in
-  let json = Analysis.Lint.findings_to_json findings in
+  let json = Lint.findings_to_json findings in
   Alcotest.(check bool) "is an object" true (String.length json > 0 && json.[0] = '{');
   Alcotest.(check bool)
     "carries the schema version" true
-    (contains json (Printf.sprintf "\"schema\":%S" Analysis.Lint.json_schema));
+    (contains json (Printf.sprintf "\"schema\":%S" Lint.json_schema));
   Alcotest.(check bool) "mentions the rule" true (contains json "stdlib-random");
   (* empty reports keep the envelope *)
-  let empty = Analysis.Lint.findings_to_json [] in
+  let empty = Lint.findings_to_json [] in
   Alcotest.(check bool)
     "empty report keeps schema" true
     (contains empty "\"findings\":[]")
@@ -224,8 +224,8 @@ let test_collect_ml_files () =
       write_file dir "sub/c.ml" "let c = 3\n";
       let files =
         List.map
-          (fun p -> Analysis.Lint.normalize_path ~root:dir p)
-          (Analysis.Lint.collect_ml_files dir)
+          (fun p -> Lint.normalize_path ~root:dir p)
+          (Lint.collect_ml_files dir)
       in
       Alcotest.(check (list string))
         "sorted, .ml only, _/. skipped"
@@ -235,7 +235,7 @@ let test_collect_ml_files () =
 let run_lint ~root ~paths =
   let buf = Buffer.create 256 in
   let rc =
-    Analysis.Lint.run ~root ~paths ~out:(Buffer.add_string buf) ()
+    Lint.run ~root ~paths ~out:(Buffer.add_string buf) ()
   in
   (rc, Buffer.contents buf)
 

@@ -145,6 +145,40 @@ let test_failing_job_quarantined_others_complete () =
       checkb "no quarantine file after a clean run" false
         (Sys.file_exists o.Engine.Plan.failures_store))
 
+(* Raises on one seed; a named top-level function so a backtrace can be
+   checked for it. *)
+let explode_on_seed ~bad_seed ~seed =
+  if seed = bad_seed then raise (Failure "injected") else value_of ~seed
+[@@inline never]
+
+let test_failure_line_carries_backtrace () =
+  (* repro_cli and renamed turn backtrace recording on at startup; the
+     pool's worker domains take the setting from the calling domain. *)
+  let was_recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace was_recording)
+    (fun () ->
+      let bad_seed = derive_seed ~experiment:"synb" ~sweep_point:1 ~trial:0 in
+      let exp =
+        synth ~id:"synb" ~points:2 (fun ~p:_ ~t:_ ~seed ->
+            explode_on_seed ~bad_seed ~seed)
+      in
+      with_temp_dir (fun dir ->
+          let o = execute ~dir exp in
+          checki "one job quarantined" 1 o.Engine.Plan.quarantined;
+          match Engine.Fault.load o.Engine.Plan.failures_store with
+          | [ f ] ->
+            let bt = f.Engine.Fault.backtrace in
+            checkb "backtrace is recorded" true (bt <> "");
+            checkb
+              (Printf.sprintf "backtrace names the raising function: %S" bt)
+              true
+              (contains bt "Test_fault.explode_on_seed")
+          | fails ->
+            Alcotest.failf "expected one quarantine line, got %d"
+              (List.length fails)))
+
 let test_interrupt_drains_and_resumes () =
   (* The job body bumps a counter that should_stop watches, so the stop
      request genuinely arrives mid-run. *)
@@ -657,6 +691,8 @@ let suite =
           test_failure_roundtrip;
         Alcotest.test_case "plan: failing job quarantined, others complete"
           `Quick test_failing_job_quarantined_others_complete;
+        Alcotest.test_case "plan: a failure line carries the job's backtrace"
+          `Quick test_failure_line_carries_backtrace;
         Alcotest.test_case "plan: interrupt drains and resumes" `Quick
           test_interrupt_drains_and_resumes;
         Alcotest.test_case "batch: a failed experiment does not stop the next"
