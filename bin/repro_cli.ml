@@ -21,9 +21,14 @@
    no record while the other jobs complete, and the run exits 1;
    SIGINT/SIGTERM drain in-flight jobs and print the exact --resume
    command; --resume is validated against the stored manifest and runs
-   every job with no record again on the same seed.  repro_cli doctor
-   DIR audits a store offline (truncated tails, duplicate keys, seed
-   re-derivation, quarantine). *)
+   every job with no record again on the same seed.
+
+   repro_cli doctor DIR audits a directory offline: each file kind in
+   it (stores and manifest, chaos plans and verdicts, counterexamples,
+   sockets, journals, BENCH_* artifacts) is audited by the library
+   that owns it, and doctor is one fold that prints their lines.  The
+   same holds for the other commands: this file keeps flag wiring,
+   exit-code mapping and the printing of what the libraries return. *)
 
 let make_ctx ~seed ~trials ~scale ~csv_dir ~current_id =
   let table_index = ref 0 in
@@ -397,20 +402,6 @@ let report out seed trials scale =
   Printf.printf "report written to %s\n" out;
   0
 
-let save_text ~file text =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc text;
-      output_char oc '\n')
-
-let read_text file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Committed artifacts: the five BENCH_*.json kinds, and the one
    emit -> save -> gate path all their producers share *)
@@ -466,317 +457,58 @@ let emit_artifact ~tag { json; out; check; threshold } ?(ok = true)
       verdict findings)
 
 (* ------------------------------------------------------------------ *)
-(* doctor: audit a result store for integrity problems *)
+(* doctor: every audited file kind in a directory, each audited by the
+   library that owns it; this is one fold that prints their lines *)
 
 let doctor dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "doctor: %s is not a directory\n" dir;
     2
   end
-  else begin
-    let problems = ref 0 in
-    let notes = ref 0 in
-    let problem fmt =
-      incr problems;
-      Printf.ksprintf (fun s -> Printf.printf "PROBLEM  %s\n" s) fmt
-    in
-    let note fmt =
-      incr notes;
-      Printf.ksprintf (fun s -> Printf.printf "note     %s\n" s) fmt
-    in
-    let manifest = Engine.Sink.read_manifest ~dir in
-    let mfield name =
-      Option.bind manifest (fun m -> List.assoc_opt name m)
-    in
-    (match manifest with
-    | None ->
-      note "no readable manifest.json — seed-tree checks skipped"
-    | Some _ -> (
-      (match mfield "schema" with
-      | Some s when s <> Engine.Sink.schema_version ->
-        problem "manifest schema is %S; this binary writes %S" s
-          Engine.Sink.schema_version
-      | Some _ -> ()
-      | None -> note "manifest has no schema field (pre-fault-tolerance run)");
-      (match mfield "status" with
-      | Some "interrupted" ->
-        note "run status is \"interrupted\" — finish it with --resume"
-      | Some "running" ->
-        note
-          "run status is \"running\" — either a run is live or it was \
-           killed without cleanup (resume is safe)"
-      | _ -> ());
-      match mfield "git" with
-      | Some g -> Printf.printf "manifest: git %s\n" g
-      | None -> ()));
+  else
     (* Host parallelism: chaos and racecheck results depend on how many
        domains actually ran, so record what this machine provides and
        the cap the runner will apply. *)
-    Printf.printf
-      "host: Domain.recommended_domain_count=%d, runner default domains=%d\n"
-      (Domain.recommended_domain_count ())
-      (Shm.Domain_runner.default_domains ());
-    let root_seed = Option.bind (mfield "seed") int_of_string_opt in
-    let stores =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".jsonl"
-             && not (Filename.check_suffix f ".failures.jsonl"))
-      |> List.sort compare
+    let host =
+      Printf.sprintf
+        "host: Domain.recommended_domain_count=%d, runner default domains=%d"
+        (Domain.recommended_domain_count ())
+        (Shm.Domain_runner.default_domains ())
     in
-    if stores = [] then note "no .jsonl stores in %s" dir;
-    List.iter
-      (fun file ->
-        let experiment = Filename.chop_suffix file ".jsonl" in
-        let path = Filename.concat dir file in
-        let scan = Engine.Checkpoint.scan_store path in
-        Printf.printf "%s: %d record(s), %d distinct key(s)\n" file
-          scan.Engine.Checkpoint.records
-          (Hashtbl.length scan.Engine.Checkpoint.keys);
-        if scan.Engine.Checkpoint.duplicates > 0 then
-          problem "%s: %d duplicate key(s)" file
-            scan.Engine.Checkpoint.duplicates;
-        if scan.Engine.Checkpoint.malformed_mid > 0 then
-          problem "%s: %d malformed mid-file line(s)" file
-            scan.Engine.Checkpoint.malformed_mid;
-        if scan.Engine.Checkpoint.malformed_tail then
-          note
-            "%s: truncated tail line (crash artifact; --resume repairs \
-             and re-runs it)"
-            file;
-        (* Every record's seed must be re-derivable from the manifest's
-           root seed and the record's own coordinates. *)
-        (match root_seed with
-        | None -> ()
-        | Some root ->
-          let mismatches = ref 0 in
-          List.iter
-            (fun (r : Engine.Sink.record) ->
-              let expect =
-                Engine.Seed_tree.derive ~root
-                  ~experiment:r.Engine.Sink.experiment
-                  ~sweep_point:r.Engine.Sink.sweep_point
-                  ~trial:r.Engine.Sink.trial
-              in
-              if expect <> r.Engine.Sink.seed then incr mismatches)
-            (Engine.Checkpoint.records path);
-          if !mismatches > 0 then
-            problem
-              "%s: %d record(s) whose seed does not match the seed tree \
-               (wrong --seed, or records from another run mixed in)"
-              file !mismatches);
-        (* A job that raised has a failure line and no record: each one
-           is a hole in the sample. *)
-        Engine.Fault.load (Engine.Fault.store_path ~dir ~experiment)
-        |> List.sort (fun (a : Engine.Fault.failure) b ->
-               String.compare a.key b.key)
-        |> List.iter (fun (f : Engine.Fault.failure) ->
-               problem "%s: job %s quarantined (raised at seed %d): %s" file
-                 f.key f.seed f.error))
-      stores;
-    (* Chaos artifacts: recorded fault plans must parse and re-encode
-       canonically (the replay contract), and a recorded verdict is a
-       captured invariant violation until someone fixes it. *)
-    let chaos_files prefix =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f ->
-             String.starts_with ~prefix f && Filename.check_suffix f ".json")
-      |> List.sort compare
+    (* A journal nobody serves is orphaned: the socket audit says
+       whether a daemon answers in this directory. *)
+    let sockets, served = Service.Client.audit_dir dir in
+    let print (problems, notes) = function
+      | `Info s -> print_endline s; (problems, notes)
+      | `Note s -> Printf.printf "note     %s\n" s; (problems, notes + 1)
+      | `Problem s -> Printf.printf "PROBLEM  %s\n" s; (problems + 1, notes)
     in
-    let plan_seeds = Hashtbl.create 8 in
-    List.iter
-      (fun file ->
-        let path = Filename.concat dir file in
-        match Chaos.Fault_plan.load ~file:path with
-        | Error e -> problem "%s: unreadable chaos plan: %s" file e
-        | Ok plan ->
-          Hashtbl.replace plan_seeds plan.Chaos.Fault_plan.seed ();
-          Printf.printf
-            "%s: plan seed=%d algo=%s procs=%d domains=%d crash_frac=%g\n"
-            file plan.Chaos.Fault_plan.seed plan.Chaos.Fault_plan.algo
-            plan.Chaos.Fault_plan.procs plan.Chaos.Fault_plan.domains
-            plan.Chaos.Fault_plan.crash_frac;
-          if
-            String.trim (read_text path) <> Chaos.Fault_plan.to_json plan
-          then
-            problem "%s: not in canonical form — replay would re-record \
-                     different bytes (hand-edited?)"
-              file)
-      (chaos_files "chaos_plan_");
-    List.iter
-      (fun file ->
-        let path = Filename.concat dir file in
-        match Chaos.Chaos_runner.summary_of_json (String.trim (read_text path)) with
-        | Error e -> problem "%s: unreadable chaos verdict: %s" file e
-        | Ok s ->
-          Printf.printf "%s: verdict seed=%d %s\n" file
-            s.Chaos.Chaos_runner.seed
-            (if s.Chaos.Chaos_runner.ok then "ok" else "VIOLATED");
-          if not (Hashtbl.mem plan_seeds s.Chaos.Chaos_runner.seed) then
-            note
-              "%s: verdict for seed %d has no matching chaos_plan_%d.json \
-               (not replayable)"
-              file s.Chaos.Chaos_runner.seed s.Chaos.Chaos_runner.seed;
-          if not s.Chaos.Chaos_runner.ok then
-            problem "%s: recorded invariant violation(s): %s" file
-              (String.concat ", " s.Chaos.Chaos_runner.violations))
-      (chaos_files "chaos_verdict_");
-    (* Model-check counterexamples: a *.cex.json must carry the current
-       schema, re-encode to the same bytes (the replay contract), and
-       strict-replay to its recorded violation.  One that names a model
-       or mutation this binary no longer knows is orphaned; one with NO
-       mutation is a captured violation of the real system and stays a
-       problem until someone fixes it. *)
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".cex.json")
-    |> List.sort compare
-    |> List.iter (fun file ->
-           let path = Filename.concat dir file in
-           (* The recorded violation must reproduce byte-for-byte. *)
-           let audit =
-             Result.bind (Mcheck.Worlds.replay_fixture (read_text path))
-               (fun (fx, verdict) ->
-                 match verdict with
-                 | None ->
-                   Error "schedule replays clean (recorded violation gone)"
-                 | Some v
-                   when v.Analysis.Explore.message
-                        <> fx.Analysis.Explore.fx_violation ->
-                   Error
-                     (Printf.sprintf
-                        "replay reproduces a different violation: %S \
-                         (recorded %S)"
-                        v.Analysis.Explore.message
-                        fx.Analysis.Explore.fx_violation)
-                 | Some _ -> Ok fx)
-           in
-           match audit with
-           | Error e -> problem "%s: model-check counterexample: %s" file e
-           | Ok fx ->
-             Printf.printf
-               "%s: cex model=%s mutation=%s, %d-step schedule replays\n" file
-               fx.Analysis.Explore.fx_model
-               (Option.value fx.Analysis.Explore.fx_mutation ~default:"none")
-               (List.length fx.Analysis.Explore.fx_schedule);
-             if fx.Analysis.Explore.fx_mutation = None then
-               problem
-                 "%s: counterexample against the unmutated model — a real \
-                  captured bug: %s"
-                 file fx.Analysis.Explore.fx_violation);
-    (* Service artifacts: a socket file with no daemon behind it is a
-       crash leftover (a graceful drain unlinks it), and every recorded
-       load artifact must parse and carry a clean audit. *)
-    let live_socket = ref false in
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".sock")
-    |> List.sort compare
-    |> List.iter (fun file ->
-           let path = Filename.concat dir file in
-           let probe = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-           (match Unix.connect probe (ADDR_UNIX path) with
-           | () ->
-             live_socket := true;
-             note "%s: a live renamed daemon is serving" file;
-             (* Overload telemetry: a queue peak past the admission
-                bound means the bound is not enforced — the daemon's
-                queues are growing without limit. *)
-             (match Service.Client.stats_once ~path with
-             | Error _ -> ()
-             | Ok f -> (
-               match List.assoc_opt "overload" f with
-               | None -> ()
-               | Some o ->
-                 let ov = Jsonu.obj o in
-                 let peak =
-                   try Jsonu.int_ f "queue_peak" with Jsonu.Malformed -> 0
-                 in
-                 let bound =
-                   try Jsonu.int_ ov "queue_bound"
-                   with Jsonu.Malformed -> max_int
-                 in
-                 let level =
-                   try Jsonu.str ov "level" with Jsonu.Malformed -> "healthy"
-                 in
-                 if peak > bound then
-                   problem
-                     "%s: daemon reports queue peak %d past its %d \
-                      admission bound — queues are growing without bound"
-                     file peak bound;
-                 if level <> "healthy" then
-                   note "%s: daemon is %s (deepest queue seen %d/%d)" file
-                     level peak bound))
-           | exception Unix.Unix_error (ECONNREFUSED, _, _) ->
-             problem
-               "%s: stale socket file — the daemon behind it crashed \
-                (a graceful drain unlinks its socket); remove it or let \
-                renamed reclaim it"
-               file
-           | exception Unix.Unix_error (e, _, _) ->
-             problem "%s: socket probe failed: %s" file (Unix.error_message e));
-           try Unix.close probe with Unix.Unix_error _ -> ());
-    (* Crash journals: damage (a CRC failure on a complete record) makes
-       recovery refuse to boot, and live grants in a journal nobody is
-       serving are names some client may still believe it holds. *)
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".journal")
-    |> List.sort compare
-    |> List.iter (fun file ->
-           let path = Filename.concat dir file in
-           match Service.Journal.scan ~path with
-           | Error e -> problem "%s: unreadable journal: %s" file e
-           | Ok s ->
-             let live = Service.Journal.replay s.Service.Journal.records in
-             Printf.printf
-               "%s: %d record(s), %d live grant(s), next epoch %d\n" file
-               (List.length s.Service.Journal.records)
-               (List.length live.Service.Journal.grants)
-               live.Service.Journal.next_epoch;
-             if s.Service.Journal.damaged > 0 then
-               problem
-                 "%s: %d damaged record(s) (CRC/framing on a complete \
-                  record) — renamed --recover will refuse this journal"
-                 file s.Service.Journal.damaged;
-             if s.Service.Journal.torn_tail then
-               note
-                 "%s: torn tail record (crash artifact; --recover \
-                  tolerates and compacts it away)"
-                 file;
-             if live.Service.Journal.double_grants > 0 then
-               problem
-                 "%s: replay observed %d duplicate grant(s) of a live \
-                  name — the write-ahead discipline was violated"
-                 file live.Service.Journal.double_grants;
-             if live.Service.Journal.grants <> [] && not !live_socket then
-               note
-                 "%s: %d live grant(s) and no daemon serving in this \
-                  directory — orphaned journal; restart renamed with \
-                  --journal %s --recover"
-                 file
-                 (List.length live.Service.Journal.grants)
-                 file);
-    (* Benchmark artifacts: every numbered BENCH_*.json, dispatched on
-       its kind field and audited by that kind. *)
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (Engine.Artifact.numbered artifact_kinds)
-    |> List.sort compare
-    |> List.iter (fun file ->
-           let summary, problems =
-             Engine.Artifact.inspect artifact_kinds (Filename.concat dir file)
-           in
-           Option.iter (Printf.printf "%s: %s\n" file) summary;
-           List.iter (fun p -> problem "%s: %s" file p) problems);
-    Printf.printf "doctor: %d problem(s), %d note(s)\n" !problems !notes;
-    if !problems = 0 then 0 else 1
-  end
+    let problems, notes =
+      List.fold_left print (0, 0)
+        (List.concat
+           [
+             Engine.Checkpoint.audit_manifest dir;
+             [ `Info host ];
+             Engine.Checkpoint.audit_stores dir;
+             Chaos.Chaos_runner.audit_dir dir;
+             Mcheck.Worlds.audit_dir dir;
+             sockets;
+             Service.Journal.audit_dir ~served dir;
+             Engine.Artifact.audit_dir artifact_kinds dir;
+           ])
+    in
+    Printf.printf "doctor: %d problem(s), %d note(s)\n" problems notes;
+    if problems = 0 then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* racecheck: happens-before certification of multicore executions *)
 
 (* The algorithm table lives in Chaos.Algos so racecheck, the chaos
-   commands and recorded fault plans all interpret an algorithm name the
-   same way. *)
-let racecheck_algo_names = Chaos.Algos.names
-let make_shm_algo name ~n ~t0 = Chaos.Algos.make name ~n ~t0 ()
+   commands and recorded fault plans all interpret a name the same way. *)
+let unknown_algo msg =
+  Printf.eprintf "%s\nalgorithms: %s\n" msg
+    (String.concat ", " Chaos.Algos.names);
+  2
 
 (* A deliberately racy execution for demonstrating the checker: two
    domains plain-write the same location with no synchronization edge
@@ -808,21 +540,14 @@ let racecheck algo_name procs domains seed runs racy =
     2
   end
   else
-    match make_shm_algo algo_name ~n:procs ~t0:3 with
-    | Error msg ->
-      Printf.eprintf "%s\nalgorithms: %s\n" msg
-        (String.concat ", " racecheck_algo_names);
-      2
-    | Ok _ ->
+    match Chaos.Algos.find algo_name with
+    | Error msg -> unknown_algo msg
+    | Ok build ->
       let dirty = ref 0 in
       for i = 0 to runs - 1 do
         let run_seed = seed + i in
         (* Fresh instance per run: the renaming structures are stateful. *)
-        let algo, capacity =
-          match make_shm_algo algo_name ~n:procs ~t0:3 with
-          | Ok v -> v
-          | Error _ -> assert false
-        in
+        let algo, capacity = build ~n:procs ~t0:3 in
         match
           Analysis.Hb_runner.certify ~domains ~seed:run_seed ~procs ~capacity
             ~algo ()
@@ -851,69 +576,24 @@ let racecheck algo_name procs domains seed runs racy =
 (* ------------------------------------------------------------------ *)
 (* chaos: deterministic crash/delay injection on the multicore substrate *)
 
-let chaos_plan_file ~dir ~seed =
-  Filename.concat dir (Printf.sprintf "chaos_plan_%d.json" seed)
+let chaos_record out o =
+  Option.iter
+    (fun dir ->
+      Engine.Sink.mkdir_p dir;
+      Chaos.Chaos_runner.record ~dir o)
+    out
 
-let chaos_verdict_file ~dir ~seed =
-  Filename.concat dir (Printf.sprintf "chaos_verdict_%d.json" seed)
-
-let chaos_record ~dir (o : Chaos.Chaos_runner.outcome) =
-  let v = o.Chaos.Chaos_runner.verdict in
-  let plan = v.Chaos.Chaos_runner.plan in
-  let seed = plan.Chaos.Fault_plan.seed in
-  Engine.Sink.mkdir_p dir;
-  Chaos.Fault_plan.save ~file:(chaos_plan_file ~dir ~seed) plan;
-  save_text
-    ~file:(chaos_verdict_file ~dir ~seed)
-    (Chaos.Chaos_runner.verdict_to_json v)
-
-let chaos_print_outcome ~json (o : Chaos.Chaos_runner.outcome) =
-  let v = o.Chaos.Chaos_runner.verdict in
-  if json then print_endline (Chaos.Chaos_runner.verdict_to_json v)
-  else begin
-    let p = v.Chaos.Chaos_runner.plan in
-    Printf.printf
-      "seed=%d algo=%s procs=%d domains=%d crash_frac=%g: armed=%d fired=%d \
-       survivors=%d names=%d max_name=%d leaked=%d\n"
-      p.Chaos.Fault_plan.seed p.Chaos.Fault_plan.algo p.Chaos.Fault_plan.procs
-      p.Chaos.Fault_plan.domains p.Chaos.Fault_plan.crash_frac
-      (List.length p.Chaos.Fault_plan.crashes)
-      (List.length v.Chaos.Chaos_runner.fired)
-      v.Chaos.Chaos_runner.survivors v.Chaos.Chaos_runner.names_assigned
-      v.Chaos.Chaos_runner.max_name v.Chaos.Chaos_runner.leaked;
-    (match o.Chaos.Chaos_runner.races with
-    | None -> ()
-    | Some [] -> Printf.printf "happens-before: certified race-free\n"
-    | Some races ->
-      List.iter (fun r -> print_endline (Analysis.Hb.race_to_string r)) races;
-      Printf.printf "happens-before: %d race(s)\n" (List.length races));
-    match v.Chaos.Chaos_runner.violations with
-    | [] -> Printf.printf "invariants: ok\n"
-    | vs -> Printf.printf "invariants VIOLATED: %s\n" (String.concat ", " vs)
-  end
-
-let chaos_outcome_exit (o : Chaos.Chaos_runner.outcome) =
-  let racy =
-    match o.Chaos.Chaos_runner.races with Some (_ :: _) -> true | _ -> false
-  in
-  if Chaos.Chaos_runner.ok o.Chaos.Chaos_runner.verdict && not racy then 0
-  else 1
+let chaos_print ~json o = print_endline (Chaos.Chaos_runner.render ~json o)
+let chaos_exit o = if Chaos.Chaos_runner.clean o then 0 else 1
 
 let chaos_run algo_name procs domains seed crash_frac pause_frac name_bound out
     certify json =
-  match Chaos.Algos.make algo_name ~n:procs () with
-  | Error msg ->
-    Printf.eprintf "%s\nalgorithms: %s\n" msg
-      (String.concat ", " Chaos.Algos.names);
-    2
-  | Ok (algo, capacity) -> (
-    let domains =
-      match domains with
-      | Some d -> d
-      | None -> Shm.Domain_runner.default_domains ~procs ()
-    in
+  match Chaos.Algos.find algo_name with
+  | Error msg -> unknown_algo msg
+  | Ok build -> (
+    let algo, capacity = build ~n:procs ~t0:3 in
     match
-      Chaos.Fault_plan.make ~seed ~procs ~domains ~algo:algo_name ~capacity
+      Chaos.Fault_plan.make ~seed ~procs ?domains ~algo:algo_name ~capacity
         ?name_bound ~crash_frac ~pause_frac ()
     with
     | exception Invalid_argument msg ->
@@ -921,101 +601,57 @@ let chaos_run algo_name procs domains seed crash_frac pause_frac name_bound out
       2
     | plan ->
       let o = Chaos.Chaos_runner.run ~certify ~plan ~algo () in
-      Option.iter (fun dir -> chaos_record ~dir o) out;
-      chaos_print_outcome ~json o;
-      chaos_outcome_exit o)
-
-let chaos_soak_json ~runs ~failures ~violations =
-  let open Engine.Sink.Json in
-  to_string
-    (Obj
-       [
-         ("kind", Str "chaos-soak");
-         ("runs", Int runs);
-         ("failing", Int (List.length failures));
-         ("failing_seeds", Arr (List.map (fun (s, _) -> Int s) failures));
-         ("ok", Bool (failures = []));
-         ("violations", Arr (List.map (fun v -> Str v) violations));
-       ])
+      chaos_record out o;
+      chaos_print ~json o;
+      chaos_exit o)
 
 (* Soak: many independent seeded runs cycling through the crash
    fractions.  A failing run's plan and verdict are recorded to --out,
    so any violation arrives as a committable regression fixture. *)
 let chaos_soak algo_name procs domains seed runs fracs pause_frac out certify
     json =
-  if runs < 1 || fracs = [] then begin
-    Printf.eprintf "chaos soak: --runs must be >= 1 and --crash-fracs non-empty\n";
+  let usage msg =
+    Printf.eprintf "chaos soak: %s\n" msg;
     2
-  end
-  else begin
-    let failures = ref [] in
-    let ran = ref 0 in
-    let usage = ref None in
-    (try
-       for i = 0 to runs - 1 do
-         let frac = List.nth fracs (i mod List.length fracs) in
-         let run_seed = seed + i in
-         match Chaos.Algos.make algo_name ~n:procs () with
-         | Error msg -> usage := Some msg; raise Exit
-         | Ok (algo, capacity) ->
-           let domains =
-             match domains with
-             | Some d -> d
-             | None -> Shm.Domain_runner.default_domains ~procs ()
-           in
-           let plan =
-             Chaos.Fault_plan.make ~seed:run_seed ~procs ~domains
-               ~algo:algo_name ~capacity ~crash_frac:frac ~pause_frac ()
-           in
-           let o = Chaos.Chaos_runner.run ~certify ~plan ~algo () in
-           incr ran;
-           if chaos_outcome_exit o <> 0 then begin
-             failures := (run_seed, o) :: !failures;
-             Option.iter (fun dir -> chaos_record ~dir o) out;
-             if not json then chaos_print_outcome ~json:false o
-           end
-       done
-     with
-    | Exit -> ()
-    | Invalid_argument msg -> usage := Some msg);
-    match !usage with
-    | Some msg ->
-      Printf.eprintf "chaos soak: %s\n" msg;
-      2
-    | None ->
-      let failures = List.rev !failures in
-      let violations =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun (_, (o : Chaos.Chaos_runner.outcome)) ->
-               o.Chaos.Chaos_runner.verdict.Chaos.Chaos_runner.violations)
-             failures)
-      in
-      if json then
-        print_endline (chaos_soak_json ~runs:!ran ~failures ~violations)
+  in
+  match Chaos.Algos.find algo_name with
+  | _ when runs < 1 || fracs = [] ->
+    usage "--runs must be >= 1 and --crash-fracs non-empty"
+  | Error msg -> usage msg
+  | Ok build -> (
+    let rec loop i failures =
+      if i = runs then Ok (List.rev failures)
       else
-        Printf.printf "chaos soak: %d run(s), %d violating (seeds: %s)%s\n"
-          !ran
-          (List.length failures)
-          (match failures with
-          | [] -> "none"
-          | fs ->
-            String.concat ", " (List.map (fun (s, _) -> string_of_int s) fs))
-          (if violations = [] then ""
-           else "; violations: " ^ String.concat ", " violations);
-      if failures = [] then 0 else 1
-  end
+        let seed = seed + i in
+        let crash_frac = List.nth fracs (i mod List.length fracs) in
+        match
+          let algo, capacity = build ~n:procs ~t0:3 in
+          let plan =
+            Chaos.Fault_plan.make ~seed ~procs ?domains ~algo:algo_name
+              ~capacity ~crash_frac ~pause_frac ()
+          in
+          Chaos.Chaos_runner.run ~certify ~plan ~algo ()
+        with
+        | exception Invalid_argument msg -> Error msg
+        | o when Chaos.Chaos_runner.clean o -> loop (i + 1) failures
+        | o ->
+          chaos_record out o;
+          if not json then chaos_print ~json o;
+          loop (i + 1) ((seed, o) :: failures)
+    in
+    match loop 0 [] with
+    | Error msg -> usage msg
+    | Ok failures ->
+      print_endline (Chaos.Chaos_runner.render_soak ~json ~runs failures);
+      if failures = [] then 0 else 1)
 
 let chaos_replay file out certify json =
   match Chaos.Fault_plan.load ~file with
   | Error e ->
     Printf.eprintf "chaos replay: %s: %s\n" file e;
     2
-  | Ok plan -> (
-    (* Integrity: a recorded plan must be in canonical form — the replay
-       byte-identity contract (`to_json (of_json s) = s`) is what makes
-       committed fixtures trustworthy. *)
-    if String.trim (read_text file) <> Chaos.Fault_plan.to_json plan then
+  | Ok (plan, form) -> (
+    if form = `Edited then
       Printf.eprintf
         "chaos replay: warning: %s is not in canonical form (hand-edited?); \
          replaying its parsed content\n"
@@ -1025,9 +661,9 @@ let chaos_replay file out certify json =
       Printf.eprintf "chaos replay: %s\n" e;
       2
     | Ok o ->
-      Option.iter (fun dir -> chaos_record ~dir o) out;
-      chaos_print_outcome ~json o;
-      chaos_outcome_exit o)
+      chaos_record out o;
+      chaos_print ~json o;
+      chaos_exit o)
 
 (* ------------------------------------------------------------------ *)
 (* chaos service / chaos overload: the daemon soaks.  The library runs
@@ -1060,8 +696,7 @@ module Explore = Analysis.Explore
 type mc_run = {
   mc_label : string;
   mc_stats : Explore.stats;
-  mc_violation : Explore.violation option;
-  mc_fixture : Explore.fixture option;
+  mc_fixture : Explore.fixture option;  (* the minimized violation *)
   mc_wall_s : float;
 }
 
@@ -1070,18 +705,13 @@ let mc_run ~label ~sleep ~max_transitions world fixture_of =
   let t0 = Unix.gettimeofday () in
   let outcome = Explore.explore ~sleep_sets:sleep ~max_transitions world in
   let wall = Unix.gettimeofday () -. t0 in
-  let violation, fixture =
-    match outcome.Explore.violation with
-    | None -> (None, None)
-    | Some v ->
-      let mv = Explore.minimize world v in
-      (Some mv, Some (fixture_of mv))
-  in
   {
     mc_label = label;
     mc_stats = outcome.Explore.stats;
-    mc_violation = violation;
-    mc_fixture = fixture;
+    mc_fixture =
+      Option.map
+        (fun v -> fixture_of (Explore.minimize world v))
+        outcome.Explore.violation;
     mc_wall_s = wall;
   }
 
@@ -1091,14 +721,13 @@ let mc_print_run r =
     r.mc_stats.Explore.max_depth r.mc_stats.Explore.sleep_pruned
     (if r.mc_stats.Explore.complete then "" else " [INCOMPLETE: budget hit]")
     r.mc_wall_s;
-  match r.mc_violation with
-  | None -> ()
-  | Some v ->
-    Printf.printf "VIOLATION  %s\n" v.Explore.message;
-    Printf.printf "  minimized schedule (%d step(s)):\n" (List.length v.Explore.schedule);
-    List.iter
-      (fun (a : Explore.action) -> Printf.printf "    p%d %s\n" a.Explore.pid a.Explore.label)
-      v.Explore.schedule
+  Option.iter
+    (fun (fx : Explore.fixture) ->
+      Printf.printf "VIOLATION  %s\n  minimized schedule (%d step(s)):\n"
+        fx.fx_violation (List.length fx.fx_schedule);
+      List.iter (fun (pid, _, label) -> Printf.printf "    p%d %s\n" pid label)
+        fx.fx_schedule)
+    r.mc_fixture
 
 let mc_run_json r =
   let base =
@@ -1117,31 +746,26 @@ let mc_run_json r =
   | Some fx ->
     Jsonu.Obj (base @ [ ("counterexample", Explore.fixture_to_json fx) ])
 
-let mc_fixture_file (fx : Explore.fixture) =
-  let sane s = String.map (fun c -> if c = '-' then '_' else c) s in
-  match fx.Explore.fx_mutation with
-  | Some m -> Printf.sprintf "modelcheck_%s_%s.cex.json" (sane fx.Explore.fx_model) (sane m)
-  | None -> Printf.sprintf "modelcheck_%s.cex.json" (sane fx.Explore.fx_model)
-
 (* Replay a committed counterexample fixture: exit 1 when the recorded
    violation reproduces (the fixture still convicts), 0 when the
    schedule now runs clean (the bug is gone — delete the fixture), 2
-   when the fixture is unreadable or no longer replayable. *)
+   when the fixture is unreadable or no longer replayable, including a
+   replay that reaches a different violation. *)
 let mc_replay file =
-  match read_text file with
+  match In_channel.with_open_bin file In_channel.input_all with
   | exception Sys_error e ->
     Printf.eprintf "modelcheck: %s\n" e;
     2
   | source -> (
-    match Mcheck.Worlds.replay_fixture source with
-    | Error e ->
+    match Mcheck.Worlds.judge_fixture source with
+    | Error (`Invalid e) ->
       Printf.eprintf "modelcheck: %s: %s\n" file e;
       2
-    | Ok (_, None) ->
+    | Error `Clean ->
       Printf.printf
         "%s: schedule replays clean — the recorded violation is gone\n" file;
       0
-    | Ok (_, Some v) ->
+    | Ok (_, v) ->
       Printf.printf "%s: violation reproduced in %d step(s): %s\n" file
         (List.length v.Explore.schedule) v.Explore.message;
       1)
@@ -1242,27 +866,24 @@ let modelcheck model procs seed seeds t0 crashes rounds step_budget clients
       jobs;
     let runs = List.rev !runs in
     let wall = Unix.gettimeofday () -. wall0 in
-    let violations =
-      List.filter (fun r -> r.mc_violation <> None) runs |> List.length
-    in
+    let fixtures = List.filter_map (fun r -> r.mc_fixture) runs in
+    let violations = List.length fixtures in
     let incomplete =
       List.exists (fun r -> not r.mc_stats.Explore.complete) runs
     in
     let total_schedules =
       List.fold_left (fun acc r -> acc + r.mc_stats.Explore.schedules) 0 runs
     in
-    (match out with
-    | None -> ()
-    | Some dir ->
-      List.iter
-        (fun r ->
-          match r.mc_fixture with
-          | None -> ()
-          | Some fx ->
-            let file = Filename.concat dir (mc_fixture_file fx) in
-            save_text ~file (Explore.fixture_to_string fx);
+    Option.iter
+      (fun dir ->
+        List.iter
+          (fun fx ->
+            let file = Filename.concat dir (Mcheck.Worlds.fixture_file fx) in
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc (Explore.fixture_to_string fx ^ "\n"));
             Printf.printf "counterexample written to %s\n" file)
-        runs);
+          fixtures)
+      out;
     if json then
       print_string
         (Jsonu.to_string
@@ -1568,7 +1189,9 @@ let modelcheck_cmd =
       `P
         "Exit 1 under $(b,--replay) means the fixture still reproduces \
          its recorded violation (the expected state for a committed \
-         regression fixture); 0 means the schedule now replays clean.";
+         regression fixture); 0 means the schedule now replays clean; 2 \
+         means it no longer replays, or reaches a different violation \
+         than the one recorded.";
     ]
   in
   let model_t =
@@ -1684,7 +1307,8 @@ let modelcheck_cmd =
           ~doc:
             "Replay a counterexample fixture instead of exploring: exit 1 \
              if the recorded violation reproduces, 0 if the schedule now \
-             runs clean, 2 if the fixture is malformed or orphaned.")
+             runs clean, 2 if the fixture is malformed or orphaned or \
+             replays to a different violation.")
   in
   let json_t =
     Arg.(

@@ -321,15 +321,6 @@ let audit_fixture source =
       Error "not in canonical form (re-encode differs byte-wise)"
     else Ok fx
 
-let violation_of_fixture fx =
-  {
-    schedule =
-      List.map
-        (fun (pid, tag, label) -> { pid; tag; label; footprint = -1 })
-        fx.fx_schedule;
-    message = fx.fx_violation;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The renaming worlds: Fast_algo machines driven step-by-step through
    Fast_core, one-shot (rounds = 1) or long-lived (rounds > 1, with
@@ -659,9 +650,6 @@ let renaming_world ?on_terminal (cfg : renaming_config) =
         reset;
       }
   end
-
-let renaming_bound cfg =
-  Renaming.Rebatching.size (Renaming.Rebatching.make ~t0:cfg.t0 ~n:cfg.procs ())
 
 (* Fixture round-trip for the renaming models. *)
 

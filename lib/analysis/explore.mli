@@ -92,24 +92,17 @@ type fixture = {
   fx_schedule : (int * int * string) list;  (** pid, tag, label *)
 }
 
-val fixture_kind : string
-val fixture_schema : string
-(** Schema-version tag embedded in every fixture ("modelcheck-cex/1"). *)
-
 val fixture_to_json : fixture -> Jsonu.t
 val fixture_to_string : fixture -> string
 (** Canonical bytes (no trailing newline): [fixture_of_string] of the
     result re-reads the fixture exactly. *)
 
-val fixture_of_json : Jsonu.t -> (fixture, string) result
 val fixture_of_string : string -> (fixture, string) result
 
 val audit_fixture : string -> (fixture, string) result
 (** Parse + schema check + canonical-form (byte re-encode) check, for
     artifact audits.  Replayability is checked separately against the
     model's world ({!replay}). *)
-
-val violation_of_fixture : fixture -> violation
 
 (** {1 Renaming worlds}
 
@@ -149,10 +142,5 @@ val renaming_world :
 (** [on_terminal] observes the name assignment at every maximal schedule
     (used by the sampled-vs-exhaustive cross-validation property). *)
 
-val renaming_bound : renaming_config -> int
-(** The namespace bound [m] of the explored instance. *)
-
-val renaming_model_name : renaming_config -> string
 val renaming_fixture : renaming_config -> violation -> fixture
-val renaming_config_of_fixture : fixture -> (renaming_config, string) result
 val renaming_world_of_fixture : fixture -> (world, string) result

@@ -5,21 +5,23 @@ let names = [ "rebatching"; "adaptive"; "fast" ]
    covers any feasible process count. *)
 let ladder_depth = 16
 
-let make name ~n ?(t0 = 3) () =
-  match name with
+let find = function
   | "rebatching" ->
-    let instance = Renaming.Rebatching.make ~t0 ~n () in
     Ok
-      ( (fun env -> Renaming.Rebatching.get_name env instance),
-        Renaming.Rebatching.size instance )
+      (fun ~n ~t0 ->
+        let instance = Renaming.Rebatching.make ~t0 ~n () in
+        ( (fun env -> Renaming.Rebatching.get_name env instance),
+          Renaming.Rebatching.size instance ))
   | "adaptive" ->
-    let space = Renaming.Object_space.create ~t0 () in
     Ok
-      ( (fun env -> Renaming.Adaptive_rebatching.get_name env space),
-        Renaming.Object_space.total_size space ladder_depth )
+      (fun ~n:_ ~t0 ->
+        let space = Renaming.Object_space.create ~t0 () in
+        ( (fun env -> Renaming.Adaptive_rebatching.get_name env space),
+          Renaming.Object_space.total_size space ladder_depth ))
   | "fast" ->
-    let space = Renaming.Object_space.create ~t0 () in
     Ok
-      ( (fun env -> Renaming.Fast_adaptive_rebatching.get_name env space),
-        Renaming.Object_space.total_size space ladder_depth )
+      (fun ~n:_ ~t0 ->
+        let space = Renaming.Object_space.create ~t0 () in
+        ( (fun env -> Renaming.Fast_adaptive_rebatching.get_name env space),
+          Renaming.Object_space.total_size space ladder_depth ))
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)

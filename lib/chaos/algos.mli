@@ -10,14 +10,10 @@
 val names : string list
 (** The recognized names: ["rebatching"], ["adaptive"], ["fast"]. *)
 
-val make :
+val find :
   string ->
-  n:int ->
-  ?t0:int ->
-  unit ->
-  ((Renaming.Env.t -> int option) * int, string) result
-(** [make name ~n ()] is [Ok (algo, capacity)] — a fresh instance sized
-    for [n] processes and the shared-memory capacity covering every
-    location it can touch (for the adaptive ladder, depth 16 covers any
-    feasible process count, mirroring the shm test suite).  [t0]
-    defaults to 3.  [Error] names the unknown algorithm. *)
+  (n:int -> t0:int -> (Renaming.Env.t -> int option) * int, string) result
+(** Resolve a name once: [build ~n ~t0] is a fresh instance for [n]
+    processes and the capacity covering every location it can touch
+    (depth 16 of the adaptive ladder covers any feasible [n], as in the
+    shm tests).  [Error] names the unknown algorithm. *)

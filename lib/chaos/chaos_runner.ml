@@ -171,11 +171,10 @@ let run ?(certify = false) ~plan ~algo () =
   }
 
 let run_plan ?certify plan =
-  match
-    Algos.make plan.Fault_plan.algo ~n:plan.Fault_plan.procs ()
-  with
+  match Algos.find plan.Fault_plan.algo with
   | Error e -> Error e
-  | Ok (algo, capacity) ->
+  | Ok build ->
+    let algo, capacity = build ~n:plan.Fault_plan.procs ~t0:3 in
     if capacity <> plan.Fault_plan.capacity then
       Error
         (Printf.sprintf
@@ -224,8 +223,8 @@ let verdict_to_json v =
          ("violations", Arr (List.map (fun s -> Str s) v.violations));
        ])
 
-type summary = { seed : int; ok : bool; violations : string list }
-
+(* doctor's view of a recorded verdict: its seed, outcome and
+   violations. *)
 let summary_of_json s =
   let open Jsonu in
   match parse s with
@@ -233,17 +232,133 @@ let summary_of_json s =
   | Some json -> (
     try
       let fields = obj json in
+      let string = function Str s -> s | _ -> raise Malformed in
       if str fields "kind" <> "chaos-verdict" then
         Error "field \"kind\" is not \"chaos-verdict\""
       else
         Ok
-          {
-            seed = int_ fields "seed";
-            ok = bool_ fields "ok";
-            violations =
-              List.map
-                (fun v ->
-                  match v with Str s -> s | _ -> raise Malformed)
-                (arr fields "violations");
-          }
+          ( int_ fields "seed",
+            bool_ fields "ok",
+            List.map string (arr fields "violations") )
     with Malformed -> Error "missing or mistyped verdict field")
+
+(* ------------------------------------------------------------------ *)
+(* Reporting *)
+
+let clean o =
+  ok o.verdict && match o.races with Some (_ :: _) -> false | _ -> true
+
+let render ~json o =
+  let v = o.verdict and p = o.verdict.plan in
+  let races =
+    match o.races with
+    | None -> []
+    | Some [] -> [ "happens-before: certified race-free" ]
+    | Some rs ->
+      List.map Analysis.Hb.race_to_string rs
+      @ [ Printf.sprintf "happens-before: %d race(s)" (List.length rs) ]
+  in
+  let invariants =
+    if v.violations = [] then "invariants: ok"
+    else "invariants VIOLATED: " ^ String.concat ", " v.violations
+  in
+  if json then verdict_to_json v
+  else
+    String.concat "\n"
+      (Printf.sprintf
+         "seed=%d algo=%s procs=%d domains=%d crash_frac=%g: armed=%d \
+          fired=%d survivors=%d names=%d max_name=%d leaked=%d"
+         p.seed p.algo p.procs p.domains p.crash_frac (List.length p.crashes)
+         (List.length v.fired) v.survivors v.names_assigned v.max_name v.leaked
+       :: (races @ [ invariants ]))
+
+let render_soak ~json ~runs failures =
+  let seeds = List.map fst failures in
+  let violations =
+    List.sort_uniq compare
+      (List.concat_map (fun (_, o) -> o.verdict.violations) failures)
+  in
+  let list f xs = String.concat ", " (List.map f xs) in
+  if json then
+    Jsonu.(
+      to_string
+        (Obj
+           [
+             ("kind", Str "chaos-soak");
+             ("runs", Int runs);
+             ("failing", Int (List.length failures));
+             ("failing_seeds", Arr (List.map (fun s -> Int s) seeds));
+             ("ok", Bool (failures = []));
+             ("violations", Arr (List.map (fun v -> Str v) violations));
+           ]))
+  else
+    Printf.sprintf "chaos soak: %d run(s), %d violating (seeds: %s)%s" runs
+      (List.length failures)
+      (if seeds = [] then "none" else list string_of_int seeds)
+      (if violations = [] then "" else "; violations: " ^ list Fun.id violations)
+
+(* ------------------------------------------------------------------ *)
+(* Recorded runs in a directory *)
+
+let verdict_prefix = "chaos_verdict_"
+let verdict_file ~seed = Printf.sprintf "%s%d.json" verdict_prefix seed
+
+let record ~dir o =
+  let seed = o.verdict.plan.seed in
+  let path name = Filename.concat dir name in
+  Fault_plan.save ~file:(path (Fault_plan.file ~seed)) o.verdict.plan;
+  Out_channel.with_open_bin (path (verdict_file ~seed)) (fun oc ->
+      output_string oc (verdict_to_json o.verdict ^ "\n"))
+
+let audit_dir dir =
+  let files owns =
+    Sys.readdir dir |> Array.to_list |> List.filter owns |> List.sort compare
+  in
+  let plans =
+    List.map
+      (fun f -> (f, Fault_plan.load ~file:(Filename.concat dir f)))
+      (files Fault_plan.is_file)
+  in
+  let plan_lines (f, loaded) =
+    match loaded with
+    | Error e -> [ `Problem (Printf.sprintf "%s: unreadable chaos plan: %s" f e) ]
+    | Ok ((p : Fault_plan.t), form) ->
+      `Info
+        (Printf.sprintf "%s: plan seed=%d algo=%s procs=%d domains=%d crash_frac=%g"
+           f p.seed p.algo p.procs p.domains p.crash_frac)
+      ::
+      (if form = `Canonical then []
+       else
+         [
+           `Problem
+             (f ^ ": not in canonical form — replay would re-record different \
+                   bytes (hand-edited?)");
+         ])
+  in
+  let seeds =
+    List.filter_map
+      (function _, Ok ((p : Fault_plan.t), _) -> Some p.seed | _ -> None)
+      plans
+  in
+  let verdict_lines f =
+    let pf fmt = Printf.sprintf ("%s: " ^^ fmt) f in
+    let text = In_channel.(with_open_bin (Filename.concat dir f) input_all) in
+    match summary_of_json (String.trim text) with
+    | Error e -> [ `Problem (pf "unreadable chaos verdict: %s" e) ]
+    | Ok (seed, ok, violations) ->
+      let orphan =
+        `Note
+          (pf "verdict for seed %d has no matching %s (not replayable)" seed
+             (Fault_plan.file ~seed))
+      and violated =
+        `Problem
+          (pf "recorded invariant violation(s): %s" (String.concat ", " violations))
+      in
+      (`Info (pf "verdict seed=%d %s" seed (if ok then "ok" else "VIOLATED"))
+      :: (if List.mem seed seeds then [] else [ orphan ]))
+      @ if ok then [] else [ violated ]
+  in
+  let is_verdict f =
+    String.starts_with ~prefix:verdict_prefix f && Filename.check_suffix f ".json"
+  in
+  List.concat_map plan_lines plans @ List.concat_map verdict_lines (files is_verdict)

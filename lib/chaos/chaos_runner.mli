@@ -21,7 +21,8 @@
     {!Algos} (win = name = termination),
     [slots_taken - names_assigned] must equal the number of
     after-win crashes that actually fired — every leaked slot is
-    accounted to a specific injected fault. *)
+    accounted to a specific injected fault.  Runs are rendered,
+    recorded and audited here too (see {!render}, {!audit_dir}). *)
 
 exception Crashed
 (** Raised by the injector inside a process's TAS bracket; never escapes
@@ -75,7 +76,7 @@ val run :
     monitor over the same execution. *)
 
 val run_plan : ?certify:bool -> Fault_plan.t -> (outcome, string) result
-(** {!run} with the algorithm built by {!Algos.make} from [plan.algo].
+(** {!run} with the algorithm built by {!Algos.find} from [plan.algo].
     [Error] if the algorithm name is unknown or the plan's recorded
     capacity does not match the constructed instance (a corrupted or
     hand-edited plan that would silently run a different experiment). *)
@@ -88,7 +89,24 @@ val run_plan : ?certify:bool -> Fault_plan.t -> (outcome, string) result
 
 val verdict_to_json : verdict -> string
 
-type summary = { seed : int; ok : bool; violations : string list }
-(** The audit view of a recorded verdict ([repro_cli doctor]). *)
+val clean : outcome -> bool
+(** {!ok}, and no race when certified: exit 0 of [chaos run|soak|replay]. *)
 
-val summary_of_json : string -> (summary, string) result
+val render : json:bool -> outcome -> string
+(** One run's report, no trailing newline: {!verdict_to_json}, or the
+    counts line, the happens-before result and the invariant line. *)
+
+val render_soak : json:bool -> runs:int -> (int * outcome) list -> string
+(** The summary of [runs] soak runs whose failures are [(seed, outcome)]. *)
+
+val record : dir:string -> outcome -> unit
+(** Write the run's plan ({!Fault_plan.file}) and its verdict
+    ([chaos_verdict_<seed>.json]) into the existing directory [dir]. *)
+
+val audit_dir :
+  string -> [ `Info of string | `Note of string | `Problem of string ] list
+(** [doctor]'s lines for every [chaos_plan_*.json], then every
+    [chaos_verdict_*.json], in name order: an unreadable or
+    non-canonical plan, an unreadable verdict and a recorded violation
+    are problems; a verdict whose seed no parsed plan carries (not
+    replayable) is a note. *)

@@ -37,9 +37,12 @@ let sample_pids rng ~procs k =
   done;
   List.sort_uniq compare (Array.to_list (Array.sub arr 0 k))
 
-let make ~seed ~procs ~domains ~algo ~capacity ?name_bound
+let make ~seed ~procs ?domains ~algo ~capacity ?name_bound
     ?(crash_frac = 0.) ?(pause_frac = 0.) ?(max_spins = 512) () =
   if procs < 1 then invalid_arg "Fault_plan.make: procs must be >= 1";
+  let domains =
+    Option.value domains ~default:(Shm.Domain_runner.default_domains ~procs ())
+  in
   if domains < 1 then invalid_arg "Fault_plan.make: domains must be >= 1";
   if capacity < 1 then invalid_arg "Fault_plan.make: capacity must be >= 1";
   let name_bound = Option.value name_bound ~default:capacity in
@@ -198,10 +201,14 @@ let load ~file =
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "%s: no such file" file)
   else
-    let ic = open_in_bin file in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_json (String.trim contents)
+    let text = String.trim (In_channel.with_open_bin file In_channel.input_all) in
+    Result.map
+      (fun t -> (t, if to_json t = text then `Canonical else `Edited))
+      (of_json text)
+
+(* ------------------------------------------------------------------ *)
+(* Recorded plans in a directory *)
+
+let prefix = "chaos_plan_"
+let file ~seed = Printf.sprintf "%s%d.json" prefix seed
+let is_file f = String.starts_with ~prefix f && Filename.check_suffix f ".json"

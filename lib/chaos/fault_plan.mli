@@ -21,7 +21,8 @@
     operation survives if it terminates in fewer — with [domains = 1]
     the execution is sequential and firing is exactly reproducible;
     with more domains the armed schedule and the invariant verdict are
-    stable while the fired subset may vary with the memory system. *)
+    stable while the fired subset may vary with the memory system.
+    Recorded plans are named, recognised and read here ({!file}). *)
 
 type crash_point =
   | Before_op  (** fail-stop immediately before the armed operation *)
@@ -47,7 +48,7 @@ type t = {
   procs : int;
   domains : int;
   algo : string;
-      (** algorithm name, opaque to this module; {!Algos.make} interprets
+      (** algorithm name, opaque to this module; {!Algos.find} interprets
           it when the plan is run or replayed *)
   capacity : int;  (** TAS cells allocated for the run *)
   name_bound : int;
@@ -64,7 +65,7 @@ type t = {
 val make :
   seed:int ->
   procs:int ->
-  domains:int ->
+  ?domains:int ->
   algo:string ->
   capacity:int ->
   ?name_bound:int ->
@@ -76,8 +77,9 @@ val make :
 (** Derive a plan.  The derivation draws from a SplitMix64 stream that
     is disjoint from every per-process coin stream the runner will use,
     so arming faults never perturbs the algorithms' randomness.
-    Defaults: [name_bound = capacity], [crash_frac = 0.],
-    [pause_frac = 0.], [max_spins = 512].
+    Defaults: [domains] the runner's host cap
+    ({!Shm.Domain_runner.default_domains}), [name_bound = capacity],
+    [crash_frac = 0.], [pause_frac = 0.], [max_spins = 512].
 
     [floor (crash_frac *. procs)] distinct processes are armed with a
     crash: the crash point is a fair coin between {!Before_op} and
@@ -119,4 +121,12 @@ val of_json : string -> (t, string) result
 val save : file:string -> t -> unit
 (** Write [to_json] plus a trailing newline to [file]. *)
 
-val load : file:string -> (t, string) result
+val load : file:string -> (t * [ `Canonical | `Edited ], string) result
+(** Read a plan, and whether the file holds exactly its [to_json]
+    (whitespace aside): the rule of [chaos replay]'s warning and doctor. *)
+
+val file : seed:int -> string
+(** [chaos_plan_<seed>.json], the name [chaos run --out] records under. *)
+
+val is_file : string -> bool
+(** The basename is [chaos_plan_*.json]: what [doctor] audits as a plan. *)

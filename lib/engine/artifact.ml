@@ -78,19 +78,22 @@ let has_prefix ~prefix file =
        (function '0' .. '9' -> true | _ -> false)
        (String.sub file p (n - p - 5))
 
-let numbered kinds file =
-  List.exists (fun (Any k) -> has_prefix ~prefix:k.prefix file) kinds
-
-let inspect kinds path =
-  match Result.bind (read path) parse with
-  | Error e -> (None, [ e ])
+(* doctor's lines for one numbered file: its summary, then its
+   problems, each prefixed with the file name. *)
+let inspect kinds ~dir file =
+  let lines summary problems =
+    Option.to_list (Option.map (fun s -> `Info (file ^ ": " ^ s)) summary)
+    @ List.map (fun p -> `Problem (file ^ ": " ^ p)) problems
+  in
+  match Result.bind (read (Filename.concat dir file)) parse with
+  | Error e -> lines None [ e ]
   | Ok fields -> (
     let name = try Jsonu.str fields "kind" with Jsonu.Malformed -> "" in
     match List.find_opt (fun (Any k) -> k.name = name) kinds with
-    | None -> (None, [ Printf.sprintf "unknown artifact kind %S" name ])
+    | None -> lines None [ Printf.sprintf "unknown artifact kind %S" name ]
     | Some (Any k) -> (
       let misfiled =
-        if has_prefix ~prefix:k.prefix (Filename.basename path) then []
+        if has_prefix ~prefix:k.prefix file then []
         else
           [
             Printf.sprintf "a %s artifact outside its %s<k>.json numbering"
@@ -98,5 +101,12 @@ let inspect kinds path =
           ]
       in
       match decode k fields with
-      | Error e -> (None, misfiled @ [ e ])
-      | Ok a -> (Some (k.summary a), misfiled @ k.audit a)))
+      | Error e -> lines None (misfiled @ [ e ])
+      | Ok a -> lines (Some (k.summary a)) (misfiled @ k.audit a)))
+
+let audit_dir kinds dir =
+  let numbered f =
+    List.exists (fun (Any k) -> has_prefix ~prefix:k.prefix f) kinds
+  in
+  Sys.readdir dir |> Array.to_list |> List.filter numbered |> List.sort compare
+  |> List.concat_map (inspect kinds ~dir)

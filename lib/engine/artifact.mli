@@ -9,8 +9,9 @@
     hold on its own ([audit]) and the gates relative to a committed
     baseline ([regress]).  This module owns the parts that are the same
     for every kind: reading a file and dispatching on its header, the
-    numbered [<prefix><k>.json] save, and the [check = audit @ regress]
-    composition.
+    numbered [<prefix><k>.json] save, the [check = audit @ regress]
+    composition, and [doctor]'s audit of the numbered files of a
+    directory ({!audit_dir}).
 
     The five kinds are {!Kernel_bench.kind} (["bench"]),
     {!Sweep.kind} (["bench-large"]), both numbered [BENCH_<k>.json],
@@ -64,13 +65,12 @@ val check :
 (** [audit current @ regress ~threshold ~baseline ~current]: the
     [--check] verdict, empty = pass. *)
 
-val numbered : any list -> string -> bool
-(** [numbered kinds file]: the basename [file] is [<prefix><k>.json]
-    for the prefix of some kind in [kinds]. *)
-
-val inspect : any list -> string -> string option * string list
-(** [doctor]'s view of one numbered file: the summary of its kind when
-    it decodes, and its problems.  A problem is an unreadable or
-    truncated file, a [kind] not in [kinds], a kind filed under another
-    kind's numbering prefix, a wrong schema or field, or an [audit]
-    finding. *)
+val audit_dir :
+  any list ->
+  string ->
+  [ `Info of string | `Note of string | `Problem of string ] list
+(** [doctor]'s lines for every [<prefix><k>.json] file of some kind in
+    [kinds], in name order, each prefixed with the file name: its kind's
+    summary when it decodes, and as problems an unreadable or truncated
+    file, a [kind] not in [kinds], a kind filed under another kind's
+    numbering prefix, a wrong schema or field, or an [audit] finding. *)

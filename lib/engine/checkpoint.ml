@@ -130,3 +130,87 @@ let validate_manifest ~manifest ~ids ~seed ~trials ~scale =
     | id :: _ ->
       mismatch "experiments" stored
         (Printf.sprintf "%S (not part of the original run)" id))
+
+(* ------------------------------------------------------------------ *)
+(* doctor's audit of a store directory *)
+
+(* [problem c fmt ...] / [note c fmt ...]: that one line when [c]
+   holds, else none. *)
+let problem c fmt = Printf.ksprintf (fun m -> if c then [ `Problem m ] else []) fmt
+let note c fmt = Printf.ksprintf (fun m -> if c then [ `Note m ] else []) fmt
+
+let audit_manifest dir =
+  match Sink.read_manifest ~dir with
+  | None -> [ `Note "no readable manifest.json — seed-tree checks skipped" ]
+  | Some m ->
+    let field k = List.assoc_opt k m in
+    let schema = Option.value (field "schema") ~default:Sink.schema_version in
+    List.concat
+      [
+        problem (schema <> Sink.schema_version)
+          "manifest schema is %S; this binary writes %S" schema
+          Sink.schema_version;
+        note (field "schema" = None)
+          "manifest has no schema field (pre-fault-tolerance run)";
+        note (field "status" = Some "interrupted")
+          "run status is \"interrupted\" — finish it with --resume";
+        note (field "status" = Some "running")
+          "run status is \"running\" — either a run is live or it was \
+           killed without cleanup (resume is safe)";
+        Option.fold ~none:[] ~some:(fun g -> [ `Info ("manifest: git " ^ g) ])
+          (field "git");
+      ]
+
+(* One store: its scan, every record's seed re-derived from the root
+   seed and the record's coordinates, and each quarantined job. *)
+let audit_store ~dir ~root file =
+  let path = Filename.concat dir file in
+  let s = scan_store path in
+  let reseeded root (r : Sink.record) =
+    Seed_tree.derive ~root ~experiment:r.experiment
+      ~sweep_point:r.sweep_point ~trial:r.trial
+    <> r.seed
+  in
+  let mismatches =
+    Option.fold ~none:0
+      ~some:(fun root -> List.length (List.filter (reseeded root) (records path)))
+      root
+  in
+  let experiment = Filename.chop_suffix file ".jsonl" in
+  List.concat
+    [
+      [
+        `Info
+          (Printf.sprintf "%s: %d record(s), %d distinct key(s)" file s.records
+             (Hashtbl.length s.keys));
+      ];
+      problem (s.duplicates > 0) "%s: %d duplicate key(s)" file s.duplicates;
+      problem (s.malformed_mid > 0) "%s: %d malformed mid-file line(s)" file
+        s.malformed_mid;
+      note s.malformed_tail
+        "%s: truncated tail line (crash artifact; --resume repairs and \
+         re-runs it)"
+        file;
+      problem (mismatches > 0)
+        "%s: %d record(s) whose seed does not match the seed tree (wrong \
+         --seed, or records from another run mixed in)"
+        file mismatches;
+      Fault.load (Fault.store_path ~dir ~experiment)
+      |> List.sort (fun (a : Fault.failure) b -> compare a.key b.key)
+      |> List.concat_map (fun (f : Fault.failure) ->
+             problem true "%s: job %s quarantined (raised at seed %d): %s" file
+               f.key f.seed f.error);
+    ]
+
+let audit_stores dir =
+  let root =
+    Option.bind (Sink.read_manifest ~dir) (fun m ->
+        Option.bind (List.assoc_opt "seed" m) int_of_string_opt)
+  in
+  let is_store f =
+    Filename.check_suffix f ".jsonl"
+    && not (Filename.check_suffix f ".failures.jsonl")
+  in
+  match List.filter is_store (Array.to_list (Sys.readdir dir)) with
+  | [] -> [ `Note (Printf.sprintf "no .jsonl stores in %s" dir) ]
+  | stores -> List.concat_map (audit_store ~dir ~root) (List.sort compare stores)

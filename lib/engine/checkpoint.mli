@@ -11,7 +11,8 @@
     Resuming is only sound against the store the parameters were written
     with, so {!validate_manifest} checks the stored [manifest.json]
     (seed, trial count, scale, experiment set, schema version) against
-    the new invocation and reports the offending field on mismatch. *)
+    the new invocation and reports the offending field on mismatch.
+    {!audit_stores} is [repro_cli doctor]'s audit of a store. *)
 
 val records : string -> Sink.record list
 (** [records file] is every well-formed record in [file], in file order.
@@ -64,3 +65,17 @@ val validate_manifest :
     stored experiment set.  Fields the (older) manifest does not carry
     are skipped.  The error message names the offending manifest
     field. *)
+
+(** {1 Audit: [doctor]'s lines} *)
+
+val audit_manifest :
+  string -> [ `Info of string | `Note of string | `Problem of string ] list
+(** [manifest.json]: a foreign schema is a problem; no manifest, no
+    schema field, or an interrupted or running status is a note. *)
+
+val audit_stores :
+  string -> [ `Info of string | `Note of string | `Problem of string ] list
+(** Every [<id>.jsonl] store, in name order: its counts; duplicate keys,
+    malformed mid-file lines, seeds that do not re-derive from the
+    manifest's root seed, and quarantined jobs as problems; a truncated
+    tail as a note. *)

@@ -16,39 +16,39 @@ let failure_to_json f =
   let b = Buffer.create 256 in
   let field ?(first = false) name enc =
     if not first then Buffer.add_char b ',';
-    Sink.Json.escape_string b name;
+    Jsonu.escape_string b name;
     Buffer.add_char b ':';
     enc ()
   in
   Buffer.add_char b '{';
-  field ~first:true "key" (fun () -> Sink.Json.escape_string b f.key);
-  field "experiment" (fun () -> Sink.Json.escape_string b f.experiment);
+  field ~first:true "key" (fun () -> Jsonu.escape_string b f.key);
+  field "experiment" (fun () -> Jsonu.escape_string b f.experiment);
   field "sweep_point" (fun () ->
       Buffer.add_string b (string_of_int f.sweep_point));
   field "trial" (fun () -> Buffer.add_string b (string_of_int f.trial));
   field "seed" (fun () -> Buffer.add_string b (string_of_int f.seed));
-  field "error" (fun () -> Sink.Json.escape_string b f.error);
-  field "backtrace" (fun () -> Sink.Json.escape_string b f.backtrace);
-  field "wall_ns" (fun () -> Sink.Json.add_float b f.wall_ns);
+  field "error" (fun () -> Jsonu.escape_string b f.error);
+  field "backtrace" (fun () -> Jsonu.escape_string b f.backtrace);
+  field "wall_ns" (fun () -> Jsonu.add_float b f.wall_ns);
   Buffer.add_char b '}';
   Buffer.contents b
 
 let failure_of_json line =
-  match Sink.Json.parse line with
-  | Some (Sink.Json.Obj fields) -> (
+  match Jsonu.parse line with
+  | Some (Jsonu.Obj fields) -> (
     try
       Some
         {
-          key = Sink.Json.str fields "key";
-          experiment = Sink.Json.str fields "experiment";
-          sweep_point = Sink.Json.int_ fields "sweep_point";
-          trial = Sink.Json.int_ fields "trial";
-          seed = Sink.Json.int_ fields "seed";
-          error = Sink.Json.str fields "error";
-          backtrace = Sink.Json.str fields "backtrace";
-          wall_ns = Sink.Json.num fields "wall_ns";
+          key = Jsonu.str fields "key";
+          experiment = Jsonu.str fields "experiment";
+          sweep_point = Jsonu.int_ fields "sweep_point";
+          trial = Jsonu.int_ fields "trial";
+          seed = Jsonu.int_ fields "seed";
+          error = Jsonu.str fields "error";
+          backtrace = Jsonu.str fields "backtrace";
+          wall_ns = Jsonu.num fields "wall_ns";
         }
-    with Sink.Json.Malformed -> None)
+    with Jsonu.Malformed -> None)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -17,54 +17,44 @@ type record = {
   wall_ns : float;
 }
 
-(* ------------------------------------------------------------------ *)
-(* JSON subset: the shared Jsonu codec, re-exported for the sibling
-   stores (Fault) and audits (repro_cli doctor) that predate the move. *)
-
-module Json = Jsonu
-
-let escape_string = Json.escape_string
-let add_float = Json.add_float
-let add_assoc = Json.add_assoc
-
 let record_to_json r =
   let b = Buffer.create 256 in
   let field ?(first = false) name enc =
     if not first then Buffer.add_char b ',';
-    escape_string b name;
+    Jsonu.escape_string b name;
     Buffer.add_char b ':';
     enc ()
   in
   Buffer.add_char b '{';
-  field ~first:true "key" (fun () -> escape_string b r.key);
-  field "experiment" (fun () -> escape_string b r.experiment);
+  field ~first:true "key" (fun () -> Jsonu.escape_string b r.key);
+  field "experiment" (fun () -> Jsonu.escape_string b r.experiment);
   field "sweep_point" (fun () -> Buffer.add_string b (string_of_int r.sweep_point));
-  field "point_label" (fun () -> escape_string b r.point_label);
+  field "point_label" (fun () -> Jsonu.escape_string b r.point_label);
   field "trial" (fun () -> Buffer.add_string b (string_of_int r.trial));
   field "seed" (fun () -> Buffer.add_string b (string_of_int r.seed));
-  field "params" (fun () -> add_assoc b r.params);
-  field "values" (fun () -> add_assoc b r.values);
-  field "wall_ns" (fun () -> add_float b r.wall_ns);
+  field "params" (fun () -> Jsonu.add_assoc b r.params);
+  field "values" (fun () -> Jsonu.add_assoc b r.values);
+  field "wall_ns" (fun () -> Jsonu.add_float b r.wall_ns);
   Buffer.add_char b '}';
   Buffer.contents b
 
 let record_of_json line =
-  match Json.parse line with
-  | Some (Json.Obj fields) -> (
+  match Jsonu.parse line with
+  | Some (Jsonu.Obj fields) -> (
     try
       Some
         {
-          key = Json.str fields "key";
-          experiment = Json.str fields "experiment";
-          sweep_point = Json.int_ fields "sweep_point";
-          point_label = Json.str fields "point_label";
-          trial = Json.int_ fields "trial";
-          seed = Json.int_ fields "seed";
-          params = Json.assoc fields "params";
-          values = Json.assoc fields "values";
-          wall_ns = Json.num fields "wall_ns";
+          key = Jsonu.str fields "key";
+          experiment = Jsonu.str fields "experiment";
+          sweep_point = Jsonu.int_ fields "sweep_point";
+          point_label = Jsonu.str fields "point_label";
+          trial = Jsonu.int_ fields "trial";
+          seed = Jsonu.int_ fields "seed";
+          params = Jsonu.assoc fields "params";
+          values = Jsonu.assoc fields "values";
+          wall_ns = Jsonu.num fields "wall_ns";
         }
-    with Json.Malformed -> None)
+    with Jsonu.Malformed -> None)
   | _ -> None
 
 let float_eq a b = a = b || (Float.is_nan a && Float.is_nan b)
@@ -157,9 +147,9 @@ let write_manifest ~dir fields =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b "  ";
-      escape_string b k;
+      Jsonu.escape_string b k;
       Buffer.add_string b ": ";
-      escape_string b v)
+      Jsonu.escape_string b v)
     fields;
   Buffer.add_string b "\n}\n";
   let file = manifest_path dir in
@@ -177,11 +167,11 @@ let read_manifest ~dir =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    match Json.parse contents with
-    | Some (Json.Obj fields) ->
+    match Jsonu.parse contents with
+    | Some (Jsonu.Obj fields) ->
       let strings =
         List.filter_map
-          (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
+          (fun (k, v) -> match v with Jsonu.Str s -> Some (k, s) | _ -> None)
           fields
       in
       Some strings

@@ -41,15 +41,6 @@ val equal_ignoring_wall : record -> record -> bool
 (** Equality on everything except [wall_ns] — the comparison the
     determinism guarantee ([--jobs 1] vs [--jobs 8]) is stated in. *)
 
-(** {1 JSON subset}
-
-    The shared {!Jsonu} codec, re-exported so sibling stores ({!Fault})
-    and audits ([repro_cli doctor]) keep parsing with exactly the
-    decoder the result store uses.  The chaos layer's plan/verdict
-    artifacts use {!Jsonu} directly. *)
-
-module Json = Jsonu
-
 (** {1 Writing} *)
 
 val store_path : dir:string -> experiment:string -> string

@@ -11,13 +11,13 @@ let fractions procs =
   [ 0.0; 0.1; 0.5; 0.9; float_of_int (procs - 1) /. float_of_int procs ]
 
 let plan_for ~seed ~procs ~fraction =
-  match Chaos.Algos.make algo_name ~n:procs () with
+  match Chaos.Algos.find algo_name with
   | Error e -> failwith e
-  | Ok (algo, capacity) ->
+  | Ok build ->
+    let algo, capacity = build ~n:procs ~t0:3 in
     let plan =
-      Chaos.Fault_plan.make ~seed ~procs
-        ~domains:(Shm.Domain_runner.default_domains ~procs ())
-        ~algo:algo_name ~capacity ~crash_frac:fraction ~pause_frac:0.25 ()
+      Chaos.Fault_plan.make ~seed ~procs ~algo:algo_name ~capacity
+        ~crash_frac:fraction ~pause_frac:0.25 ()
     in
     (plan, algo)
 

@@ -1,8 +1,8 @@
 (** The repository's shared JSON subset.
 
     One deliberately small, dependency-free encoder/decoder used by every
-    store and artifact in the tree: the {!Engine.Sink} result store (which
-    re-exports this module as [Sink.Json]), the {!Engine.Fault} quarantine,
+    store and artifact in the tree: the {!Engine.Sink} result store, the
+    {!Engine.Fault} quarantine,
     the run manifest, and the {!Chaos} fault-plan / verdict artifacts.
     Sharing one decoder means `repro_cli doctor` audits every artifact with
     exactly the parser that wrote it.

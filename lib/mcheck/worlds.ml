@@ -10,11 +10,6 @@ module Lease_model = Service.Lease_model
 
 let models = [ "rebatching"; "longlived"; "lease" ]
 
-let mutations_of_model = function
-  | "rebatching" | "longlived" -> Explore.renaming_mutations
-  | "lease" -> Lease_model.mutations
-  | _ -> []
-
 (* ------------------------------------------------------------------ *)
 (* The lease world.  Every action is declared global (footprint -1):
    ticks move shared time, sweeps and grants touch the shared table, and
@@ -91,15 +86,63 @@ let world_of_fixture (fx : Explore.fixture) =
 
 (* The one replay path for a recorded counterexample, behind both
    `modelcheck --replay` and `doctor`: schema + canonical bytes (via
-   [Explore.audit_fixture]), model dispatch, then strict byte-replay of
-   the recorded schedule.  Callers judge the verdict. *)
-let replay_fixture source =
+   [Explore.audit_fixture]), model dispatch, strict byte-replay of the
+   recorded schedule, and the verdict: only the recorded violation
+   convicts. *)
+let judge_fixture source =
   match Explore.audit_fixture source with
-  | Error e -> Error e
+  | Error e -> Error (`Invalid e)
   | Ok fx -> (
     match world_of_fixture fx with
-    | Error e -> Error ("orphaned fixture: " ^ e)
-    | Ok w ->
-      Explore.replay w
-        (List.map (fun (pid, tag, _) -> (pid, tag)) fx.Explore.fx_schedule)
-      |> Result.map (fun v -> (fx, v)))
+    | Error e -> Error (`Invalid ("orphaned fixture: " ^ e))
+    | Ok w -> (
+      match
+        Explore.replay w
+          (List.map (fun (pid, tag, _) -> (pid, tag)) fx.Explore.fx_schedule)
+      with
+      | Error e -> Error (`Invalid e)
+      | Ok None -> Error `Clean
+      | Ok (Some v) when v.Explore.message <> fx.Explore.fx_violation ->
+        Error
+          (`Invalid
+            (Printf.sprintf
+               "replay reproduces a different violation: %S (recorded %S)"
+               v.Explore.message fx.Explore.fx_violation))
+      | Ok (Some v) -> Ok (fx, v)))
+
+(* ------------------------------------------------------------------ *)
+(* Fixture files *)
+
+let fixture_file (fx : Explore.fixture) =
+  let sane = String.map (fun c -> if c = '-' then '_' else c) in
+  Printf.sprintf "modelcheck_%s%s.cex.json" (sane fx.fx_model)
+    (Option.fold ~none:"" ~some:(fun m -> "_" ^ sane m) fx.fx_mutation)
+
+let audit_dir dir =
+  let audit f =
+    let pf fmt = Printf.sprintf ("%s: model-check counterexample: " ^^ fmt) f in
+    let source = In_channel.(with_open_bin (Filename.concat dir f) input_all) in
+    match judge_fixture source with
+    | Error `Clean ->
+      [ `Problem (pf "schedule replays clean (recorded violation gone)") ]
+    | Error (`Invalid e) -> [ `Problem (pf "%s" e) ]
+    | Ok (fx, _) ->
+      `Info
+        (Printf.sprintf "%s: cex model=%s mutation=%s, %d-step schedule replays"
+           f fx.fx_model
+           (Option.value fx.fx_mutation ~default:"none")
+           (List.length fx.fx_schedule))
+      ::
+      (if fx.fx_mutation <> None then []
+       else
+         [
+           `Problem
+             (Printf.sprintf
+                "%s: counterexample against the unmutated model — a real \
+                 captured bug: %s"
+                f fx.fx_violation);
+         ])
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".cex.json")
+  |> List.sort compare |> List.concat_map audit

@@ -49,6 +49,17 @@ let connect ?(mode = Wire.Binary) ~path () =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error (Printf.sprintf "connect %s: %s" path (Unix.error_message e))
 
+let probe path =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Unix.connect fd (ADDR_UNIX path) with
+      | () -> `Live
+      | exception Unix.Unix_error (ECONNREFUSED, _, _) -> `Stale
+      | exception Unix.Unix_error (ENOENT, _, _) -> `Gone
+      | exception Unix.Unix_error (e, _, _) -> `Error (Unix.error_message e))
+
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let fd t = t.fd
 
@@ -237,6 +248,55 @@ let stats_once ~path =
       match Jsonu.obj j with
       | fields -> Ok fields
       | exception Jsonu.Malformed -> Error "stats reply is not an object"))
+
+let audit_dir dir =
+  let audit (file, state) =
+    let pf fmt = Printf.sprintf ("%s: " ^^ fmt) file in
+    let get read fields key default =
+      try read fields key with Jsonu.Malformed -> default
+    in
+    match state with
+    | `Stale ->
+      [
+        `Problem
+          (pf "stale socket file — the daemon behind it crashed (a graceful \
+               drain unlinks its socket); remove it or let renamed reclaim it");
+      ]
+    | `Gone ->
+      [ `Problem (pf "socket probe failed: %s" (Unix.error_message ENOENT)) ]
+    | `Error e -> [ `Problem (pf "socket probe failed: %s" e) ]
+    | `Live ->
+      (* Overload telemetry: a queue peak past the admission bound means
+         the bound is not enforced. *)
+      let overload =
+        match stats_once ~path:(Filename.concat dir file) with
+        | Ok f when List.mem_assoc "overload" f ->
+          let ov = Jsonu.obj (List.assoc "overload" f) in
+          let peak = get Jsonu.int_ f "queue_peak" 0 in
+          let bound = get Jsonu.int_ ov "queue_bound" max_int in
+          let level = get Jsonu.str ov "level" "healthy" in
+          (if peak <= bound then []
+           else
+             [
+               `Problem
+                 (pf "daemon reports queue peak %d past its %d admission \
+                      bound — queues are growing without bound" peak bound);
+             ])
+          @
+          if level = "healthy" then []
+          else
+            [ `Note (pf "daemon is %s (deepest queue seen %d/%d)" level peak bound) ]
+        | _ -> []
+      in
+      `Note (pf "a live renamed daemon is serving") :: overload
+  in
+  let sockets =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sock")
+    |> List.sort compare
+    |> List.map (fun f -> (f, probe (Filename.concat dir f)))
+  in
+  (List.concat_map audit sockets, List.exists (fun (_, p) -> p = `Live) sockets)
 
 let shutdown ?timeout t =
   match roundtrip ?timeout t (Wire.Shutdown { id = fresh_id t }) with

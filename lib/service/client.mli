@@ -16,7 +16,8 @@
     {!Durable} wraps a connection with the client half of
     survivability: per-request deadlines, reconnect with capped
     exponential backoff + jitter, and idempotent acquire via request
-    tokens, so a daemon restart costs latency instead of correctness. *)
+    tokens, so a daemon restart costs latency instead of correctness.
+    {!probe} is the one socket liveness test; {!audit_dir} uses it. *)
 
 type t
 
@@ -39,6 +40,11 @@ val connect : ?mode:Wire.mode -> path:string -> unit -> (t, string) result
 (** Connect to the daemon's Unix-domain socket.  [mode] defaults to
     {!Wire.Binary}; pass {!Wire.Json} to exercise the line-JSON
     fallback.  [Error] describes a connect failure. *)
+
+val probe : string -> [ `Live | `Stale | `Gone | `Error of string ]
+(** Connect once: [`Live] when a daemon accepts, [`Stale] when the file
+    has no listener (its daemon died without unlinking it), [`Gone] when
+    there is no file.  Used by the server's reclaim and {!Daemon.boot}. *)
 
 val close : t -> unit
 val fd : t -> Unix.file_descr
@@ -77,6 +83,13 @@ val stats_once : path:string -> ((string * Jsonu.t) list, string) result
 (** One [stats] round trip on a throwaway connection to [path]: the
     reply's fields.  [Error] describes a connect, transport or server
     failure, or a reply that is not an object. *)
+
+val audit_dir :
+  string ->
+  [ `Info of string | `Note of string | `Problem of string ] list * bool
+(** [doctor]'s lines for every [*.sock] in a directory, and whether one
+    is live: a live daemon is a note (plus an unhealthy overload level, and
+    a queue peak past its bound as a problem); a stale socket is a problem. *)
 
 val shutdown : ?timeout:float -> t -> (unit, failure) result
 

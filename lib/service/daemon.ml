@@ -33,16 +33,6 @@ let drain t =
     (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
     match reap t pid with Some (Unix.WEXITED c) -> c | _ -> 125)
 
-(* Accepting = a direct connect to the socket succeeds. *)
-let accepting path =
-  let probe = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Unix.connect probe (ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false)
-
 let boot t args =
   kill t;
   let pid =
@@ -53,7 +43,7 @@ let boot t args =
   t.pid <- Some pid;
   let deadline = Unix.gettimeofday () +. 10. in
   let rec wait () =
-    if accepting t.socket then Ok ()
+    if Client.probe t.socket = `Live then Ok ()
     else
       match Unix.waitpid [ WNOHANG ] pid with
       | 0, _ ->

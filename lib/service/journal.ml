@@ -202,6 +202,48 @@ let replay records =
     stale_releases = !stale;
   }
 
+let read ~path = Result.map (fun s -> (s, replay s.records)) (scan ~path)
+
+let audit_dir ~served dir =
+  (* [problem c fmt ...] / [note c fmt ...]: that line when [c] holds *)
+  let problem c fmt =
+    Printf.ksprintf (fun m -> if c then [ `Problem m ] else []) fmt
+  in
+  let note c fmt = Printf.ksprintf (fun m -> if c then [ `Note m ] else []) fmt in
+  let audit f =
+    match read ~path:(Filename.concat dir f) with
+    | Error e -> problem true "%s: unreadable journal: %s" f e
+    | Ok (s, live) ->
+      let held = List.length live.grants in
+      List.concat
+        [
+          [
+            `Info
+              (Printf.sprintf "%s: %d record(s), %d live grant(s), next epoch %d"
+                 f (List.length s.records) held live.next_epoch);
+          ];
+          problem (s.damaged > 0)
+            "%s: %d damaged record(s) (CRC/framing on a complete record) — \
+             renamed --recover will refuse this journal"
+            f s.damaged;
+          note s.torn_tail
+            "%s: torn tail record (crash artifact; --recover tolerates and \
+             compacts it away)"
+            f;
+          problem (live.double_grants > 0)
+            "%s: replay observed %d duplicate grant(s) of a live name — the \
+             write-ahead discipline was violated"
+            f live.double_grants;
+          note (held > 0 && not served)
+            "%s: %d live grant(s) and no daemon serving in this directory — \
+             orphaned journal; restart renamed with --journal %s --recover"
+            f held f;
+        ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".journal")
+  |> List.sort compare |> List.concat_map audit
+
 (* ------------------------------------------------------------------ *)
 (* Compaction *)
 

@@ -14,7 +14,8 @@
     tested under) followed by [fsync].  A crash mid-append therefore
     leaves at most one torn record, and only at the tail; {!scan}
     tolerates it.  A CRC mismatch on a {e complete} record is real
-    damage — recovery refuses it, [repro_cli doctor] reports it.
+    damage — recovery refuses it, [repro_cli doctor] reports it
+    ({!audit_dir}).
 
     {b Compaction} happens at boot: after a successful replay the file
     is rewritten to just the live grants (atomically, via rename), so
@@ -64,6 +65,18 @@ type live = {
 }
 
 val replay : record list -> live
+
+val read : path:string -> (scan * live, string) result
+(** {!scan}, then {!replay}: the one read behind recovery boot, the
+    kill/restart soak's segment audit and {!audit_dir}. *)
+
+val audit_dir :
+  served:bool ->
+  string ->
+  [ `Info of string | `Note of string | `Problem of string ] list
+(** [doctor]'s lines for every [*.journal] in a directory: damage and
+    duplicate grants are problems; a torn tail is a note, and so are live
+    grants unless [served] (a daemon answers there): an orphaned journal. *)
 
 val rewrite : path:string -> (int * (int * int * int)) list -> (unit, string) result
 (** Atomically replace the journal with one [Grant] per live entry

@@ -241,12 +241,11 @@ type journal_audit = {
 }
 
 let scan_segment a ~path tag =
-  match Journal.scan ~path with
+  match Journal.read ~path with
   | Error e ->
     log "%s: journal unreadable: %s" tag e;
     a.damaged <- a.damaged + 1
-  | Ok s ->
-    let live = Journal.replay s.Journal.records in
+  | Ok (s, live) ->
     a.records <- a.records + List.length s.Journal.records;
     if s.Journal.torn_tail then a.torn <- a.torn + 1;
     a.damaged <- a.damaged + s.Journal.damaged;

@@ -536,27 +536,15 @@ let accept_ready st listen_fd =
 
 let bind_socket cfg =
   let path = cfg.socket_path in
-  let stale_or_error () =
-    let probe = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-    let verdict =
-      match Unix.connect probe (ADDR_UNIX path) with
-      | () -> Error (Printf.sprintf "%s: a daemon is already serving" path)
-      | exception Unix.Unix_error (ECONNREFUSED, _, _) -> Ok `Stale
-      | exception Unix.Unix_error (ENOENT, _, _) -> Ok `Gone
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-    in
-    close_fd probe;
-    verdict
-  in
   let ready =
     match Unix.stat path with
     | exception Unix.Unix_error (ENOENT, _, _) -> Ok ()
     | { st_kind = S_SOCK; _ } -> (
-      match stale_or_error () with
-      | Error _ as e -> e
-      | Ok `Gone -> Ok ()
-      | Ok `Stale ->
+      match Client.probe path with
+      | `Live -> Error (Printf.sprintf "%s: a daemon is already serving" path)
+      | `Error e -> Error (Printf.sprintf "%s: %s" path e)
+      | `Gone -> Ok ()
+      | `Stale ->
         cfg.log (Printf.sprintf "reclaiming stale socket file %s" path);
         Unix.unlink path;
         Ok ())
@@ -589,9 +577,9 @@ let recover_journal cfg ~pool ~leases =
       | Ok j -> Ok (Some j, 0)
       | Error e -> Error e)
     else (
-      match Journal.scan ~path with
+      match Journal.read ~path with
       | Error e -> Error e
-      | Ok s ->
+      | Ok (s, live) ->
         if s.Journal.damaged > 0 then
           Error
             (Printf.sprintf
@@ -603,7 +591,6 @@ let recover_journal cfg ~pool ~leases =
             cfg.log
               (Printf.sprintf "journal %s: torn tail dropped (crash artifact)"
                  path);
-          let live = Journal.replay s.Journal.records in
           let n = List.length live.Journal.grants in
           if n > 0 && not cfg.recover then
             Error

@@ -53,17 +53,24 @@ let expected_reencoding file text =
     String.sub text 0 cut ^ {|"reconnects":0,|}
     ^ String.sub text cut (String.length text - cut)
 
+(* doctor's lines about [file]: its summary and its problems. *)
+let about file lines =
+  let mine s = String.starts_with ~prefix:(file ^ ": ") s in
+  ( List.exists (function `Info s -> mine s | _ -> false) lines,
+    List.filter_map (function `Problem s when mine s -> Some s | _ -> None) lines )
+
 let test_committed_artifacts () =
+  let lines = A.audit_dir kinds "../bench" in
   List.iter
     (fun (file, name) ->
       let path = Filename.concat "../bench" file in
       let text = read path in
-      (match A.inspect kinds path with
-      | Some _, [] -> ()
-      | None, problems ->
+      (match about file lines with
+      | true, [] -> ()
+      | false, problems ->
         Alcotest.failf "%s does not decode: %s" file
           (String.concat "; " problems)
-      | Some _, problems ->
+      | true, problems ->
         Alcotest.failf "%s audits with findings: %s" file
           (String.concat "; " problems));
       match List.find (fun (A.Any k) -> k.A.name = name) kinds with
@@ -287,18 +294,21 @@ let test_doctor_dispatch () =
     @ violating
     @ [ ("BENCH_SERVICE_8.json", service) ]
   in
+  let unnumbered = [ "BENCH_x.json"; "BENCH_SERVICE_.json"; "notes.json" ] in
   with_dir (fun dir ->
       List.iter
         (fun (file, text) ->
           Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
               output_string oc text))
-        files;
+        (List.map (fun f -> (f, service)) unnumbered @ files);
+      let lines = A.audit_dir kinds dir in
+      let text (`Info s | `Note s | `Problem s) = s in
       Alcotest.(check (list string))
-        "numbered files, and only those" (List.map fst files)
-        (List.filter (A.numbered kinds)
-           ("BENCH_x.json" :: "BENCH_SERVICE_.json" :: "notes.json"
-           :: List.map fst files));
-      let problems file = snd (A.inspect kinds (Filename.concat dir file)) in
+        "numbered files, and only those"
+        (List.sort compare (List.map fst files))
+        (List.sort_uniq compare
+           (List.map (fun l -> List.hd (String.split_on_char ':' (text l))) lines));
+      let problems file = snd (about file lines) in
       one "unknown kind" ~sub:"bench-mystery" (problems "BENCH_0.json");
       one "bench-service under BENCH_<k>" ~sub:"BENCH_SERVICE_<k>"
         (problems "BENCH_3.json");

@@ -10,9 +10,10 @@ let checks = Alcotest.check Alcotest.string
 
 let mk ?(seed = 42) ?(procs = 32) ?(domains = 1) ?(crash_frac = 0.5)
     ?(pause_frac = 0.25) ?name_bound () =
-  match Chaos.Algos.make "rebatching" ~n:procs () with
+  match Chaos.Algos.find "rebatching" with
   | Error e -> Alcotest.fail e
-  | Ok (algo, capacity) ->
+  | Ok build ->
+    let algo, capacity = build ~n:procs ~t0:3 in
     ( Chaos.Fault_plan.make ~seed ~procs ~domains ~algo:"rebatching" ~capacity
         ?name_bound ~crash_frac ~pause_frac (),
       algo )
@@ -90,8 +91,9 @@ let test_plan_save_load () =
       Chaos.Fault_plan.save ~file plan;
       match Chaos.Fault_plan.load ~file with
       | Error e -> Alcotest.fail e
-      | Ok p ->
-        checkb "load inverts save" true (Chaos.Fault_plan.equal plan p));
+      | Ok (p, form) ->
+        checkb "load inverts save" true (Chaos.Fault_plan.equal plan p);
+        checkb "save writes the canonical form" true (form = `Canonical));
   match Chaos.Fault_plan.of_json "{\"kind\":\"other\"}" with
   | Ok _ -> Alcotest.fail "wrong kind accepted"
   | Error _ -> ()
@@ -268,7 +270,7 @@ let test_run_plan_capacity_mismatch () =
 let test_broken_bound_fixture () =
   match Chaos.Fault_plan.load ~file:"fixtures/chaos_broken_bound.json" with
   | Error e -> Alcotest.fail e
-  | Ok plan ->
+  | Ok (plan, _) ->
     let o = run_plan_exn plan in
     let v = o.Chaos.Chaos_runner.verdict in
     checkb "fixture violates" false (Chaos.Chaos_runner.ok v);
@@ -276,18 +278,22 @@ let test_broken_bound_fixture () =
       "exactly the namespace-bound violation" [ "namespace-bound" ]
       v.Chaos.Chaos_runner.violations
 
+(* A recorded verdict reads back through doctor's audit: its seed, a
+   clean outcome, its plan found, and no problem. *)
 let test_verdict_summary_roundtrip () =
   let plan, _ = mk ~seed:9 () in
   let o = run_plan_exn plan in
-  let json =
-    Chaos.Chaos_runner.verdict_to_json o.Chaos.Chaos_runner.verdict
-  in
-  match Chaos.Chaos_runner.summary_of_json json with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    checki "summary seed" 9 s.Chaos.Chaos_runner.seed;
-    checkb "summary ok" true s.Chaos.Chaos_runner.ok;
-    checki "summary violations" 0 (List.length s.Chaos.Chaos_runner.violations)
+  let dir = Filename.temp_file "chaos_verdict" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Chaos.Chaos_runner.record ~dir o;
+  let lines = Chaos.Chaos_runner.audit_dir dir in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  checkb "summary seed and ok" true
+    (List.mem (`Info "chaos_verdict_9.json: verdict seed=9 ok") lines);
+  checki "no note or problem" 0
+    (List.length (List.filter (function `Info _ -> false | _ -> true) lines))
 
 (* ------------------------------------------------------------------ *)
 

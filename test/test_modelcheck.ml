@@ -287,16 +287,16 @@ let test_fixture_roundtrip () =
 let test_committed_fixtures_replay () =
   List.iter
     (fun file ->
-      match Worlds.replay_fixture (read_file file) with
-      | Ok (fx, Some v) ->
+      match Worlds.judge_fixture (read_file file) with
+      | Ok (fx, v) ->
         Alcotest.(check string)
           (file ^ " reproduces its recorded violation")
           fx.Explore.fx_violation v.Explore.message;
         Alcotest.(check bool)
           (file ^ " carries a mutation") true
           (fx.Explore.fx_mutation <> None)
-      | Ok (_, None) -> Alcotest.failf "%s: schedule replays clean" file
-      | Error e -> Alcotest.failf "%s: %s" file e)
+      | Error `Clean -> Alcotest.failf "%s: schedule replays clean" file
+      | Error (`Invalid e) -> Alcotest.failf "%s: %s" file e)
     [
       "fixtures/modelcheck_claim_on_lose.cex.json";
       "fixtures/modelcheck_lease_stale_release.cex.json";
