@@ -5,7 +5,19 @@
    drain report onto the repository's exit-code convention (0 clean,
    1 findings — here, leaked slots at exit — 2 usage/startup error,
    including "recovery required": a journal with live grants exists
-   and --recover was not given). *)
+   and --recover was not given).
+
+   Minor heap: [minor_heap_words] = 32k words (256 KB), set once at
+   start-up and overriding OCAMLRUNPARAM's [s].  The serving loop makes
+   ~178 words of short-lived garbage per request and keeps little of
+   it, so the default 256k-word (2 MB) minor heap only spreads that
+   garbage over more pages, every one of which the daemon touches and
+   keeps resident.  Measured on a 2-vCPU VM over 4 s at 30k acquires/s:
+   the same 41.7M minor words, promotion up from 119k to 729k words and
+   major collections from 5 to 17, and no rise in acquire latency; with
+   the one-bit pool, svc-steady's peak RSS fell from 8.3 to 6.4 MB. *)
+
+let minor_heap_words = 32 * 1024
 
 let serve socket_path shards capacity seed backlog max_conns lease_ttl journal
     recover max_queue max_out_kb stall_timeout quiet =
@@ -191,7 +203,7 @@ let cmd =
          clients acquire and release names over a length-prefixed binary \
          protocol (or line-JSON — open the connection with '{').  Each \
          shard is a long-lived ReBatching instance over its own window \
-         of one shared atomic location space; one select loop reads \
+         of one location space holding a bit per name; one select loop reads \
          requests, runs each acquire inline and writes the replies.";
       `P
         "Every grant carries a lease ($(b,--lease-ttl)); a client that \
@@ -222,5 +234,6 @@ let cmd =
       $ max_out_kb_t $ stall_timeout_t $ quiet_t)
 
 let () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
   Printexc.record_backtrace true;
   exit (Cmd.eval' cmd)

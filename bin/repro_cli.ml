@@ -876,6 +876,7 @@ let modelcheck model procs seed seeds t0 crashes rounds step_budget clients
     in
     Option.iter
       (fun dir ->
+        Engine.Sink.mkdir_p dir;
         List.iter
           (fun fx ->
             let file = Filename.concat dir (Mcheck.Worlds.fixture_file fx) in
@@ -1684,8 +1685,8 @@ let bench_large flags seed trials jobs store resume max_n max_k =
     install_signal_handlers ();
     let should_stop () = Atomic.get interrupt_requested in
     match
-      Engine.Plan.run_batch ?workers:jobs ~resume ~should_stop ~out_dir:store
-        plans
+      Engine.Plan.run_batch ?workers:jobs ~resume ~scale_free:true ~should_stop
+        ~out_dir:store plans
     with
     | Error msg ->
       Printf.eprintf "[bench] %s\n%!" msg;

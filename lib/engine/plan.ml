@@ -192,7 +192,7 @@ type batch = {
   interrupted : bool;
 }
 
-let run_batch ?workers ?(resume = false) ?progress
+let run_batch ?workers ?(resume = false) ?(scale_free = false) ?progress
     ?(should_stop = fun () -> false) ?log ~out_dir
     (plans : (Experiment.t * Experiment.ctx) list) =
   let ctx0 =
@@ -207,6 +207,11 @@ let run_batch ?workers ?(resume = false) ?progress
   let checked =
     match if resume then Sink.read_manifest ~dir:out_dir else None with
     | Some manifest ->
+      (* The manifest records the first plan's scale only, and no
+         scale bounds the jobs of a scale-free batch. *)
+      let manifest =
+        if scale_free then List.remove_assoc "scale" manifest else manifest
+      in
       Checkpoint.validate_manifest ~manifest ~ids ~seed:ctx0.Experiment.seed
         ~trials:ctx0.Experiment.trials ~scale:ctx0.Experiment.scale
     | None -> Ok ()

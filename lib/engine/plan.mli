@@ -117,6 +117,7 @@ type batch = {
 val run_batch :
   ?workers:int ->
   ?resume:bool ->
+  ?scale_free:bool ->
   ?progress:bool ->
   ?should_stop:(unit -> bool) ->
   ?log:(string -> unit) ->
@@ -129,7 +130,12 @@ val run_batch :
     On [resume], a manifest already in [out_dir] is first checked
     against the ids of [plans] and the {e first} plan's ctx (seed,
     trials, scale; {!Checkpoint.validate_manifest}); a mismatch returns
-    [Error msg] before anything is written.  The manifest is then
+    [Error msg] before anything is written.  [scale_free] (default
+    [false]) declares that every plan indexes its jobs on a grid that
+    does not depend on the ctx's scale (the large-n sweeps index the
+    full decade grid), so another scale only selects a subset or
+    superset of the same job keys: the resume check then compares
+    seed, trials and ids only, for every plan alike.  The manifest is then
     written with status ["running"] and, when the batch ends, with the
     final status:
     - ["interrupted"] if the batch stopped early: [should_stop] held

@@ -17,8 +17,9 @@
       append, reply; (d) flush.  The queues are empty at the end of
       every tick.
 
-    Shards are namespace partitions of one {!Shm.Atomic_space}, each
-    with its own coin stream; they are not threads.  Acquire replies
+    Shards are namespace partitions of one bitmap location space (one
+    bit per name, {!Shard}), each with its own coin stream; they are
+    not threads, and no other domain touches the pool.  Acquire replies
     are sent after the read pass, so on one connection they can follow
     replies to requests read after them; the wire protocol's request
     ids make that safe.

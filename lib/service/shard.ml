@@ -1,15 +1,15 @@
 type shard = {
   index : int;
   ll : Renaming.Long_lived.t;
-  env : Renaming.Env.t;  (* owner-domain only: carries the coin stream *)
-  acquires : int Atomic.t;
-  releases : int Atomic.t;
-  failures : int Atomic.t;
-  probes : int Atomic.t;
+  env : Renaming.Env.t;  (* carries the shard's coin stream *)
+  mutable acquires : int;
+  mutable releases : int;
+  mutable failures : int;
+  mutable probes : int;
 }
 
 type t = {
-  space : Shm.Atomic_space.t;
+  space : Sim.Location_space.t;
   pool : shard array;
   capacity : int;
   per_shard : int;
@@ -22,7 +22,8 @@ let create ?(epsilon = 1.0) ?(t0 = 3) ~shards ~capacity ~seed () =
   (* All shards share one geometry; probe it once to size the space. *)
   let probe = Renaming.Rebatching.make ~epsilon ~t0 ~n:capacity () in
   let m = Renaming.Rebatching.size probe in
-  let space = Shm.Atomic_space.create ~capacity:(shards * m) in
+  (* One bit per TAS object: the whole namespace is the dense prefix. *)
+  let space = Sim.Location_space.create ~capacity:(shards * m) () in
   let root = Prng.Splitmix.of_int seed in
   (* [split] advances [root], so the routing stream below is disjoint
      from every per-shard coin stream derived by [split_at]. *)
@@ -32,14 +33,11 @@ let create ?(epsilon = 1.0) ?(t0 = 3) ~shards ~capacity ~seed () =
         let ll =
           Renaming.Long_lived.make ~epsilon ~t0 ~base:(index * m) ~n:capacity ()
         in
-        let probes = Atomic.make 0 in
         let rng = Prng.Splitmix.split_at root index in
         let env =
           Renaming.Env.make ~pid:index
-            ~tas:(fun loc ->
-              Atomic.incr probes;
-              Shm.Atomic_space.tas space loc)
-            ~reset:(fun loc -> Shm.Atomic_space.release space loc)
+            ~tas:(Sim.Location_space.tas space)
+            ~reset:(Sim.Location_space.release space)
             ~random_int:(fun bound -> Prng.Splitmix.int rng bound)
             ()
         in
@@ -47,10 +45,10 @@ let create ?(epsilon = 1.0) ?(t0 = 3) ~shards ~capacity ~seed () =
           index;
           ll;
           env;
-          acquires = Atomic.make 0;
-          releases = Atomic.make 0;
-          failures = Atomic.make 0;
-          probes;
+          acquires = 0;
+          releases = 0;
+          failures = 0;
+          probes = 0;
         })
   in
   { space; pool; capacity; per_shard = m; route_salt }
@@ -72,22 +70,23 @@ let shard_of_name t name =
 
 let acquire t ~shard ~client:_ =
   let s = t.pool.(shard) in
-  match Renaming.Long_lived.acquire s.env s.ll with
-  | Some name ->
-    Atomic.incr s.acquires;
-    Some name
-  | None ->
-    Atomic.incr s.failures;
-    None
+  let before = Sim.Location_space.probe_count t.space in
+  let got = Renaming.Long_lived.acquire s.env s.ll in
+  s.probes <- s.probes + Sim.Location_space.probe_count t.space - before;
+  (match got with
+  | Some _ -> s.acquires <- s.acquires + 1
+  | None -> s.failures <- s.failures + 1);
+  got
 
 (* Recovery: re-occupy a journaled grant's cell directly.  The probe
    machinery is bypassed on purpose — the name was already won once;
    recovery only restores the occupancy bit so post-restart probes
-   walk around it. *)
+   walk around it.  The range check comes first: the space would take
+   a location past its dense prefix into its sparse tail. *)
 let retake t ~name =
   match shard_of_name t name with
   | None -> `Outside
-  | Some _ -> if Shm.Atomic_space.tas t.space name then `Taken else `Already
+  | Some _ -> if Sim.Location_space.tas t.space name then `Taken else `Already
 
 let release t ~name =
   match shard_of_name t name with
@@ -95,14 +94,14 @@ let release t ~name =
   | Some i ->
     let s = t.pool.(i) in
     Renaming.Long_lived.release s.env s.ll name;
-    Atomic.incr s.releases
+    s.releases <- s.releases + 1
 
-let sum t f = Array.fold_left (fun acc s -> acc + Atomic.get (f s)) 0 t.pool
+let sum t f = Array.fold_left (fun acc s -> acc + f s) 0 t.pool
 let acquires t = sum t (fun s -> s.acquires)
 let releases t = sum t (fun s -> s.releases)
 let failures t = sum t (fun s -> s.failures)
 let probes t = sum t (fun s -> s.probes)
-let taken_count t = Shm.Atomic_space.taken_count t.space
+let taken_count t = Sim.Location_space.win_count t.space
 let leaked t ~held = taken_count t - held
 
 let stats t =
@@ -112,10 +111,10 @@ let stats t =
            Jsonu.Obj
              [
                ("shard", Jsonu.Int s.index);
-               ("acquires", Jsonu.Int (Atomic.get s.acquires));
-               ("releases", Jsonu.Int (Atomic.get s.releases));
-               ("failures", Jsonu.Int (Atomic.get s.failures));
-               ("probes", Jsonu.Int (Atomic.get s.probes));
+               ("acquires", Jsonu.Int s.acquires);
+               ("releases", Jsonu.Int s.releases);
+               ("failures", Jsonu.Int s.failures);
+               ("probes", Jsonu.Int s.probes);
              ])
   in
   Jsonu.Obj

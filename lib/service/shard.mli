@@ -1,18 +1,19 @@
-(** The daemon's name pool: per-domain shards of long-lived ReBatching
-    over one real {!Shm.Atomic_space}.
+(** The daemon's name pool: shards of long-lived ReBatching over one
+    {!Sim.Location_space} holding one bit per name.
 
     Each shard is a {!Renaming.Long_lived} instance (ReBatching with
     release, paper §4 + the Helmi–Higham–Woelfel long-lived extension)
-    relocated to its own window of a single shared atomic location
-    space: shard [s] owns global names [s*m, (s+1)*m) where [m] is the
-    per-shard namespace.  Acquires route to a shard by client id and
-    run the genuine O(log log n) probe sequence against hardware
-    atomics; a release is one atomic reset of the name's cell.
+    relocated to its own window of a single location space: shard [s]
+    owns global names [s*m, (s+1)*m) where [m] is the per-shard
+    namespace.  The space's dense prefix covers exactly those
+    [shards * m] cells, a TAS object being one bit (§2), so the whole
+    namespace is a [shards * m / 8]-byte bitmap.  Acquires route to a
+    shard by client id and run the genuine O(log log n) probe sequence
+    against it; a release is one reset of the name's bit.
 
-    Concurrency contract: calls to {!acquire} for one shard [s] must
-    not overlap (the per-shard SplitMix coin stream is single-owner
-    state); {!release}, the counters and {!taken_count} are atomic and
-    safe from any domain.  Nothing enforces the ownership rule here —
+    Ownership: the pool is single-domain state — its bits, its coin
+    streams and its plain-int counters.  Every call must come from the
+    one domain that owns the pool; nothing enforces this here, and
     {!Server} satisfies it by construction, serving every shard from
     its one serving domain.
 
@@ -56,15 +57,16 @@ val acquire : t -> shard:int -> client:int -> int option
     must not overlap. *)
 
 val retake : t -> name:int -> [ `Taken | `Already | `Outside ]
-(** Recovery path: re-occupy [name]'s cell directly (one TAS), bypassing
-    the probe machinery — the name was already won once; replaying its
-    journaled grant only needs the occupancy bit back so post-restart
-    probes walk around it.  [`Already] means the cell was somehow taken
-    (double-grant evidence for the caller to count), [`Outside] that the
-    name does not fit this pool's geometry. *)
+(** Recovery path: re-occupy [name]'s cell directly (one TAS, not
+    counted in {!probes}), bypassing the probe machinery — the name was
+    already won once; replaying its journaled grant only needs the
+    occupancy bit back so post-restart probes walk around it.
+    [`Already] means the cell was somehow taken (double-grant evidence
+    for the caller to count), [`Outside] that the name does not fit
+    this pool's geometry. *)
 
 val release : t -> name:int -> unit
-(** Return [name]'s cell to the pool (one atomic reset).  The caller
+(** Return [name]'s cell to the pool (one reset of its bit).  The caller
     (the server loop) must have validated ownership against the
     session ledger.  @raise Invalid_argument if [name] is outside the
     namespace. *)
@@ -82,7 +84,7 @@ val probes : t -> int
 (** total TAS operations *)
 
 val taken_count : t -> int
-(** Cells currently taken across the whole space (O(namespace) scan). *)
+(** Cells currently taken across the whole space (a counter, O(1)). *)
 
 val leaked : t -> held:int -> int
 (** [leaked t ~held] is [taken_count t - held]: the slot-conservation

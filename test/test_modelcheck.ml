@@ -313,6 +313,32 @@ let test_orphan_fixture_detected () =
   | Error e -> Alcotest.(check bool) "names the model" true (contains e "gone")
   | Ok _ -> Alcotest.fail "unknown model dispatched"
 
+(* `modelcheck --out DIR` creates a missing DIR (parents included)
+   instead of dying on the fixture write after the exploration. *)
+let test_out_dir_created () =
+  let root = Filename.temp_file "mc_out" "" in
+  Sys.remove root;
+  let dir = Filename.concat root "deeper" in
+  let log = root ^ ".log" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root; log ])))
+    (fun () ->
+      let rc =
+        Sys.command
+          (Filename.quote_command "../bin/repro_cli.exe" ~stdout:log
+             [ "modelcheck"; "--model"; "rebatching"; "--mutation";
+               "claim-on-lose"; "--crashes"; "0"; "--out"; dir ])
+      in
+      Alcotest.(check int) ("violation exits 1\n" ^ read_file log) 1 rc;
+      let file = Filename.concat dir "modelcheck_rebatching_claim_on_lose.cex.json" in
+      match Worlds.judge_fixture (read_file file) with
+      | Ok (fx, v) ->
+        Alcotest.(check string) "written fixture replays"
+          fx.Explore.fx_violation v.Explore.message
+      | Error `Clean -> Alcotest.fail "written fixture replays clean"
+      | Error (`Invalid e) -> Alcotest.failf "written fixture: %s" e)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: sampled executions against the exhaustive space *)
 
@@ -427,6 +453,8 @@ let suite =
           test_committed_fixtures_replay;
         Alcotest.test_case "orphan fixture detected" `Quick
           test_orphan_fixture_detected;
+        Alcotest.test_case "--out creates a missing directory" `Quick
+          test_out_dir_created;
         Alcotest.test_case "sampled in exhaustive (qcheck)" `Quick
           test_sampled_in_exhaustive_qcheck;
         Alcotest.test_case "hb agrees with exhaustive (qcheck)" `Quick

@@ -405,6 +405,72 @@ let test_shard_routing () =
     (Shard.shard_of_name p (Shard.namespace p) = None);
   Alcotest.(check bool) "negative name" true (Shard.shard_of_name p (-1) = None)
 
+(* Words allocated by [f ()], minor and direct-major, promoted counted
+   once.  The forced minor collections flush OCaml 5's per-domain
+   counters and leave nothing from before the call to promote. *)
+let words_allocated f =
+  Gc.minor ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  let x = f () in
+  Gc.minor ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  ignore (Sys.opaque_identity x);
+  int_of_float (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0))
+
+(* The namespace is one bit per TAS object: 2 x 8192 cells are a
+   2 KB bitmap.  A boxed atomic per cell plus its array cost 49,462
+   words here. *)
+let test_shard_create_words () =
+  let w =
+    words_allocated (fun () -> Shard.create ~shards:2 ~capacity:4096 ~seed:1 ())
+  in
+  if w > 1024 then Alcotest.failf "Shard.create allocated %d words" w
+
+(* The names a scripted acquire/release sequence receives, recorded on
+   the boxed-atomic pool: same seed, same coins, same TAS semantics. *)
+let test_shard_pinned_names () =
+  let p = Shard.create ~shards:2 ~capacity:64 ~seed:7 () in
+  let got = ref [] in
+  let acquire s client =
+    match Shard.acquire p ~shard:s ~client with
+    | Some n ->
+      got := n :: !got;
+      n
+    | None -> Alcotest.fail "acquire failed below capacity"
+  in
+  let first = Array.init 20 (fun i -> acquire (i mod 2) i) in
+  List.iter (fun i -> Shard.release p ~name:first.(i)) [ 0; 3; 5; 8; 13 ];
+  for i = 0 to 9 do
+    ignore (acquire (i mod 2) (100 + i))
+  done;
+  Alcotest.(check (list int))
+    "names"
+    [ 60; 175; 50; 137; 40; 176; 49; 177; 22; 155; 7; 151; 8; 169; 10;
+      191; 56; 145; 26; 186; 42; 163; 13; 131; 46; 142; 18; 128; 27; 132 ]
+    (List.rev !got);
+  Alcotest.(check int) "probes" 32 (Shard.probes p);
+  Alcotest.(check int) "taken" 25 (Shard.taken_count p)
+
+let test_shard_outside_refused () =
+  let p = Shard.create ~shards:2 ~capacity:64 ~seed:7 () in
+  let ns = Shard.namespace p in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "retake %d" name)
+        true
+        (Shard.retake p ~name = `Outside);
+      Alcotest.check_raises
+        (Printf.sprintf "release %d" name)
+        (Invalid_argument "Shard.release: name outside the pool's namespace")
+        (fun () -> Shard.release p ~name))
+    [ ns; ns + 1; 10 * ns; -1 ];
+  Alcotest.(check int) "nothing taken" 0 (Shard.taken_count p);
+  Alcotest.(check bool) "in range retakes" true (Shard.retake p ~name:(ns - 1) = `Taken);
+  Alcotest.(check bool) "twice is evidence" true
+    (Shard.retake p ~name:(ns - 1) = `Already);
+  Alcotest.(check int) "one cell taken" 1 (Shard.taken_count p)
+
 (* ------------------------------------------------------------------ *)
 (* Bench artifact *)
 
@@ -881,6 +947,9 @@ let suite =
         tc "uniqueness and release" `Quick test_shard_uniqueness;
         tc "exhaustion" `Quick test_shard_exhaustion;
         tc "client routing" `Quick test_shard_routing;
+        tc "create allocates one bit per cell" `Quick test_shard_create_words;
+        tc "pinned names for seed 7" `Quick test_shard_pinned_names;
+        tc "out-of-range names refused" `Quick test_shard_outside_refused;
       ] );
     ( "service.bench",
       [

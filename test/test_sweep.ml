@@ -37,19 +37,21 @@ let quiet_ctx ~trials ~scale =
 (* Tiny grids: t1l scaled to decades 10^3..10^4 (8 series-points), t5l
    to 10^3 only.  Cheap enough for the suite, wide enough to exercise
    grouping, series parsing and the decade-monotonicity audit. *)
-let plans ?(t5l_scale = 1e-4) ~trials () =
+let plans ?(t1l_scale = 1e-4) ?(t5l_scale = 1e-4) ~trials () =
   [
-    (Harness.Exp_large.t1l, quiet_ctx ~trials ~scale:1e-4);
+    (Harness.Exp_large.t1l, quiet_ctx ~trials ~scale:t1l_scale);
     (Harness.Exp_large.t5l, quiet_ctx ~trials ~scale:t5l_scale);
   ]
 
 let silent = ignore
 
-let run_sweep ?(workers = 1) ?(resume = false) ?t5l_scale ~dir ~trials () =
-  let plans = plans ?t5l_scale ~trials () in
+(* Scale-free, as `bench --large` runs it. *)
+let run_sweep ?(workers = 1) ?(resume = false) ?t1l_scale ?t5l_scale ~dir
+    ~trials () =
+  let plans = plans ?t1l_scale ?t5l_scale ~trials () in
   match
-    Engine.Plan.run_batch ~workers ~resume ~progress:false ~log:silent
-      ~out_dir:dir plans
+    Engine.Plan.run_batch ~workers ~resume ~scale_free:true ~progress:false
+      ~log:silent ~out_dir:dir plans
   with
   | Ok batch -> (batch, Engine.Sweep.aggregate ~store_dir:dir ~plans)
   | Error msg -> failwith msg
@@ -138,9 +140,9 @@ let test_resume_parameter_mismatch () =
       | exception Failure _ -> ())
 
 (* Resuming with a narrower t5l grid (a smaller --max-k) over a store
-   written with a wider one passes the manifest check — the manifest
-   records only the first plan's scale — and must aggregate exactly the
-   rows of a fresh narrow run, not the stored wider decades. *)
+   written with a wider one passes the manifest check — the sweeps are
+   scale-free — and must aggregate exactly the rows of a fresh narrow
+   run, not the stored wider decades. *)
 let test_resume_narrower_grid () =
   with_temp_dir (fun wide ->
       with_temp_dir (fun fresh ->
@@ -161,6 +163,32 @@ let test_resume_narrower_grid () =
             (List.length again.Engine.Sweep.rows);
           checkb "resumed narrow aggregate equals the fresh one" true
             (measured_rows narrow = measured_rows again)))
+
+(* One rule for both grids: over a store wide in t1l and t5l, narrowing
+   either one (a smaller --max-n or --max-k) is accepted alike and
+   aggregates a fresh narrow run's rows. *)
+let test_resume_narrower_either_grid () =
+  with_temp_dir (fun wide ->
+      let _ = run_sweep ~t1l_scale:1e-3 ~t5l_scale:1e-3 ~dir:wide ~trials:2 () in
+      List.iter
+        (fun (what, t1l_scale, t5l_scale) ->
+          with_temp_dir (fun fresh ->
+              let _, narrow =
+                run_sweep ~t1l_scale ~t5l_scale ~dir:fresh ~trials:2 ()
+              in
+              let resumed, again =
+                try
+                  run_sweep ~resume:true ~t1l_scale ~t5l_scale ~dir:wide
+                    ~trials:2 ()
+                with Failure msg -> Alcotest.failf "%s refused: %s" what msg
+              in
+              checkb (what ^ ": the resume ran nothing") true
+                (List.for_all
+                   (fun (o : Engine.Plan.outcome) -> o.Engine.Plan.executed = 0)
+                   resumed.Engine.Plan.outcomes);
+              checkb (what ^ ": a fresh narrow run's rows") true
+                (measured_rows narrow = measured_rows again)))
+        [ ("narrower t1l", 1e-4, 1e-3); ("narrower t5l", 1e-3, 1e-4) ])
 
 (* ------------------------------------------------------------------ *)
 (* Artifact round-trip, audit, check *)
@@ -301,6 +329,8 @@ let suite =
           test_resume_parameter_mismatch;
         Alcotest.test_case "resume with a narrower grid" `Quick
           test_resume_narrower_grid;
+        Alcotest.test_case "narrower t1l or t5l resumes alike" `Quick
+          test_resume_narrower_either_grid;
       ] );
     ( "sweep.artifact",
       [
