@@ -1170,7 +1170,7 @@ let modelcheck_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Drives the Fast_algo state machines step-granularly through \
+        "Drives the renaming state machines step-granularly through \
          Sim.Fast_core (and a pure model of Service.Lease) under a \
          snapshot/restore DFS pruned with sleep sets, enumerating every \
          schedule — crash points included — of configurations up to ~4 \

@@ -322,7 +322,7 @@ let audit_fixture source =
     else Ok fx
 
 (* ------------------------------------------------------------------ *)
-(* The renaming worlds: Fast_algo machines driven step-by-step through
+(* The renaming worlds: Renaming.Machine machines driven step-by-step through
    Fast_core, one-shot (rounds = 1) or long-lived (rounds > 1, with
    release actions and a Wing–Gong linearizability check on the
    acquire/release history at every terminal state). *)
@@ -357,37 +357,37 @@ let renaming_mutations = [ "claim-on-lose"; "probe-out-of-range"; "spin" ]
    (uniqueness break); probe-out-of-range probes location m (namespace
    break); spin re-probes the same location forever (lock-freedom
    break). *)
-let mutate_machine name ~bound (inner : Renaming.Fast_algo.t) =
-  let open Renaming.Fast_algo in
+let mutate_machine name ~bound (inner : Renaming.Machine.t) =
+  let open Renaming.Machine in
   match name with
   | "claim-on-lose" ->
     {
       inner with
       label = inner.label ^ "+claim-on-lose";
       resume =
-        (fun st off rng pid loc won ->
+        (fun st off io pid loc won ->
           if pid = 0 && not won then finished loc
-          else inner.resume st off rng pid loc won);
+          else inner.resume st off io pid loc won);
     }
   | "probe-out-of-range" ->
     {
       inner with
       label = inner.label ^ "+probe-out-of-range";
       init =
-        (fun st off rng pid ->
-          if pid = 0 then bound else inner.init st off rng pid);
+        (fun st off io pid ->
+          if pid = 0 then bound else inner.init st off io pid);
       resume =
-        (fun st off rng pid loc won ->
+        (fun st off io pid loc won ->
           if pid = 0 then (if won then finished loc else finished_none)
-          else inner.resume st off rng pid loc won);
+          else inner.resume st off io pid loc won);
     }
   | "spin" ->
     {
       inner with
       label = inner.label ^ "+spin";
       resume =
-        (fun st off rng pid loc won ->
-          if pid = 0 then loc else inner.resume st off rng pid loc won);
+        (fun st off io pid loc won ->
+          if pid = 0 then loc else inner.resume st off io pid loc won);
     }
   | _ -> invalid_arg ("Explore.mutate_machine: unknown mutation " ^ name)
 
@@ -410,7 +410,7 @@ let renaming_world ?on_terminal (cfg : renaming_config) =
     let inst = Renaming.Rebatching.make ~t0:cfg.t0 ~n:cfg.procs () in
     let bound = Renaming.Rebatching.size inst in
     let algo =
-      let base = Renaming.Fast_algo.rebatching inst in
+      let base = Renaming.Rebatching.machine inst in
       match cfg.mutation with
       | None -> base
       | Some m -> mutate_machine m ~bound base

@@ -106,7 +106,7 @@ val audit_fixture : string -> (fixture, string) result
 
 (** {1 Renaming worlds}
 
-    {!Renaming.Fast_algo} machines driven step-granularly through
+    {!Renaming.Machine} machines driven step-granularly through
     {!Sim.Fast_core}: every interleaving of TAS steps, plus crash points
     (before-op and after-win leaks, as in [Chaos.Fault_plan]) under a
     crash budget, for one-shot ([rounds = 1]) or long-lived

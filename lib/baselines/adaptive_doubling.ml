@@ -1,28 +1,41 @@
-let get_name (env : Renaming.Env.t) ?(probes_per_level = 4) space =
+module M = Renaming.Machine
+
+(* State: st.(off) = level i (object R_i), st.(off+1) = probe index. *)
+let machine ?(probes_per_level = 4) space =
   if probes_per_level < 1 then
     invalid_arg "Adaptive_doubling.get_name: probes_per_level must be >= 1";
-  let rec level i =
-    if i > Renaming.Object_space.cap space then None
+  let g = Renaming.Object_space.geometry space in
+  let level st off (io : M.io) pid i =
+    (match io.emit with
+    | Some f -> f (Renaming.Events.Object_visited { obj = i })
+    | None -> ());
+    st.(off) <- i;
+    st.(off + 1) <- 1;
+    g.name_lo.(i) + io.draw pid (g.name_hi.(i) - g.name_lo.(i))
+  in
+  let init st off io pid = level st off io pid 1 in
+  let resume st off (io : M.io) pid loc won =
+    let i = st.(off) in
+    (match io.emit with
+    | Some f -> f (Renaming.Events.Probe { obj = i; batch = 0; location = loc; won })
+    | None -> ());
+    if won then begin
+      (match io.emit with
+      | Some f -> f (Renaming.Events.Name_acquired { obj = i; name = loc })
+      | None -> ());
+      M.finished loc
+    end
     else begin
-      env.emit (Renaming.Events.Object_visited { obj = i });
-      let r = Renaming.Object_space.obj space i in
-      let base = Renaming.Rebatching.base r in
-      let m = Renaming.Rebatching.size r in
-      let rec probe j =
-        if j > probes_per_level then None
-        else begin
-          let loc = base + env.random_int m in
-          let won = env.tas loc in
-          env.emit
-            (Renaming.Events.Probe { obj = i; batch = 0; location = loc; won });
-          if won then begin
-            env.emit (Renaming.Events.Name_acquired { obj = i; name = loc });
-            Some loc
-          end
-          else probe (j + 1)
-        end
-      in
-      match probe 1 with Some u -> Some u | None -> level (i + 1)
+      let j = st.(off + 1) + 1 in
+      if j <= probes_per_level then begin
+        st.(off + 1) <- j;
+        g.name_lo.(i) + io.draw pid (g.name_hi.(i) - g.name_lo.(i))
+      end
+      else if i + 1 > g.top then M.finished_none
+      else level st off io pid (i + 1)
     end
   in
-  level 1
+  { M.label = "doubling"; slots = 2; init; resume }
+
+let get_name env ?probes_per_level space =
+  M.drive (machine ?probes_per_level space) env

@@ -12,6 +12,12 @@
     Levels use the same disjoint-namespace layout as the ReBatching object
     space so that measured name values are comparable. *)
 
+val machine : ?probes_per_level:int -> Renaming.Object_space.t -> Renaming.Machine.t
+(** The strategy as a {!Renaming.Machine.t}: [Object_visited i] on each
+    level, then one [Probe] (obj [i], batch 0) per TAS and
+    [Name_acquired] on the win.  @raise Invalid_argument if
+    [probes_per_level < 1]. *)
+
 val get_name :
   Renaming.Env.t -> ?probes_per_level:int -> Renaming.Object_space.t -> int option
 (** [get_name env space] races levels [l = 0, 1, ...], making

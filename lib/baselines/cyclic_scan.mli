@@ -7,6 +7,11 @@
     [Theta(log n)] — another [log n]-class baseline for experiment T1,
     interesting because its average is excellent. *)
 
+val machine : m:int -> Renaming.Machine.t
+(** The scan as a {!Renaming.Machine.t} (one draw, for the start);
+    events as {!Uniform_probe.machine}.  @raise Invalid_argument if
+    [m < 1]. *)
+
 val get_name : Renaming.Env.t -> m:int -> int option
 (** [get_name env ~m] probes [start, start+1, ... (mod m)]; [None] if a
     full cycle finds every location taken.  @raise Invalid_argument if

@@ -9,6 +9,11 @@
     baseline that ReBatching beats exponentially.  Experiment T1 measures
     the crossover. *)
 
+val machine : m:int -> max_steps:int -> Renaming.Machine.t
+(** The strategy as a {!Renaming.Machine.t}: one [Probe] (obj 0, batch
+    0) per TAS and [Name_acquired] on the win.  @raise Invalid_argument
+    if [m < 1] or [max_steps < 1]. *)
+
 val get_name : Renaming.Env.t -> m:int -> max_steps:int -> int option
 (** [get_name env ~m ~max_steps] probes uniformly over global locations
     [0, m) until a win, giving up (returning [None]) after [max_steps]

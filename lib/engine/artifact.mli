@@ -3,7 +3,7 @@
     Every [bench/BENCH_*.json] baseline is a single JSON object whose
     ["kind"] field names its kind and whose ["schema"] field names the
     codec version.  A kind bundles everything the tree does with such a
-    file, the same idiom as [Renaming.Fast_algo.t] and
+    file, the same idiom as [Renaming.Machine.t] and
     [Harness.Experiment.t]: its canonical bytes, its decoder, its
     rendering, [doctor]'s one-line summary, the invariants one run must
     hold on its own ([audit]) and the gates relative to a committed

@@ -8,10 +8,14 @@ let jobs (ctx : Experiment.ctx) =
     (fun epsilon ~seed ->
       let instance = Renaming.Rebatching.make ~epsilon ~n () in
       let backups = ref 0 in
-      let spec =
-        Substrate.rebatching ~on_backup:(fun () -> incr backups) instance
+      let on_event ~pid:_ = function
+        | Renaming.Events.Backup_entered _ -> incr backups
+        | _ -> ()
       in
-      let r = Sweep.sequential ~tag:"T9" spec ~seed ~n in
+      let algo env = Renaming.Rebatching.get_name env instance in
+      let r = Sim.Runner.run_sequential ~on_event ~seed ~n ~algo () in
+      if not (Sim.Runner.check_unique_names r) then
+        failwith "T9: uniqueness violated";
       [
         ("max_steps", float_of_int r.Sim.Runner.max_steps);
         ( "total_per_proc",

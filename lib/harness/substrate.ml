@@ -1,40 +1,16 @@
 type t = Fast | Effects | Atomic
 
-type spec = {
-  label : string;
-  algo : Renaming.Env.t -> int option;
-  fast : Renaming.Fast_algo.t;
-  capacity : int;
-}
+type spec = { label : string; fast : Renaming.Machine.t; capacity : int }
 
 let label spec = spec.label
-let closure spec = spec.algo
+let closure spec = Renaming.Machine.drive spec.fast
 let fast_algo spec = spec.fast
 let capacity spec = spec.capacity
 
-(* Wrap the reference closure so [Events.Backup_entered] also reaches a
-   plain counter hook — the closure-side mirror of
-   [Fast_algo.rebatching ~on_backup].  Composes with any [on_event] the
-   runner installs, since the original [emit] is still called. *)
-let intercept_backups on_backup algo env =
-  match on_backup with
-  | None -> algo env
-  | Some hook ->
-    let emit e =
-      (match e with
-      | Renaming.Events.Backup_entered _ -> hook ()
-      | _ -> ());
-      env.Renaming.Env.emit e
-    in
-    algo { env with Renaming.Env.emit }
-
-let rebatching ?(backup = true) ?on_backup instance =
+let rebatching ?backup instance =
   {
     label = "rebatching";
-    algo =
-      intercept_backups on_backup (fun env ->
-          Renaming.Rebatching.get_name ~backup env instance);
-    fast = Renaming.Fast_algo.rebatching ~backup ?on_backup instance;
+    fast = Renaming.Rebatching.machine ?backup instance;
     capacity = Renaming.Rebatching.base instance + Renaming.Rebatching.size instance;
   }
 
@@ -51,50 +27,30 @@ let adaptive_capacity space = Renaming.Object_space.total_size space 16
 let adaptive space =
   {
     label = "adaptive";
-    algo = (fun env -> Renaming.Adaptive_rebatching.get_name env space);
-    fast = Renaming.Fast_algo.adaptive space;
+    fast = Renaming.Adaptive_rebatching.machine space;
     capacity = adaptive_capacity space;
   }
 
 let fast_adaptive space =
   {
     label = "fast-adaptive";
-    algo = (fun env -> Renaming.Fast_adaptive_rebatching.get_name env space);
-    fast = Renaming.Fast_algo.fast_adaptive space;
+    fast = Renaming.Fast_adaptive_rebatching.machine space;
     capacity = adaptive_capacity space;
   }
 
 let uniform ~m ~max_steps =
-  {
-    label = "uniform";
-    algo = (fun env -> Baselines.Uniform_probe.get_name env ~m ~max_steps);
-    fast = Renaming.Fast_algo.uniform ~m ~max_steps;
-    capacity = m;
-  }
+  { label = "uniform"; fast = Baselines.Uniform_probe.machine ~m ~max_steps; capacity = m }
 
 let linear_scan ~m =
-  {
-    label = "linear-scan";
-    algo = (fun env -> Baselines.Linear_scan.get_name env ~m);
-    fast = Renaming.Fast_algo.linear_scan ~m;
-    capacity = m;
-  }
+  { label = "linear-scan"; fast = Baselines.Linear_scan.machine ~m; capacity = m }
 
 let cyclic_scan ~m =
-  {
-    label = "cyclic-scan";
-    algo = (fun env -> Baselines.Cyclic_scan.get_name env ~m);
-    fast = Renaming.Fast_algo.cyclic_scan ~m;
-    capacity = m;
-  }
+  { label = "cyclic-scan"; fast = Baselines.Cyclic_scan.machine ~m; capacity = m }
 
 let adaptive_doubling ?probes_per_level space =
   {
     label = "doubling";
-    algo =
-      (fun env ->
-        Baselines.Adaptive_doubling.get_name env ?probes_per_level space);
-    fast = Renaming.Fast_algo.adaptive_doubling ?probes_per_level space;
+    fast = Baselines.Adaptive_doubling.machine ?probes_per_level space;
     capacity = adaptive_capacity space;
   }
 
@@ -130,7 +86,7 @@ let atomic_sequential ~shuffled ~seed ~n spec =
       let env =
         Renaming.Env.make ~reset ~pid ~tas ~random_int:(Prng.Splitmix.int rng) ()
       in
-      names.(pid) <- spec.algo env;
+      names.(pid) <- closure spec env;
       steps.(pid) <- !count)
     order;
   let total_steps = Array.fold_left ( + ) 0 steps in
@@ -151,13 +107,13 @@ let run_sequential ?(shuffled = true) substrate spec ~seed ~n () =
   | Fast ->
     Sim.Fast_core.run_sequential_once ~shuffled ~seed ~n ~algo:spec.fast ()
   | Effects ->
-    Sim.Runner.run_sequential ~shuffled ~seed ~n ~algo:spec.algo ()
+    Sim.Runner.run_sequential ~shuffled ~seed ~n ~algo:(closure spec) ()
   | Atomic -> atomic_sequential ~shuffled ~seed ~n spec
 
 let run ?max_total_steps substrate spec ~seed ~n () =
   match substrate with
   | Fast -> Sim.Fast_core.run_once ?max_total_steps ~seed ~n ~algo:spec.fast ()
-  | Effects -> Sim.Runner.run ?max_total_steps ~seed ~n ~algo:spec.algo ()
+  | Effects -> Sim.Runner.run ?max_total_steps ~seed ~n ~algo:(closure spec) ()
   | Atomic ->
     invalid_arg
       "Substrate.run: the atomic substrate is sequential-only; use \

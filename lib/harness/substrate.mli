@@ -1,13 +1,12 @@
 (** Execution substrates: one renaming algorithm, three ways to execute
     it.
 
-    - {!Fast} — the zero-allocation state-machine core
-      ([Sim.Fast_core] driving a [Renaming.Fast_algo] encoding).  Only
-      oblivious schedules (uniformly random or sequential) are
-      expressible, which is exactly what the headline tables use; in
-      exchange a run is several times faster and allocation-free, so
-      large sweeps stop being GC-bound.
-    - {!Effects} — the reference path: closures over [Renaming.Env]
+    - {!Fast} — the zero-allocation core ([Sim.Fast_core] running the
+      algorithm's [Renaming.Machine]).  Only oblivious schedules
+      (uniformly random or sequential) are expressible, which is exactly
+      what the headline tables use; in exchange a run is several times
+      faster and allocation-free, so large sweeps stop being GC-bound.
+    - {!Effects} — the same machine under [Renaming.Machine.drive],
       suspended per operation by the effects scheduler.  Required for
       adaptive adversaries, crash injection via [Sim.Adversary], and
       event tracing.
@@ -18,41 +17,34 @@
     The three substrates consume identical per-pid SplitMix64 streams, so
     on the schedules they share they produce {e identical} results
     field for field — pinned by the cross-substrate equivalence suite in
-    [test/test_fast_core.ml].  The oblivious experiments therefore run on
-    {!Fast}; {!Effects} and {!Atomic} are the references it is checked
-    against. *)
+    [test/test_fast_core.ml], whose reference side is an independent
+    closure transcription of each algorithm.  The oblivious experiments
+    therefore run on {!Fast}. *)
 
 type t = Fast | Effects | Atomic
 
 (** {1 Algorithm specs}
 
-    A {!spec} bundles the two faces of one algorithm instance — the
-    reference closure and its state-machine encoding — plus the location
-    capacity the atomic substrate must preallocate.  Constructors
-    guarantee both faces describe the same instance, which is what makes
-    substrate choice transparent. *)
+    A {!spec} is one algorithm instance — its machine — plus the
+    location capacity the atomic substrate must preallocate. *)
 
 type spec
 
 val label : spec -> string
 
 val closure : spec -> Renaming.Env.t -> int option
-(** The reference-closure face, for drivers that need bespoke runner
-    options (adversaries, crash injection, event hooks) and therefore
-    call [Sim.Runner] directly. *)
+(** [Renaming.Machine.drive] of the machine, for drivers that need
+    bespoke runner options (adversaries, crash injection, event hooks)
+    and therefore call [Sim.Runner] directly. *)
 
-val fast_algo : spec -> Renaming.Fast_algo.t
-(** The state-machine face, for drivers that manage a reusable
-    [Sim.Fast_core] handle themselves (the benchmark harness). *)
+val fast_algo : spec -> Renaming.Machine.t
+(** The machine, for drivers that manage a reusable [Sim.Fast_core]
+    handle themselves (the benchmark harness). *)
 
 val capacity : spec -> int
 (** Locations the atomic substrate preallocates for this instance. *)
 
-val rebatching :
-  ?backup:bool -> ?on_backup:(unit -> unit) -> Renaming.Rebatching.t -> spec
-(** [on_backup] fires once per process entering the backup scan, on every
-    substrate (via [Events.Backup_entered] on the closure side and the
-    [Fast_algo] hook on the fast side). *)
+val rebatching : ?backup:bool -> Renaming.Rebatching.t -> spec
 
 val adaptive : Renaming.Object_space.t -> spec
 val fast_adaptive : Renaming.Object_space.t -> spec

@@ -36,20 +36,20 @@ let split_at t i =
 
 let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
+(* Rejection sampling to avoid modulo bias; top-level so a draw
+   allocates no closure. *)
+let rec reject t bound limit =
+  let v = bits t in
+  if v >= limit then reject t bound limit else v mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
   if bound land (bound - 1) = 0 then
     (* power of two: mask is exact *)
     bits t land (bound - 1)
   else
-    (* rejection sampling to avoid modulo bias *)
     let max_int62 = (1 lsl 62) - 1 in
-    let limit = max_int62 - (max_int62 mod bound) in
-    let rec draw () =
-      let v = bits t in
-      if v >= limit then draw () else v mod bound
-    in
-    draw ()
+    reject t bound (max_int62 - (max_int62 mod bound))
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Splitmix.int_in: empty range";

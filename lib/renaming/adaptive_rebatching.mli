@@ -17,8 +17,21 @@
     The name finally returned comes from an object [R_i] with
     [n_i <= 2^{ceil(log k)}] w.h.p., hence is at most [4(1+eps)k]. *)
 
+val machine : Object_space.t -> Machine.t
+(** The algorithm as a {!Machine.t}.  Events, in the order the paper's
+    pseudocode performs them: [Object_visited i] on entering [R_i], then
+    [R_i]'s [Probe]/[Batch_failed]/[Name_acquired] events (with [obj = i]),
+    exactly as {!Rebatching.machine} [~backup:false] on [R_i] emits
+    them. *)
+
+val machine_releasing : Object_space.t -> Machine.t
+(** Like {!machine}, but each superseded name is reset (one
+    {!Machine.release} step, then [Name_released]) before the search
+    goes on. *)
+
 val get_name : Env.t -> Object_space.t -> int option
-(** [get_name env space] returns this process's name, or [None] in the
+(** [get_name env space] is {!Machine.drive} of {!machine}: this
+    process's name, or [None] in the
     (probability-zero under the model's assumptions, but reachable if the
     caller exceeds the space's cap) event that every object up to the cap
     is exhausted.  As in the paper, names acquired and then superseded
@@ -26,7 +39,8 @@ val get_name : Env.t -> Object_space.t -> int option
     (the O(k) bound already accounts for them). *)
 
 val get_name_releasing : Env.t -> Object_space.t -> int option
-(** Like {!get_name} but superseded intermediate names are reset (one
+(** {!Machine.drive} of {!machine_releasing}: like {!get_name} but
+    superseded intermediate names are reset (one
     shared-memory step each) instead of abandoned.  Required for
     long-lived use ({!Long_lived.Adaptive}), where abandoned names would
     leak the namespace across epochs; needs an environment with reset

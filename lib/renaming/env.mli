@@ -27,6 +27,10 @@ type t = {
       (** [random_int bound] is a process-local uniform draw on
           [0, bound).  Backed by a per-process SplitMix64 stream. *)
   emit : Events.t -> unit;  (** Instrumentation sink; may be [ignore]. *)
+  observed : bool;
+      (** Whether [emit] has a listener.  When [false] the algorithms
+          build no event at all, so an unobserved run pays nothing for
+          instrumentation. *)
 }
 
 val make :
@@ -38,5 +42,5 @@ val make :
   unit ->
   t
 (** [make ~pid ~tas ~random_int ()] builds an environment; [emit]
-    defaults to dropping events and [reset] to raising
-    [Invalid_argument]. *)
+    defaults to dropping events (and [observed] is then [false]), and
+    [reset] to raising [Invalid_argument]. *)

@@ -18,12 +18,27 @@
     Requires the object space to use [epsilon = 1] (as in the paper; the
     namespace of [R_i] then has size exactly [2^{i+1}]). *)
 
+val machine : Object_space.t -> Machine.t
+(** The algorithm as a {!Machine.t}; Search runs on an explicit bounded
+    stack inside the state block.  Events: [Object_visited i] on each
+    race level, then the [Probe]/[Batch_failed]/[Name_acquired] events
+    of each [TryGetName] call (with [obj] the object index, [batch] the
+    batch [t]).  @raise Invalid_argument unless the space uses
+    [epsilon = 1]. *)
+
+val machine_releasing : Object_space.t -> Machine.t
+(** Like {!machine}, but each superseded name is reset (one
+    {!Machine.release} step, then [Name_released]) before Search goes
+    on. *)
+
 val get_name : Env.t -> Object_space.t -> int option
-(** [get_name env space] returns this process's name ([None] only beyond
+(** [get_name env space] is {!Machine.drive} of {!machine}: this
+    process's name ([None] only beyond
     the space's cap).  @raise Invalid_argument if [space] was not created
     with [epsilon = 1.0].  Superseded intermediate names stay taken, as
     in the paper. *)
 
 val get_name_releasing : Env.t -> Object_space.t -> int option
-(** Like {!get_name} but superseded names are reset — the long-lived
+(** {!Machine.drive} of {!machine_releasing}: like {!get_name} but
+    superseded names are reset — the long-lived
     mode; needs an environment with reset support. *)

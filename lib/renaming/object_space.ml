@@ -1,5 +1,15 @@
 let max_index = 60
 
+type geometry = {
+  top : int;
+  kappa : int array;
+  batch_size : int array array;
+  batch_offset : int array array;
+  budget : int array array;
+  name_lo : int array;
+  name_hi : int array;
+}
+
 type t = {
   epsilon : float;
   t0 : int option;
@@ -9,6 +19,7 @@ type t = {
   objects : Rebatching.t option array;
   offsets : int array;  (* s_i; offsets.(i) valid once computed_up_to >= i *)
   mutable computed_up_to : int;
+  mutable geometry : geometry option;
 }
 
 let create ?(epsilon = 1.0) ?t0 ?(beta = Rebatching.default_beta)
@@ -24,6 +35,7 @@ let create ?(epsilon = 1.0) ?t0 ?(beta = Rebatching.default_beta)
     objects = Array.make (max_index + 2) None;
     offsets = Array.make (max_index + 2) 0;
     computed_up_to = 0;
+    geometry = None;
   }
 
 let m_of t i =
@@ -81,3 +93,32 @@ let owner_of_name t u =
     in
     find 1
   end
+
+(* Built on first use and kept: every adaptive machine over this space
+   shares it.  Two domains racing here build equal tables, and either
+   store wins. *)
+let geometry t =
+  match t.geometry with
+  | Some g -> g
+  | None ->
+    let table default f =
+      Array.init (t.cap + 1) (fun i -> if i = 0 then default else f (obj t i))
+    in
+    let batches f =
+      table [||] (fun r -> Array.init (Rebatching.batch_count r) (f r))
+    in
+    let g =
+      {
+        top = t.cap;
+        kappa = table 0 Rebatching.kappa;
+        batch_size = batches Rebatching.batch_size;
+        batch_offset = batches Rebatching.batch_offset;
+        budget = batches Rebatching.probe_budget;
+        name_lo = table 0 Rebatching.base;
+        name_hi = table 0 (fun r -> Rebatching.base r + Rebatching.size r);
+      }
+    in
+    t.geometry <- Some g;
+    g
+
+let[@inline] in_range g i name = name >= g.name_lo.(i) && name < g.name_hi.(i)

@@ -49,3 +49,24 @@ val in_object : t -> int -> name:int -> bool
 val max_index : int
 (** Largest supported object index (60; [2^60] processes is beyond any
     conceivable run, and keeps offsets inside OCaml's [int]). *)
+
+(** {1 Flat geometry for the machines} *)
+
+type geometry = {
+  top : int;  (** {!cap} *)
+  kappa : int array;  (** per object index [1..top]: [Rebatching.kappa] *)
+  batch_size : int array array;  (** [batch_size.(i).(b)] = [|B_b|] of [R_i] *)
+  batch_offset : int array array;  (** first global location of each batch *)
+  budget : int array array;  (** probe budget [t_b] of each batch *)
+  name_lo : int array;  (** first name of [R_i] *)
+  name_hi : int array;  (** one past the last name of [R_i] *)
+}
+(** Every object's batch layout up to the cap, as flat tables, so the
+    adaptive machines' step path does no option matching or float
+    math.  Index 0 is unused. *)
+
+val geometry : t -> geometry
+(** The space's geometry tables, built on first use and then shared. *)
+
+val in_range : geometry -> int -> int -> bool
+(** [in_range g i name] is {!in_object} on the tables. *)

@@ -8,6 +8,8 @@ type t = {
   batch_sizes : int array;  (* length kappa + 1 *)
   batch_offsets : int array;  (* global location indices *)
   probes : int array;  (* t_i per batch *)
+  with_backup : Machine.t;
+  without_backup : Machine.t;
 }
 
 let default_beta = 3
@@ -24,6 +26,7 @@ let ceil_log2 x =
 let n t = t.n
 let epsilon t = t.epsilon
 let base t = t.base
+let obj t = t.obj
 let size t = t.m
 let kappa t = t.kappa
 let batch_count t = t.kappa + 1
@@ -44,6 +47,59 @@ let probe_budget t i =
   t.probes.(i)
 
 let owns_name t u = u >= t.base && u < t.base + t.m
+
+(* The machine of Figure 1.  State: st.(off) = batch index, or kappa+1
+   once the process is in the backup scan; st.(off+1) = probe index
+   within the batch.  One uniform draw on the batch size immediately
+   precedes each TAS; the backup scan draws nothing.  Batches are never
+   empty ([make] shrinks kappa instead), so entering a batch always
+   yields a probe. *)
+let machine_of ~backup ~obj ~base ~m ~kappa ~sizes ~offsets ~probes =
+  let backup_mode = kappa + 1 in
+  let enter_batch st off (io : Machine.io) pid i =
+    st.(off) <- i;
+    st.(off + 1) <- 1;
+    offsets.(i) + io.draw pid sizes.(i)
+  in
+  let init st off io pid = enter_batch st off io pid 0 in
+  let resume st off (io : Machine.io) pid loc won =
+    let i = st.(off) in
+    (match io.emit with
+    | Some f ->
+      let batch = if i <= kappa then i else -1 in
+      f (Events.Probe { obj; batch; location = loc; won })
+    | None -> ());
+    if won then begin
+      (match io.emit with
+      | Some f -> f (Events.Name_acquired { obj; name = loc })
+      | None -> ());
+      Machine.finished loc
+    end
+    else if i <= kappa then begin
+      let j = st.(off + 1) + 1 in
+      if j <= probes.(i) then begin
+        st.(off + 1) <- j;
+        offsets.(i) + io.draw pid sizes.(i)
+      end
+      else begin
+        (match io.emit with
+        | Some f -> f (Events.Batch_failed { obj; batch = i })
+        | None -> ());
+        if i < kappa then enter_batch st off io pid (i + 1)
+        else if backup then begin
+          (match io.emit with
+          | Some f -> f (Events.Backup_entered { obj })
+          | None -> ());
+          st.(off) <- backup_mode;
+          base
+        end
+        else Machine.finished_none
+      end
+    end
+    else if loc + 1 < base + m then loc + 1
+    else Machine.finished_none
+  in
+  { Machine.label = "rebatching"; slots = 2; init; resume }
 
 let make ?(epsilon = 1.0) ?t0 ?(beta = default_beta) ?(base = 0) ?(obj = 0)
     ~n () =
@@ -89,55 +145,16 @@ let make ?(epsilon = 1.0) ?t0 ?(beta = default_beta) ?(base = 0) ?(obj = 0)
     Array.init (kappa + 1) (fun i ->
         if i = 0 then t0 else if i = kappa then beta else 1)
   in
+  let machine backup =
+    machine_of ~backup ~obj ~base ~m ~kappa ~sizes ~offsets ~probes
+  in
   { n; epsilon; base; obj; m; kappa; batch_sizes = sizes;
-    batch_offsets = offsets; probes }
+    batch_offsets = offsets; probes; with_backup = machine true;
+    without_backup = machine false }
 
-let try_batch (env : Env.t) t i =
-  check_batch t i;
-  let b = t.batch_sizes.(i) in
-  let off = t.batch_offsets.(i) in
-  let budget = t.probes.(i) in
-  let rec probe j =
-    if j > budget || b = 0 then begin
-      env.emit (Events.Batch_failed { obj = t.obj; batch = i });
-      None
-    end
-    else begin
-      let x = env.random_int b in
-      let loc = off + x in
-      let won = env.tas loc in
-      env.emit (Events.Probe { obj = t.obj; batch = i; location = loc; won });
-      if won then begin
-        env.emit (Events.Name_acquired { obj = t.obj; name = loc });
-        Some loc
-      end
-      else probe (j + 1)
-    end
-  in
-  probe 1
+let machine ?(backup = true) t =
+  if backup then t.with_backup else t.without_backup
 
-let backup_scan (env : Env.t) t =
-  env.emit (Events.Backup_entered { obj = t.obj });
-  let rec scan u =
-    if u >= t.base + t.m then None
-    else begin
-      let won = env.tas u in
-      env.emit (Events.Probe { obj = t.obj; batch = -1; location = u; won });
-      if won then begin
-        env.emit (Events.Name_acquired { obj = t.obj; name = u });
-        Some u
-      end
-      else scan (u + 1)
-    end
-  in
-  scan t.base
+let get_name ?backup env t = Machine.drive (machine ?backup t) env
 
-let get_name ?(backup = true) (env : Env.t) t =
-  let rec batches i =
-    if i > t.kappa then if backup then backup_scan env t else None
-    else
-      match try_batch env t i with
-      | Some u -> Some u
-      | None -> batches (i + 1)
-  in
-  batches 0
+

@@ -18,8 +18,9 @@
     therefore be shared by any number of processes on any substrate.
 
     For the adaptive algorithms (§5) an instance can be relocated to a
-    [base] offset in the global location space and restricted to
-    per-batch probing ({!try_batch}) with the backup phase disabled. *)
+    [base] offset in the global location space, and its batch layout
+    ({!batch_size}, {!batch_offset}, {!probe_budget}) read by their
+    machines. *)
 
 type t
 (** An immutable ReBatching instance description. *)
@@ -60,6 +61,9 @@ val n : t -> int
 val epsilon : t -> float
 val base : t -> int
 
+val obj : t -> int
+(** The object index this instance reports in its events. *)
+
 val size : t -> int
 (** [size t] is [m], the number of TAS objects = namespace size. *)
 
@@ -85,18 +89,21 @@ val owns_name : t -> int -> bool
 (** [owns_name t u] tests whether global name [u] lies in this instance's
     namespace [base, base + m) — the "[u ∈ R_i]" test of §5. *)
 
-val try_batch : Env.t -> t -> int -> int option
-(** [try_batch env t i] is [TryGetName(i)] of Figure 1: perform
-    [probe_budget t i] TAS probes on uniformly random objects of batch
-    [i], returning the (global) name of the first one won, or [None].
-    @raise Invalid_argument if [i] is outside [0, kappa]. *)
+val machine : ?backup:bool -> t -> Machine.t
+(** [machine t] is Figure 1 as a {!Machine.t}: try batches [0 .. kappa]
+    in order, [probe_budget t i] uniform probes each
+    ([TryGetName(i)]), then — if [backup] (default [true]) — scan all
+    [m] objects sequentially.  Events: a [Probe] per TAS (batch [-1] in
+    the backup scan), [Name_acquired] on the win, [Batch_failed] after
+    each exhausted batch, [Backup_entered] on entering the scan; all
+    with [obj] = this instance's object index.  Built once per
+    instance. *)
 
 val get_name : ?backup:bool -> Env.t -> t -> int option
-(** [get_name env t] is [GetName()] of Figure 1: try batches
-    [0 .. kappa] in order, then — if [backup] (default [true]) — scan all
-    [m] objects sequentially.  Returns [None] only if every object is
-    already taken (impossible when at most [n] processes participate and
-    backup is enabled, hence Figure 1's unreachable [return -1]).
+(** [get_name env t] is [GetName()] of Figure 1: {!Machine.drive} of
+    {!machine}.  Returns [None] only if every object is already taken
+    (impossible when at most [n] processes participate and backup is
+    enabled, hence Figure 1's unreachable [return -1]).
 
-    The adaptive algorithms of §5 call this with [~backup:false], where
-    [None] means "this object is too contended, move on". *)
+    With [~backup:false], [None] means "this object is too contended,
+    move on" — the building block of the adaptive algorithms of §5. *)

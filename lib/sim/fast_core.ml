@@ -5,7 +5,7 @@
    (and the GC work behind it) dominates wall clock.  For the schedules
    the big sweeps actually use — the uniformly random oblivious adversary
    and the sequential solo order — no continuation is needed: a process
-   is fully described by the integer state of its [Fast_algo] machine.
+   is fully described by the integer state of its [Renaming.Machine] machine.
    This driver runs those machines with zero heap allocation per step:
    coins live unboxed in a [Prng.Flat] bank, the ready set is a flat
    Fisher-Yates swap array, and the TAS space is a reused
@@ -17,7 +17,7 @@
    the booleans — one cache-linear lane per field rather than one record
    per process, so the batch loops scan contiguous untagged memory and a
    lane index is a plain machine word.  Only the machine-state lane [st]
-   stays an OCaml [int array]: it is the [Fast_algo] transition
+   stays an OCaml [int array]: it is the [Renaming.Machine] transition
    contract, shared with the draw-enumeration explorer.
 
    Equivalence: [run] reproduces [Runner.run ~adversary:Adversary.random]
@@ -43,12 +43,12 @@ let copy_lane (a : lane) : lane =
   c
 
 type t = {
-  algo : Renaming.Fast_algo.t;
+  algo : Renaming.Machine.t;
   n : int;
   space : Location_space.t;
   rng : Prng.Flat.t;  (* streams 0..n-1 = processes, n = scheduler *)
-  rand : Renaming.Fast_algo.rand;  (* the machines' view of [rng] *)
-  st : int array;  (* n * slots machine state (Fast_algo contract) *)
+  io : Renaming.Machine.io;  (* the machines' view of [rng]; no listener *)
+  st : int array;  (* n * slots machine state (Machine contract) *)
   pending : lane;  (* per pid: location of the pending TAS *)
   ready : lane;  (* Fisher-Yates swap array of waiting pids *)
   names : lane;  (* -1 = none *)
@@ -74,8 +74,8 @@ let create ?capacity ~algo ~n () =
     n;
     space = Location_space.create ?capacity ();
     rng;
-    rand = Renaming.Fast_algo.flat_rand rng;
-    st = Array.make (n * Renaming.Fast_algo.slots algo) 0;
+    io = Renaming.Machine.flat rng;
+    st = Array.make (n * Renaming.Machine.slots algo) 0;
     pending = lane n;
     ready = lane n;
     names = lane n;
@@ -132,18 +132,18 @@ let[@inline] retire t pid =
 (* Start every machine; mirrors [Scheduler.create] running each body up
    to its first pending operation. *)
 let start_all t =
-  let slots = Renaming.Fast_algo.slots t.algo in
-  let init = t.algo.Renaming.Fast_algo.init in
+  let slots = Renaming.Machine.slots t.algo in
+  let init = t.algo.Renaming.Machine.init in
   t.size <- 0;
   for pid = 0 to t.n - 1 do
-    let a = init t.st (pid * slots) t.rand pid in
+    let a = init t.st (pid * slots) t.io pid in
     if a >= 0 then begin
       Bigarray.Array1.unsafe_set t.pending pid a;
       Bigarray.Array1.unsafe_set t.ready t.size pid;
       t.size <- t.size + 1
     end
     else begin
-      match Renaming.Fast_algo.name_of_action a with
+      match Renaming.Machine.name_of_action a with
       | Some u -> Bigarray.Array1.unsafe_set t.names pid u
       | None -> ()
     end
@@ -151,8 +151,8 @@ let start_all t =
 
 let run ?(max_total_steps = 10_000_000) t =
   start_all t;
-  let slots = Renaming.Fast_algo.slots t.algo in
-  let resume = t.algo.Renaming.Fast_algo.resume in
+  let slots = Renaming.Machine.slots t.algo in
+  let resume = t.algo.Renaming.Machine.resume in
   let budget = ref max_total_steps in
   while t.size > 0 do
     if !budget <= 0 then raise Scheduler.Step_limit_exceeded;
@@ -198,7 +198,7 @@ let run ?(max_total_steps = 10_000_000) t =
           (Bigarray.Array1.unsafe_get t.ready t.size)
       end
       else begin
-        let a = resume t.st (pid * slots) t.rand pid loc won in
+        let a = resume t.st (pid * slots) t.io pid loc won in
         if a >= 0 then Bigarray.Array1.unsafe_set t.pending pid a
         else begin
           if a <= -2 then Bigarray.Array1.unsafe_set t.names pid (-2 - a);
@@ -213,9 +213,9 @@ let run ?(max_total_steps = 10_000_000) t =
   t.point_contention <- t.max_active
 
 let run_sequential ?(shuffled = true) t =
-  let slots = Renaming.Fast_algo.slots t.algo in
-  let init = t.algo.Renaming.Fast_algo.init in
-  let resume = t.algo.Renaming.Fast_algo.resume in
+  let slots = Renaming.Machine.slots t.algo in
+  let init = t.algo.Renaming.Machine.init in
+  let resume = t.algo.Renaming.Machine.resume in
   (* Same order as [Runner.run_sequential]: a Fisher-Yates permutation
      from the scheduler stream, or pid order. *)
   for i = 0 to t.n - 1 do
@@ -231,12 +231,12 @@ let run_sequential ?(shuffled = true) t =
   for k = 0 to t.n - 1 do
     let pid = Bigarray.Array1.unsafe_get t.order k in
     let off = pid * slots in
-    let a = ref (init t.st off t.rand pid) in
+    let a = ref (init t.st off t.io pid) in
     let steps = ref 0 in
     while !a >= 0 do
       incr steps;
       let won = Location_space.tas t.space !a in
-      a := resume t.st off t.rand pid !a won
+      a := resume t.st off t.io pid !a won
     done;
     Bigarray.Array1.unsafe_set t.steps pid !steps;
     t.total_steps <- t.total_steps + !steps;
@@ -296,10 +296,10 @@ let run_sequential_once ?shuffled ~seed ~n ~algo () =
    so the sweeps' 0 words/op claim survives three more decades of n. *)
 
 type seq = {
-  q_algo : Renaming.Fast_algo.t;
+  q_algo : Renaming.Machine.t;
   q_space : Location_space.t;
   q_rng : Prng.Flat.t;  (* single slot, re-derived per pid *)
-  q_rand : Renaming.Fast_algo.rand;
+  q_io : Renaming.Machine.io;
   q_st : int array;  (* one machine's slots *)
   mutable q_a : int;  (* current action (loop scratch) *)
   mutable q_steps : int;  (* current pid's step count (loop scratch) *)
@@ -315,8 +315,8 @@ let seq_create ?capacity ~algo () =
     q_algo = algo;
     q_space = Location_space.create ?capacity ();
     q_rng = rng;
-    q_rand = Renaming.Fast_algo.fixed_rand (fun _pid bound -> Prng.Flat.int rng 0 bound);
-    q_st = Array.make (Renaming.Fast_algo.slots algo) 0;
+    q_io = Renaming.Machine.fixed (fun _pid bound -> Prng.Flat.int rng 0 bound);
+    q_st = Array.make (Renaming.Machine.slots algo) 0;
     q_a = -1;
     q_steps = 0;
     q_total = 0;
@@ -332,18 +332,18 @@ let seq_run q ~seed ~n =
   q.q_max <- 0;
   q.q_named <- 0;
   q.q_max_name <- -1;
-  let init = q.q_algo.Renaming.Fast_algo.init in
-  let resume = q.q_algo.Renaming.Fast_algo.resume in
+  let init = q.q_algo.Renaming.Machine.init in
+  let resume = q.q_algo.Renaming.Machine.resume in
   let st = q.q_st in
-  let rand = q.q_rand in
+  let io = q.q_io in
   for pid = 0 to n - 1 do
     Prng.Flat.seed_stream q.q_rng ~slot:0 ~seed ~stream:pid;
-    q.q_a <- init st 0 rand pid;
+    q.q_a <- init st 0 io pid;
     q.q_steps <- 0;
     while q.q_a >= 0 do
       q.q_steps <- q.q_steps + 1;
       let won = Location_space.tas q.q_space q.q_a in
-      q.q_a <- resume st 0 rand pid q.q_a won
+      q.q_a <- resume st 0 io pid q.q_a won
     done;
     q.q_total <- q.q_total + q.q_steps;
     if q.q_steps > q.q_max then q.q_max <- q.q_steps;
@@ -402,8 +402,8 @@ let step_pid t ~pid =
   t.total_steps <- t.total_steps + 1;
   activate t pid;
   let won = Location_space.tas t.space loc in
-  let slots = Renaming.Fast_algo.slots t.algo in
-  let a = t.algo.Renaming.Fast_algo.resume t.st (pid * slots) t.rand pid loc won in
+  let slots = Renaming.Machine.slots t.algo in
+  let a = t.algo.Renaming.Machine.resume t.st (pid * slots) t.io pid loc won in
   if a >= 0 then Bigarray.Array1.set t.pending pid a
   else begin
     if a <= -2 then Bigarray.Array1.set t.names pid (-2 - a);
@@ -441,15 +441,15 @@ let restart_pid t ~pid =
    in
    if live 0 then invalid_arg "Fast_core.restart_pid: pid still running");
   Bigarray.Array1.set t.names pid (-1);
-  let slots = Renaming.Fast_algo.slots t.algo in
-  let a = t.algo.Renaming.Fast_algo.init t.st (pid * slots) t.rand pid in
+  let slots = Renaming.Machine.slots t.algo in
+  let a = t.algo.Renaming.Machine.init t.st (pid * slots) t.io pid in
   if a >= 0 then begin
     Bigarray.Array1.set t.pending pid a;
     Bigarray.Array1.set t.ready t.size pid;
     t.size <- t.size + 1
   end
   else begin
-    match Renaming.Fast_algo.name_of_action a with
+    match Renaming.Machine.name_of_action a with
     | Some u -> Bigarray.Array1.set t.names pid u
     | None -> ()
   end

@@ -1,4 +1,4 @@
-(** Zero-allocation execution of {!Renaming.Fast_algo} machines.
+(** Zero-allocation execution of {!Renaming.Machine} machines.
 
     The direct-style fast path for oblivious schedules: where the effects
     scheduler allocates a continuation and a waiting cell per
@@ -13,7 +13,10 @@
     [Runner.run_sequential] — the per-pid coin streams, the scheduler's
     picks and the settle bookkeeping replay the effects path decision for
     decision.  Adversaries other than the uniform oblivious one are not
-    expressible here; use the effects substrate for those runs.
+    expressible here; use the effects substrate for those runs.  The
+    machines run with no event listener, and the long-lived
+    (releasing) machines, whose {!Renaming.Machine.release} action only
+    {!Renaming.Machine.drive} performs, are not run here.
 
     Handles are reusable so benchmarks can measure steady state:
     [create] preallocates everything for [(algo, n)]; each execution is
@@ -23,7 +26,7 @@
 
 type t
 
-val create : ?capacity:int -> algo:Renaming.Fast_algo.t -> n:int -> unit -> t
+val create : ?capacity:int -> algo:Renaming.Machine.t -> n:int -> unit -> t
 (** Preallocate a handle for [n] processes running [algo].  Per-process
     bookkeeping is laid out structure-of-arrays over unboxed
     [Bigarray.Array1] int lanes.  [capacity] dense-preallocates the
@@ -68,7 +71,7 @@ val run_once :
   ?max_total_steps:int ->
   seed:int ->
   n:int ->
-  algo:Renaming.Fast_algo.t ->
+  algo:Renaming.Machine.t ->
   unit ->
   Runner.result
 
@@ -76,7 +79,7 @@ val run_sequential_once :
   ?shuffled:bool ->
   seed:int ->
   n:int ->
-  algo:Renaming.Fast_algo.t ->
+  algo:Renaming.Machine.t ->
   unit ->
   Runner.result
 
@@ -98,7 +101,7 @@ type seq
 (** A reusable streaming handle: create once per (algo, capacity), then
     [seq_run] per trial; only creation allocates. *)
 
-val seq_create : ?capacity:int -> algo:Renaming.Fast_algo.t -> unit -> seq
+val seq_create : ?capacity:int -> algo:Renaming.Machine.t -> unit -> seq
 (** [capacity] dense-preallocates the location space — recommended for
     the bounded-namespace algorithms (e.g. [2n] cells for ReBatching) so
     every probe of the measured loop is one bit of a flat bitmap (a

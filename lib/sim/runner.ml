@@ -11,12 +11,8 @@ type result = {
 
 let make_env ~root ~on_event ~tas ~reset pid =
   let rng = Prng.Splitmix.split_at root pid in
-  let emit =
-    match on_event with
-    | None -> fun (_ : Renaming.Events.t) -> ()
-    | Some f -> fun e -> f ~pid e
-  in
-  Renaming.Env.make ~emit ~reset ~pid ~tas ~random_int:(Prng.Splitmix.int rng) ()
+  let emit = Option.map (fun f e -> f ~pid e) on_event in
+  Renaming.Env.make ?emit ~reset ~pid ~tas ~random_int:(Prng.Splitmix.int rng) ()
 
 let surviving_max steps crashed =
   let m = ref 0 in

@@ -29,11 +29,14 @@ type t = {
   mutable total_steps : int;
   mutable crashes : int;
   cb : Adversary.callbacks;
-  (* Payload of the effect currently being suspended, stashed here so the
-     per-process handler closures below can be built once in [start]
-     instead of once per shared-memory operation. *)
-  pend_loc : int array;
-  pend_val : int array;
+  (* The fiber now executing, and the payload of the effect it is
+     suspending: the one handler built in [create] reads them instead
+     of capturing them, so suspending an operation constructs no
+     closure — only the [Waiting] cell that must carry the
+     continuation. *)
+  mutable running : int;
+  mutable pend_loc : int;
+  mutable pend_val : int;
 }
 
 let retire t pid =
@@ -42,68 +45,53 @@ let retire t pid =
     t.active_count <- t.active_count - 1
   end
 
-let start t pid body =
-  t.cells.(pid) <- Running;
-  (* One handler closure (and its [Some] wrapper) per operation kind per
-     process, built here once: the effect's payload travels through
-     [pend_loc]/[pend_val] rather than being captured, so suspending an
-     operation no longer constructs a fresh closure — only the [Waiting]
-     cell that must carry the continuation remains per-step. *)
-  let h_tas (k : (bool, unit) Effect.Deep.continuation) =
-    let loc = t.pend_loc.(pid) in
-    t.cells.(pid) <- Waiting { loc; op = Ptas k };
-    t.waiting <- t.waiting + 1;
-    t.cb.on_wait ~pid ~loc ~op:Adversary.Tas_op
+let suspend t loc op kind =
+  let pid = t.running in
+  t.cells.(pid) <- Waiting { loc; op };
+  t.waiting <- t.waiting + 1;
+  t.cb.on_wait ~pid ~loc ~op:kind
+
+let handler t : (int option, unit) Effect.Deep.handler =
+  let some_h_tas =
+    Some (fun k -> suspend t t.pend_loc (Ptas k) Adversary.Tas_op)
   in
-  let h_reset (k : (unit, unit) Effect.Deep.continuation) =
-    let loc = t.pend_loc.(pid) in
-    t.cells.(pid) <- Waiting { loc; op = Preset k };
-    t.waiting <- t.waiting + 1;
-    t.cb.on_wait ~pid ~loc ~op:Adversary.Reset_op
+  let some_h_reset =
+    Some (fun k -> suspend t t.pend_loc (Preset k) Adversary.Reset_op)
   in
-  let h_read (k : (int, unit) Effect.Deep.continuation) =
-    let reg = t.pend_loc.(pid) in
-    t.cells.(pid) <- Waiting { loc = reg; op = Pread k };
-    t.waiting <- t.waiting + 1;
-    t.cb.on_wait ~pid ~loc:reg ~op:Adversary.Read_op
+  let some_h_read =
+    Some (fun k -> suspend t t.pend_loc (Pread k) Adversary.Read_op)
   in
-  let h_write (k : (unit, unit) Effect.Deep.continuation) =
-    let reg = t.pend_loc.(pid) in
-    t.cells.(pid) <- Waiting { loc = reg; op = Pwrite (t.pend_val.(pid), k) };
-    t.waiting <- t.waiting + 1;
-    t.cb.on_wait ~pid ~loc:reg ~op:Adversary.Write_op
+  let some_h_write =
+    Some
+      (fun k -> suspend t t.pend_loc (Pwrite (t.pend_val, k)) Adversary.Write_op)
   in
-  let some_h_tas = Some h_tas in
-  let some_h_reset = Some h_reset in
-  let some_h_read = Some h_read in
-  let some_h_write = Some h_write in
-  Effect.Deep.match_with body ()
-    {
-      retc =
-        (fun result ->
-          t.cells.(pid) <- Finished result;
-          retire t pid;
-          t.cb.on_settle ~pid);
-      exnc = (function Crash_signal -> () | e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Deep.continuation -> unit) option ->
-          match eff with
-          | Proc.Tas loc ->
-            t.pend_loc.(pid) <- loc;
-            some_h_tas
-          | Proc.Reset loc ->
-            t.pend_loc.(pid) <- loc;
-            some_h_reset
-          | Proc.Read reg ->
-            t.pend_loc.(pid) <- reg;
-            some_h_read
-          | Proc.Write (reg, value) ->
-            t.pend_loc.(pid) <- reg;
-            t.pend_val.(pid) <- value;
-            some_h_write
-          | _ -> None);
-    }
+  {
+    retc =
+      (fun result ->
+        let pid = t.running in
+        t.cells.(pid) <- Finished result;
+        retire t pid;
+        t.cb.on_settle ~pid);
+    exnc = (function Crash_signal -> () | e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Proc.Tas loc ->
+          t.pend_loc <- loc;
+          some_h_tas
+        | Proc.Reset loc ->
+          t.pend_loc <- loc;
+          some_h_reset
+        | Proc.Read reg ->
+          t.pend_loc <- reg;
+          some_h_read
+        | Proc.Write (reg, value) ->
+          t.pend_loc <- reg;
+          t.pend_val <- value;
+          some_h_write
+        | _ -> None);
+  }
 
 let create ?registers ~space ~adversary ~rng ~n ~body () =
   let registers =
@@ -131,12 +119,16 @@ let create ?registers ~space ~adversary ~rng ~n ~body () =
       total_steps = 0;
       crashes = 0;
       cb;
-      pend_loc = Array.make n 0;
-      pend_val = Array.make n 0;
+      running = 0;
+      pend_loc = 0;
+      pend_val = 0;
     }
   in
+  let handler = handler t in
   for pid = 0 to n - 1 do
-    start t pid (body pid)
+    t.running <- pid;
+    t.cells.(pid) <- Running;
+    Effect.Deep.match_with (body pid) () handler
   done;
   t
 
@@ -152,6 +144,7 @@ let step t pid =
       t.active_count <- t.active_count + 1;
       if t.active_count > t.max_active then t.max_active <- t.active_count
     end;
+    t.running <- pid;
     (match op with
     | Ptas k ->
       let won = Location_space.tas t.space loc in
@@ -177,8 +170,9 @@ let crash t pid =
     t.crashes <- t.crashes + 1;
     retire t pid;
     t.cb.on_settle ~pid;
+    t.running <- pid;
     (* Unwind the fiber so its resources are released; [Crash_signal] is
-       swallowed by the handler installed in [start]. *)
+       swallowed by the handler built in [create]. *)
     (try
        match op with
        | Ptas k -> Effect.Deep.discontinue k Crash_signal

@@ -8,5 +8,6 @@ let () =
    @ Test_schedules.suite @ Test_verification.suite @ Test_gof.suite
    @ Test_rwtas.suite @ Test_engine.suite @ Test_sweep.suite @ Test_fault.suite
    @ Test_analysis.suite @ Test_chaos.suite @ Test_fast_core.suite
+   @ Test_machines.suite
    @ Test_modelcheck.suite @ Test_service.suite @ Test_survive.suite
    @ Test_overload.suite @ Test_artifact.suite @ Test_doctor.suite)

@@ -1,9 +1,11 @@
-(* Cross-substrate equivalence: the zero-allocation fast core, the
-   effects scheduler and the real-atomics sequential driver must produce
-   identical results field for field whenever they execute the same
-   schedule with the same seed.  This is the contract that lets the
-   headline experiments run on the fast substrate while the adversarial
-   and multicore work stays on the reference paths. *)
+(* Cross-substrate equivalence: the zero-allocation fast core and the
+   real-atomics sequential driver, both running the library's machines,
+   must produce results identical field for field to the independent
+   closure transcriptions of [Reference] under the effects scheduler,
+   whenever they execute the same schedule with the same seed.  This is
+   the contract that lets the headline experiments run on the fast
+   substrate while the adversarial and multicore work runs the same
+   machines through [Renaming.Machine.drive]. *)
 
 let checkb = Alcotest.check Alcotest.bool
 
@@ -50,6 +52,25 @@ let spec_of_choice ~n ~t0 ~epsilon = function
   | 5 -> Harness.Substrate.cyclic_scan ~m:(2 * n)
   | _ -> Harness.Substrate.adaptive_doubling (Renaming.Object_space.create ~t0 ())
 
+(* The independent closure transcription of the same choice. *)
+let reference_of_choice ~n ~t0 ~epsilon = function
+  | 0 ->
+    let r = Renaming.Rebatching.make ~epsilon ~t0 ~n () in
+    fun env -> Reference.Rebatching.get_name env r
+  | 1 ->
+    let space = Renaming.Object_space.create ~t0 () in
+    fun env -> Reference.Adaptive_rebatching.get_name env space
+  | 2 ->
+    let space = Renaming.Object_space.create ~t0 () in
+    fun env -> Reference.Fast_adaptive_rebatching.get_name env space
+  | 3 ->
+    fun env -> Reference.Uniform_probe.get_name env ~m:(2 * n) ~max_steps:(1000 * n)
+  | 4 -> fun env -> Reference.Linear_scan.get_name env ~m:(2 * n)
+  | 5 -> fun env -> Reference.Cyclic_scan.get_name env ~m:(2 * n)
+  | _ ->
+    let space = Renaming.Object_space.create ~t0 () in
+    fun env -> Reference.Adaptive_doubling.get_name env space
+
 let case_gen =
   QCheck.Gen.(
     let* seed = int_range 1 1_000_000 in
@@ -75,7 +96,11 @@ let qcheck_sequential_equivalence =
         Harness.Substrate.run_sequential ~shuffled substrate spec ~seed ~n ()
       in
       let fast = run Harness.Substrate.Fast in
-      let effects = run Harness.Substrate.Effects in
+      let effects =
+        Sim.Runner.run_sequential ~shuffled ~seed ~n
+          ~algo:(reference_of_choice ~n ~t0 ~epsilon choice)
+          ()
+      in
       let atomic = run Harness.Substrate.Atomic in
       if not (results_equal fast effects) then
         QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
@@ -88,12 +113,13 @@ let qcheck_sequential_equivalence =
 let qcheck_concurrent_equivalence =
   QCheck.Test.make ~name:"uniform concurrent: fast = effects" ~count:60
     case_arb (fun (seed, n, choice, t0, epsilon, _shuffled) ->
-      let run substrate =
-        let spec = spec_of_choice ~n ~t0 ~epsilon choice in
-        Harness.Substrate.run substrate spec ~seed ~n ()
+      let spec = spec_of_choice ~n ~t0 ~epsilon choice in
+      let fast = Harness.Substrate.run Harness.Substrate.Fast spec ~seed ~n () in
+      let effects =
+        Sim.Runner.run ~seed ~n
+          ~algo:(reference_of_choice ~n ~t0 ~epsilon choice)
+          ()
       in
-      let fast = run Harness.Substrate.Fast in
-      let effects = run Harness.Substrate.Effects in
       if not (results_equal fast effects) then
         QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
       true)
@@ -138,16 +164,14 @@ let qcheck_crash_equivalence =
             | Chaos.Fault_plan.After_win -> None)
           plan.Chaos.Fault_plan.crashes
       in
-      let spec =
-        spec_of_choice ~n ~t0:3 ~epsilon:1.0
-          (match choice with 0 -> 0 | 1 -> 1 | _ -> 2)
-      in
+      let choice = match choice with 0 -> 0 | 1 -> 1 | _ -> 2 in
+      let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
       let effects =
         Sim.Runner.run
           ~adversary:
             (Sim.Adversary.with_planned_crashes ~crashes Sim.Adversary.random)
           ~seed ~n
-          ~algo:(Harness.Substrate.closure spec)
+          ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
           ()
       in
       let core =
@@ -305,13 +329,16 @@ let qcheck_soa_large_n_equivalence =
   in
   QCheck.Test.make ~name:"large-n sequential: fast = effects (n <= 10^4)"
     ~count:10 (QCheck.make ~print gen) (fun (seed, n, choice) ->
-      let run substrate =
-        let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
-        Harness.Substrate.run_sequential ~shuffled:false substrate spec ~seed
-          ~n ()
+      let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
+      let fast =
+        Harness.Substrate.run_sequential ~shuffled:false Harness.Substrate.Fast
+          spec ~seed ~n ()
       in
-      let fast = run Harness.Substrate.Fast in
-      let effects = run Harness.Substrate.Effects in
+      let effects =
+        Sim.Runner.run_sequential ~shuffled:false ~seed ~n
+          ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
+          ()
+      in
       if not (results_equal fast effects) then
         QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
       true)
@@ -344,16 +371,14 @@ let qcheck_soa_large_n_crashes =
             | Chaos.Fault_plan.After_win -> None)
           plan.Chaos.Fault_plan.crashes
       in
-      let spec =
-        spec_of_choice ~n ~t0:3 ~epsilon:1.0
-          (match choice with 0 -> 0 | 1 -> 1 | _ -> 2)
-      in
+      let choice = match choice with 0 -> 0 | 1 -> 1 | _ -> 2 in
+      let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
       let effects =
         Sim.Runner.run
           ~adversary:
             (Sim.Adversary.with_planned_crashes ~crashes Sim.Adversary.random)
           ~seed ~n
-          ~algo:(Harness.Substrate.closure spec)
+          ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
           ()
       in
       let core =

@@ -373,7 +373,7 @@ let test_sampled_in_exhaustive_qcheck () =
     if o.Explore.violation <> None then
       QCheck.Test.fail_reportf "unexpected violation in clean config";
     let inst = Renaming.Rebatching.make ~t0:cfg.Explore.t0 ~n () in
-    let algo = Renaming.Fast_algo.rebatching inst in
+    let algo = Renaming.Rebatching.machine inst in
     let r = Sim.Fast_core.run_once ~seed ~n ~algo () in
     let k = key r.Sim.Runner.names in
     Hashtbl.mem seen k

@@ -87,6 +87,36 @@ let test_int_one () =
     checki "bound 1 gives 0" 0 (Prng.Splitmix.int rng 1)
   done
 
+(* The rejection loop is a top-level function: a draw with a bound that
+   is not a power of two allocates only the boxed state (3 words). *)
+let test_int_words_per_draw () =
+  let rng = Prng.Splitmix.of_int 9 in
+  let draws = 10_000 in
+  ignore (Prng.Splitmix.int rng 3);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Sys.opaque_identity (Prng.Splitmix.int rng 3))
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+  if per_draw > 3. then
+    Alcotest.failf "Splitmix.int at bound 3: %.2f words per draw (max 3)"
+      per_draw
+
+(* Same state, same bound: the boxed generator and the flat bank draw
+   the same values, the rejected ones included. *)
+let test_int_matches_flat () =
+  let rng = Prng.Splitmix.of_int 10 in
+  let bank = Prng.Flat.create 1 in
+  Prng.Flat.set_state bank 0 (Prng.Splitmix.state rng);
+  List.iter
+    (fun bound ->
+      for i = 1 to 2_000 do
+        let a = Prng.Splitmix.int rng bound and b = Prng.Flat.int bank 0 bound in
+        if a <> b then
+          Alcotest.failf "bound %d draw %d: splitmix %d <> flat %d" bound i a b
+      done)
+    [ 3; 7; 64; 1; 1000; (1 lsl 61) + 1 ]
+
 let test_int_mean () =
   let rng = Prng.Splitmix.of_int 8 in
   let n = 50_000 in
@@ -418,6 +448,8 @@ let suite =
         tc "int invalid" `Quick test_int_invalid;
         tc "int bound one" `Quick test_int_one;
         tc "int mean" `Quick test_int_mean;
+        tc "int words per draw" `Quick test_int_words_per_draw;
+        tc "int matches flat" `Quick test_int_matches_flat;
         tc "int_in" `Quick test_int_in;
         tc "float range" `Quick test_float_range;
         tc "bool balanced" `Quick test_bool_balanced;
