@@ -62,7 +62,8 @@ let substrate_pair ~label ~spec ~seed ~n ~fast_runs ~effects_runs =
     measure ~name:(label ^ "/effects") ~n ~runs:effects_runs (fun () ->
         incr eseed;
         let r =
-          Sim.Runner.run ~seed:!eseed ~n ~algo:(Harness.Substrate.closure spec)
+          Sim.Runner.run ~seed:!eseed ~n
+            ~algo:(Renaming.Machine.drive (Harness.Substrate.fast_algo spec))
             ()
         in
         r.Sim.Runner.total_steps)

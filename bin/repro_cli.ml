@@ -253,7 +253,8 @@ let simulate algo_name n seed adversary_name crash_fraction stagger histogram =
       in
       let r =
         Sim.Runner.run ~adversary ~seed ~n
-          ~algo:(Harness.Substrate.closure spec) ()
+          ~algo:(Renaming.Machine.drive (Harness.Substrate.fast_algo spec))
+          ()
       in
       Printf.printf
         "algo=%s n=%d seed=%d adversary=%s\nunique=%b max_name=%d \
@@ -515,13 +516,19 @@ let unknown_algo msg =
    between them, so their vector clocks are incomparable regardless of
    interleaving and the monitor must report a race. *)
 let racecheck_racy_demo () =
-  let sp = Analysis.Hb_space.create ~mode:Analysis.Hb.Collect ~capacity:4 () in
-  let worker () = Analysis.Hb_space.write_plain sp "shared-counter" in
+  let hb = Analysis.Hb.create ~mode:Analysis.Hb.Collect () in
+  let worker () =
+    let thread =
+      Analysis.Hb.register hb
+        ~name:(Printf.sprintf "domain-%d" (Domain.self () :> int))
+    in
+    Analysis.Hb.plain_write hb ~thread ~loc:"shared-counter"
+  in
   (* Raw spawns on purpose: the demo's point is exactly that nothing
      orders the two writes.  repro-lint: allow domain-spawn *)
   let handles = Array.init 2 (fun _ -> Domain.spawn worker) in
   Array.iter Domain.join handles;
-  match Analysis.Hb_space.races sp with
+  match Analysis.Hb.races hb with
   | [] ->
     prerr_endline
       "racecheck --racy: internal error — the guaranteed race was not detected";

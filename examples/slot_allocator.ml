@@ -18,7 +18,7 @@ let () =
      sized for union bounds, not for practice *)
   let space = Renaming.Object_space.create ~t0:3 () in
   (* Capacity covering objects R_1..R_16 is plenty for 64 workers. *)
-  let capacity = Renaming.Object_space.total_size space 16 in
+  let capacity = Renaming.Object_space.ladder_capacity space in
   Printf.printf "slot allocator: %d workers, %d atomic TAS cells\n" workers
     capacity;
 

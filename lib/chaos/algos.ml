@@ -1,10 +1,5 @@
 let names = [ "rebatching"; "adaptive"; "fast" ]
 
-(* Index 16 on the object ladder mirrors the shm test suite: the
-   adaptive ladder's reachable depth grows like O(log log n), so 16
-   covers any feasible process count. *)
-let ladder_depth = 16
-
 let find = function
   | "rebatching" ->
     Ok
@@ -17,11 +12,11 @@ let find = function
       (fun ~n:_ ~t0 ->
         let space = Renaming.Object_space.create ~t0 () in
         ( (fun env -> Renaming.Adaptive_rebatching.get_name env space),
-          Renaming.Object_space.total_size space ladder_depth ))
+          Renaming.Object_space.ladder_capacity space ))
   | "fast" ->
     Ok
       (fun ~n:_ ~t0 ->
         let space = Renaming.Object_space.create ~t0 () in
         ( (fun env -> Renaming.Fast_adaptive_rebatching.get_name env space),
-          Renaming.Object_space.total_size space ladder_depth ))
+          Renaming.Object_space.ladder_capacity space ))
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)

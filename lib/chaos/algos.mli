@@ -15,5 +15,5 @@ val find :
   (n:int -> t0:int -> (Renaming.Env.t -> int option) * int, string) result
 (** Resolve a name once: [build ~n ~t0] is a fresh instance for [n]
     processes and the capacity covering every location it can touch
-    (depth 16 of the adaptive ladder covers any feasible [n], as in the
-    shm tests).  [Error] names the unknown algorithm. *)
+    ({!Renaming.Object_space.ladder_capacity} for the adaptive ones).
+    [Error] names the unknown algorithm. *)

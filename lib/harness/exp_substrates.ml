@@ -1,10 +1,10 @@
 type measurement = { probes_per_proc : float; max_name : float; unique : bool }
 
-let sim_measure ~ctx ~n make_algo =
+let sim_measure ~ctx ~n spec =
+  let algo = Renaming.Machine.drive (Substrate.fast_algo spec) in
   let totals =
     Sweep.collect_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
       (fun seed ->
-        let algo = make_algo () in
         let r = Sim.Runner.run ~seed ~n ~algo () in
         ( float_of_int r.Sim.Runner.total_steps /. float_of_int n,
           float_of_int (Sim.Runner.max_name r),
@@ -18,11 +18,12 @@ let sim_measure ~ctx ~n make_algo =
     unique = List.for_all (fun (_, _, u) -> u) totals;
   }
 
-let shm_measure ~ctx ~n ~capacity make_algo =
+let shm_measure ~ctx ~n spec =
+  let algo = Renaming.Machine.drive (Substrate.fast_algo spec) in
+  let capacity = Substrate.capacity spec in
   let totals =
     Sweep.collect_seeds ~seed:ctx.Experiment.seed ~trials:ctx.Experiment.trials
       (fun seed ->
-        let algo = make_algo () in
         let r = Shm.Domain_runner.run ~domains:4 ~seed ~procs:n ~capacity ~algo () in
         ( float_of_int r.Shm.Domain_runner.total_probes /. float_of_int n,
           float_of_int (Shm.Domain_runner.max_name r),
@@ -59,31 +60,16 @@ let run (ctx : Experiment.ctx) =
         (if m.unique then "yes" else "NO");
       ]
   in
-  (* ReBatching *)
-  let rebatch () =
-    let instance = Renaming.Rebatching.make ~t0:3 ~n () in
-    fun env -> Renaming.Rebatching.get_name env instance
+  let both label spec =
+    row label "simulator" (sim_measure ~ctx ~n spec);
+    row label "atomics" (shm_measure ~ctx ~n spec)
   in
-  let capacity = Renaming.Rebatching.size (Renaming.Rebatching.make ~t0:3 ~n ()) in
-  row "rebatching(t0=3)" "simulator" (sim_measure ~ctx ~n rebatch);
-  row "rebatching(t0=3)" "atomics" (shm_measure ~ctx ~n ~capacity rebatch);
-  (* Uniform probing *)
-  let uniform () =
-   fun env -> Baselines.Uniform_probe.get_name env ~m:(2 * n) ~max_steps:(1000 * n)
-  in
-  row "uniform" "simulator" (sim_measure ~ctx ~n uniform);
-  row "uniform" "atomics" (shm_measure ~ctx ~n ~capacity:(2 * n) uniform);
-  (* Fast adaptive (paper constants; capacity covers the race ladder) *)
-  let space_capacity =
-    let probe = Renaming.Object_space.create () in
-    Renaming.Object_space.total_size probe 16
-  in
-  let fast () =
-    let space = Renaming.Object_space.create () in
-    fun env -> Renaming.Fast_adaptive_rebatching.get_name env space
-  in
-  row "fast-adaptive" "simulator" (sim_measure ~ctx ~n fast);
-  row "fast-adaptive" "atomics" (shm_measure ~ctx ~n ~capacity:space_capacity fast);
+  both "rebatching(t0=3)"
+    (Substrate.rebatching (Renaming.Rebatching.make ~t0:3 ~n ()));
+  both "uniform" (Substrate.uniform ~m:(2 * n) ~max_steps:(1000 * n));
+  (* paper constants; the capacity covers the race ladder *)
+  both "fast-adaptive"
+    (Substrate.fast_adaptive (Renaming.Object_space.create ()));
   ctx.emit_table
     ~title:(Printf.sprintf "T16: simulator vs real atomics, n=%d" n)
     table;

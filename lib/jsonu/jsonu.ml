@@ -230,11 +230,6 @@ let num fields name =
   | Some (Str "-inf") -> Float.neg_infinity
   | _ -> raise Malformed
 
-let num_opt fields name ~default =
-  match List.assoc_opt name fields with
-  | None -> default
-  | Some _ -> num fields name
-
 (* Exact integer fields (indices, seeds).  A float lexeme that happens
    to be integral is accepted for robustness against schema-1 stores
    re-encoded by other tools, but our own encoder always emits the

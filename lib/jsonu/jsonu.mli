@@ -47,7 +47,6 @@ val to_string : t -> string
 
 val str : (string * t) list -> string -> string
 val num : (string * t) list -> string -> float
-val num_opt : (string * t) list -> string -> default:float -> float
 
 val int_ : (string * t) list -> string -> int
 (** Exact integer field (indices, seeds) — never routed through float. *)

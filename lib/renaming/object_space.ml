@@ -78,6 +78,8 @@ let total_size t i =
   ensure_offsets t i;
   t.offsets.(i + 1)
 
+let ladder_capacity t = total_size t 16
+
 let in_object t i ~name =
   check_index t i;
   let s = offset t i in

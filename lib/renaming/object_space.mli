@@ -39,6 +39,17 @@ val total_size : t -> int -> int
     used by [R_1 .. R_i] — the space bound to check against the paper's
     [O(n)] claim when [i = ceil (log2 n) + 1]. *)
 
+val ladder_capacity : t -> int
+(** [ladder_capacity space] is [total_size space 16]: the one capacity
+    every fixed-size driver gives the adaptive algorithms (the fast
+    core's dense prefix, real atomics, chaos plans).  The ladder's
+    reachable depth grows like [O(log log n)], so 16 objects cover any
+    feasible process count.  A process that overshoots the race ladder
+    still probes farther objects — at [k = 131072] up to [R_32], with a
+    high-water mark of 1.29e10 — which the simulated space keeps in its
+    sparse tail and the atomic space rejects.
+    @raise Invalid_argument if [cap space < 16]. *)
+
 val owner_of_name : t -> int -> int option
 (** [owner_of_name space u] is the index [i] with [u] in [R_i]'s
     namespace, if any.  Names below [offset space 1] have no owner. *)

@@ -113,12 +113,6 @@ let expires_of t ~name =
 
 let held t = Hashtbl.length t.table
 
-let names_of_holder t ~holder =
-  Hashtbl.to_seq t.table
-  |> Seq.filter_map (fun (name, e) ->
-         if e.holder = Some holder then Some name else None)
-  |> List.of_seq |> List.sort Int.compare
-
 (* Deep-copy snapshots for the model checker, which explores the table's
    transition graph by DFS and must rewind it exactly. *)
 

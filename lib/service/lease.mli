@@ -84,9 +84,6 @@ val expires_of : t -> name:int -> float option
 val held : t -> int
 (** live leases *)
 
-val names_of_holder : t -> holder:int -> int list
-(** sorted *)
-
 (** {1 Snapshots}
 
     Deep-copy save/restore so the model checker ({!Lease_model} driven

@@ -340,43 +340,6 @@ let with_crashes ~fraction inner =
   in
   { name = Printf.sprintf "%s+crash%.2f" inner.name fraction; make }
 
-let with_planned_crashes ~crashes inner =
-  (* Deterministic before-op fail-stops at 1-based per-process operation
-     indices — the [Chaos.Fault_plan] convention.  The inner strategy's
-     pick is consulted first and only then overridden, so its rng stream
-     advances exactly as it would without crashes; that is what lets the
-     fast core replay the same schedule from the same seed. *)
-  List.iter
-    (fun (_, op) ->
-      if op < 1 then
-        invalid_arg "Adversary.with_planned_crashes: op must be >= 1")
-    crashes;
-  let make ctx =
-    let cb = inner.make ctx in
-    (* pid -> the operation it crashes before (0: none), and the number
-       of operations it has executed. *)
-    let armed = Array.make ctx.procs 0 in
-    List.iter
-      (fun (pid, op) -> if pid >= 0 && pid < ctx.procs then armed.(pid) <- op)
-      crashes;
-    let executed = Array.make ctx.procs 0 in
-    let pick () =
-      match cb.pick () with
-      | Crash _ as crash -> crash
-      | Step pid as step ->
-        if armed.(pid) = executed.(pid) + 1 then begin
-          armed.(pid) <- 0;
-          Crash pid
-        end
-        else begin
-          executed.(pid) <- executed.(pid) + 1;
-          step
-        end
-    in
-    { on_wait = cb.on_wait; on_tas = cb.on_tas; on_settle = cb.on_settle; pick }
-  in
-  { name = inner.name ^ "+planned-crashes"; make }
-
 let all_builtin = [ random; round_robin; layered; greedy_collision; sequential ]
 
 let by_name name = List.find_opt (fun t -> t.name = name) all_builtin

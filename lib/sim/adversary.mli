@@ -95,18 +95,6 @@ val with_crashes : fraction:float -> t -> t
     crashed.  Models the adversary's crash power (any number of crash
     failures, §2). *)
 
-val with_planned_crashes : crashes:(int * int) list -> t -> t
-(** [with_planned_crashes ~crashes strat] wraps [strat] with
-    deterministic fail-stops: each [(pid, op)] pair crashes [pid]
-    immediately before it would execute its [op]-th operation (1-based,
-    counted over that process's own executed steps — the
-    [Chaos.Fault_plan] arming convention; a process finishing in fewer
-    operations survives).  [strat]'s decisions and randomness are
-    consulted first and then overridden, so its rng stream is unchanged —
-    which is what keeps a planned-crash run bit-comparable with
-    [Fast_core.arm_crash] on the fast substrate.
-    @raise Invalid_argument if any [op < 1]. *)
-
 val by_name : string -> t option
 (** Look up a built-in strategy: ["random"], ["round-robin"], ["layered"],
     ["greedy"], ["sequential"]. *)

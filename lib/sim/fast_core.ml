@@ -13,7 +13,7 @@
 
    Layout: per-process bookkeeping is structure-of-arrays over unboxed
    [Bigarray.Array1] int lanes (pending location, ready set, names, step
-   counts, crash schedule, sequential order) plus flat byte lanes for
+   counts, sequential order) plus flat byte lanes for
    the booleans — one cache-linear lane per field rather than one record
    per process, so the batch loops scan contiguous untagged memory and a
    lane index is a plain machine word.  Only the machine-state lane [st]
@@ -25,6 +25,9 @@
    decision — same per-pid coin streams ([Splitmix.split_at root pid]),
    same scheduler stream (index [n]), same swap-removal of settled
    processes, so results agree bit for bit.  The QCheck suite pins this.
+   A process moves by one of two transitions, a step ([step_at]) or a
+   crash ([crash_at]); [run]'s random loop and the explorer's
+   [step_pid]/[crash_pid]/[crash_pid_after_win] all take the same two.
 
    A handle is reusable: [create] once, then [reset ~seed] + [run] per
    execution, with only [result] (called outside the measured loop)
@@ -56,14 +59,11 @@ type t = {
   crashed : Bytes.t;
   active : Bytes.t;
   order : lane;  (* sequential execution order *)
-  crash_op : lane;  (* 0 = unarmed; else 1-based op index *)
-  crash_after_win : Bytes.t;
   mutable size : int;  (* live prefix of [ready] *)
   mutable total_steps : int;
   mutable crash_count : int;
   mutable active_count : int;
-  mutable max_active : int;
-  mutable point_contention : int;
+  mutable max_active : int;  (* point contention *)
 }
 
 let create ?capacity ~algo ~n () =
@@ -83,14 +83,11 @@ let create ?capacity ~algo ~n () =
     crashed = Bytes.make n '\000';
     active = Bytes.make n '\000';
     order = lane n;
-    crash_op = lane n;
-    crash_after_win = Bytes.make n '\000';
     size = 0;
     total_steps = 0;
     crash_count = 0;
     active_count = 0;
     max_active = 0;
-    point_contention = 0;
   }
 
 let reset t ~seed =
@@ -99,22 +96,13 @@ let reset t ~seed =
   Bigarray.Array1.fill t.names (-1);
   Bigarray.Array1.fill t.steps 0;
   Bigarray.Array1.fill t.pending (-1);
-  Bigarray.Array1.fill t.crash_op 0;
   Bytes.fill t.crashed 0 t.n '\000';
   Bytes.fill t.active 0 t.n '\000';
-  Bytes.fill t.crash_after_win 0 t.n '\000';
   t.size <- 0;
   t.total_steps <- 0;
   t.crash_count <- 0;
   t.active_count <- 0;
-  t.max_active <- 0;
-  t.point_contention <- 0
-
-let arm_crash t ~pid ~op ~after_win =
-  if pid < 0 || pid >= t.n then invalid_arg "Fast_core.arm_crash: bad pid";
-  if op < 1 then invalid_arg "Fast_core.arm_crash: op must be >= 1";
-  Bigarray.Array1.set t.crash_op pid op;
-  Bytes.unsafe_set t.crash_after_win pid (if after_win then '\001' else '\000')
+  t.max_active <- 0
 
 let[@inline] activate t pid =
   if Bytes.unsafe_get t.active pid = '\000' then begin
@@ -123,36 +111,77 @@ let[@inline] activate t pid =
     if t.active_count > t.max_active then t.max_active <- t.active_count
   end
 
-let[@inline] retire t pid =
+(* [pid], in ready slot [idx], leaves the ready set: it finished or
+   crashed. *)
+let[@inline] settle t idx pid =
   if Bytes.unsafe_get t.active pid = '\001' then begin
     Bytes.unsafe_set t.active pid '\000';
     t.active_count <- t.active_count - 1
+  end;
+  t.size <- t.size - 1;
+  Bigarray.Array1.unsafe_set t.ready idx
+    (Bigarray.Array1.unsafe_get t.ready t.size)
+
+(* Execute [pid]'s pending TAS on [loc], counting the step; the
+   outcome. *)
+let[@inline] tas_pending t pid loc =
+  Bigarray.Array1.unsafe_set t.steps pid
+    (Bigarray.Array1.unsafe_get t.steps pid + 1);
+  t.total_steps <- t.total_steps + 1;
+  activate t pid;
+  Location_space.tas t.space loc
+
+(* The step transition of the pid in ready slot [idx]: its pending TAS,
+   then its machine up to the next pending operation or to its finish. *)
+let[@inline] step_at t idx pid =
+  let loc = Bigarray.Array1.unsafe_get t.pending pid in
+  let won = tas_pending t pid loc in
+  let a =
+    t.algo.Renaming.Machine.resume t.st
+      (pid * Renaming.Machine.slots t.algo)
+      t.io pid loc won
+  in
+  if a >= 0 then Bigarray.Array1.unsafe_set t.pending pid a
+  else begin
+    if a <= -2 then Bigarray.Array1.unsafe_set t.names pid (-2 - a);
+    settle t idx pid
   end
+
+(* The crash transition (§2): the pid in ready slot [idx] takes no
+   further step. *)
+let[@inline] crash_at t idx pid =
+  Bytes.unsafe_set t.crashed pid '\001';
+  t.crash_count <- t.crash_count + 1;
+  settle t idx pid
+
+(* Run [pid]'s machine up to its first pending operation, which puts it
+   in the ready set, or to an immediate finish. *)
+let start_pid t pid =
+  let a =
+    t.algo.Renaming.Machine.init t.st
+      (pid * Renaming.Machine.slots t.algo)
+      t.io pid
+  in
+  if a >= 0 then begin
+    Bigarray.Array1.unsafe_set t.pending pid a;
+    Bigarray.Array1.unsafe_set t.ready t.size pid;
+    t.size <- t.size + 1
+  end
+  else
+    match Renaming.Machine.name_of_action a with
+    | Some u -> Bigarray.Array1.unsafe_set t.names pid u
+    | None -> ()
 
 (* Start every machine; mirrors [Scheduler.create] running each body up
    to its first pending operation. *)
-let start_all t =
-  let slots = Renaming.Machine.slots t.algo in
-  let init = t.algo.Renaming.Machine.init in
+let start t =
   t.size <- 0;
   for pid = 0 to t.n - 1 do
-    let a = init t.st (pid * slots) t.io pid in
-    if a >= 0 then begin
-      Bigarray.Array1.unsafe_set t.pending pid a;
-      Bigarray.Array1.unsafe_set t.ready t.size pid;
-      t.size <- t.size + 1
-    end
-    else begin
-      match Renaming.Machine.name_of_action a with
-      | Some u -> Bigarray.Array1.unsafe_set t.names pid u
-      | None -> ()
-    end
+    start_pid t pid
   done
 
 let run ?(max_total_steps = 10_000_000) t =
-  start_all t;
-  let slots = Renaming.Machine.slots t.algo in
-  let resume = t.algo.Renaming.Machine.resume in
+  start t;
   let budget = ref max_total_steps in
   while t.size > 0 do
     if !budget <= 0 then raise Scheduler.Step_limit_exceeded;
@@ -160,57 +189,8 @@ let run ?(max_total_steps = 10_000_000) t =
     (* Same decision as [Adversary.random]: uniform index into the
        waiting set, drawn from the scheduler's own stream. *)
     let idx = Prng.Flat.int t.rng t.n t.size in
-    let pid = Bigarray.Array1.unsafe_get t.ready idx in
-    let armed = Bigarray.Array1.unsafe_get t.crash_op pid in
-    if
-      armed > 0
-      && armed = Bigarray.Array1.unsafe_get t.steps pid + 1
-      && Bytes.unsafe_get t.crash_after_win pid = '\000'
-    then begin
-      (* planned before-op crash: the pending operation never executes *)
-      Bytes.unsafe_set t.crashed pid '\001';
-      t.crash_count <- t.crash_count + 1;
-      retire t pid;
-      t.size <- t.size - 1;
-      Bigarray.Array1.unsafe_set t.ready idx
-        (Bigarray.Array1.unsafe_get t.ready t.size)
-    end
-    else begin
-      let loc = Bigarray.Array1.unsafe_get t.pending pid in
-      let steps = Bigarray.Array1.unsafe_get t.steps pid + 1 in
-      Bigarray.Array1.unsafe_set t.steps pid steps;
-      t.total_steps <- t.total_steps + 1;
-      activate t pid;
-      let won = Location_space.tas t.space loc in
-      if
-        won && armed > 0
-        && Bytes.unsafe_get t.crash_after_win pid = '\001'
-        && steps >= armed
-      then begin
-        (* after-win crash: the slot is taken in shared memory but the
-           process dies before recording the name — the leak the chaos
-           layer models *)
-        Bytes.unsafe_set t.crashed pid '\001';
-        t.crash_count <- t.crash_count + 1;
-        retire t pid;
-        t.size <- t.size - 1;
-        Bigarray.Array1.unsafe_set t.ready idx
-          (Bigarray.Array1.unsafe_get t.ready t.size)
-      end
-      else begin
-        let a = resume t.st (pid * slots) t.io pid loc won in
-        if a >= 0 then Bigarray.Array1.unsafe_set t.pending pid a
-        else begin
-          if a <= -2 then Bigarray.Array1.unsafe_set t.names pid (-2 - a);
-          retire t pid;
-          t.size <- t.size - 1;
-          Bigarray.Array1.unsafe_set t.ready idx
-            (Bigarray.Array1.unsafe_get t.ready t.size)
-        end
-      end
-    end
-  done;
-  t.point_contention <- t.max_active
+    step_at t idx (Bigarray.Array1.unsafe_get t.ready idx)
+  done
 
 let run_sequential ?(shuffled = true) t =
   let slots = Renaming.Machine.slots t.algo in
@@ -242,7 +222,7 @@ let run_sequential ?(shuffled = true) t =
     t.total_steps <- t.total_steps + !steps;
     if !a <= -2 then Bigarray.Array1.unsafe_set t.names pid (-2 - !a)
   done;
-  t.point_contention <- 1
+  t.max_active <- 1
 
 (* Result extraction (allocates; call outside measured loops). *)
 let result t =
@@ -261,7 +241,7 @@ let result t =
     max_steps = Runner.surviving_max steps crashed;
     space_used = Location_space.high_water_mark t.space;
     crash_count = t.crash_count;
-    point_contention = t.point_contention;
+    point_contention = t.max_active;
   }
 
 let space t = t.space
@@ -366,12 +346,11 @@ let seq_space_used q = Location_space.high_water_mark q.q_space
 
    [Analysis.Explore] owns the schedule: instead of drawing scheduler
    coins it names the pid to advance at each point, and saves/restores
-   the whole core around every DFS branch.  The per-step transition code
-   below is the same as the corresponding arms of [run], so an explored
-   trace is exactly a trace the sampling scheduler could have produced
-   for the same per-pid coin streams. *)
+   the whole core around every DFS branch.  A step and a crash are the
+   same transitions [run] takes, so an explored trace is exactly a trace
+   the sampling scheduler could have produced for the same per-pid coin
+   streams. *)
 
-let start t = start_all t
 let live_count t = t.size
 let live_pid t i = Bigarray.Array1.get t.ready i
 let pending_loc t ~pid = Bigarray.Array1.get t.pending pid
@@ -391,46 +370,14 @@ let ready_index t pid =
   in
   go 0
 
-let[@inline] remove_ready t idx =
-  t.size <- t.size - 1;
-  Bigarray.Array1.set t.ready idx (Bigarray.Array1.get t.ready t.size)
-
-let step_pid t ~pid =
-  let idx = ready_index t pid in
-  let loc = Bigarray.Array1.get t.pending pid in
-  Bigarray.Array1.set t.steps pid (Bigarray.Array1.get t.steps pid + 1);
-  t.total_steps <- t.total_steps + 1;
-  activate t pid;
-  let won = Location_space.tas t.space loc in
-  let slots = Renaming.Machine.slots t.algo in
-  let a = t.algo.Renaming.Machine.resume t.st (pid * slots) t.io pid loc won in
-  if a >= 0 then Bigarray.Array1.set t.pending pid a
-  else begin
-    if a <= -2 then Bigarray.Array1.set t.names pid (-2 - a);
-    retire t pid;
-    remove_ready t idx
-  end
-
-let crash_pid t ~pid =
-  let idx = ready_index t pid in
-  Bytes.set t.crashed pid '\001';
-  t.crash_count <- t.crash_count + 1;
-  retire t pid;
-  remove_ready t idx
+let step_pid t ~pid = step_at t (ready_index t pid) pid
+let crash_pid t ~pid = crash_at t (ready_index t pid) pid
 
 let crash_pid_after_win t ~pid =
   let idx = ready_index t pid in
-  let loc = Bigarray.Array1.get t.pending pid in
-  Bigarray.Array1.set t.steps pid (Bigarray.Array1.get t.steps pid + 1);
-  t.total_steps <- t.total_steps + 1;
-  activate t pid;
-  let won = Location_space.tas t.space loc in
-  if not won then
+  if not (tas_pending t pid (pending_loc t ~pid)) then
     invalid_arg "Fast_core.crash_pid_after_win: the pending TAS would lose";
-  Bytes.set t.crashed pid '\001';
-  t.crash_count <- t.crash_count + 1;
-  retire t pid;
-  remove_ready t idx
+  crash_at t idx pid
 
 let restart_pid t ~pid =
   if pid < 0 || pid >= t.n then invalid_arg "Fast_core.restart_pid: bad pid";
@@ -441,18 +388,7 @@ let restart_pid t ~pid =
    in
    if live 0 then invalid_arg "Fast_core.restart_pid: pid still running");
   Bigarray.Array1.set t.names pid (-1);
-  let slots = Renaming.Machine.slots t.algo in
-  let a = t.algo.Renaming.Machine.init t.st (pid * slots) t.io pid in
-  if a >= 0 then begin
-    Bigarray.Array1.set t.pending pid a;
-    Bigarray.Array1.set t.ready t.size pid;
-    t.size <- t.size + 1
-  end
-  else begin
-    match Renaming.Machine.name_of_action a with
-    | Some u -> Bigarray.Array1.set t.names pid u
-    | None -> ()
-  end
+  start_pid t pid
 
 type snap = {
   s_st : int array;
@@ -460,16 +396,13 @@ type snap = {
   s_ready : lane;
   s_names : lane;
   s_steps : lane;
-  s_crash_op : lane;
   s_crashed : Bytes.t;
   s_active : Bytes.t;
-  s_caw : Bytes.t;
   s_size : int;
   s_total : int;
   s_crash_count : int;
   s_active_count : int;
   s_max_active : int;
-  s_pc : int;
   s_streams : int64 array;  (* all n+1 Flat stream states *)
   s_space : Location_space.snap;
 }
@@ -481,16 +414,13 @@ let snapshot t =
     s_ready = copy_lane t.ready;
     s_names = copy_lane t.names;
     s_steps = copy_lane t.steps;
-    s_crash_op = copy_lane t.crash_op;
     s_crashed = Bytes.copy t.crashed;
     s_active = Bytes.copy t.active;
-    s_caw = Bytes.copy t.crash_after_win;
     s_size = t.size;
     s_total = t.total_steps;
     s_crash_count = t.crash_count;
     s_active_count = t.active_count;
     s_max_active = t.max_active;
-    s_pc = t.point_contention;
     s_streams = Array.init (t.n + 1) (Prng.Flat.get_state t.rng);
     s_space = Location_space.save t.space;
   }
@@ -501,16 +431,13 @@ let restore t s =
   Bigarray.Array1.blit s.s_ready t.ready;
   Bigarray.Array1.blit s.s_names t.names;
   Bigarray.Array1.blit s.s_steps t.steps;
-  Bigarray.Array1.blit s.s_crash_op t.crash_op;
   Bytes.blit s.s_crashed 0 t.crashed 0 t.n;
   Bytes.blit s.s_active 0 t.active 0 t.n;
-  Bytes.blit s.s_caw 0 t.crash_after_win 0 t.n;
   t.size <- s.s_size;
   t.total_steps <- s.s_total;
   t.crash_count <- s.s_crash_count;
   t.active_count <- s.s_active_count;
   t.max_active <- s.s_max_active;
-  t.point_contention <- s.s_pc;
   for i = 0 to t.n do
     Prng.Flat.set_state t.rng i s.s_streams.(i)
   done;

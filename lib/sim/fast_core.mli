@@ -12,11 +12,13 @@
     [Runner.run ~adversary:Adversary.random], and {!run_sequential} to
     [Runner.run_sequential] — the per-pid coin streams, the scheduler's
     picks and the settle bookkeeping replay the effects path decision for
-    decision.  Adversaries other than the uniform oblivious one are not
-    expressible here; use the effects substrate for those runs.  The
-    machines run with no event listener, and the long-lived
-    (releasing) machines, whose {!Renaming.Machine.release} action only
-    {!Renaming.Machine.drive} performs, are not run here.
+    decision.  {!run} draws its own schedule; any other schedule, crashes
+    included, is driven from outside through the step-granular API
+    below ({!step_pid}, {!crash_pid}), which takes the same step and
+    crash transitions as {!run}.  The machines run with no event
+    listener, and the long-lived (releasing) machines, whose
+    {!Renaming.Machine.release} action only {!Renaming.Machine.drive}
+    performs, are not run here.
 
     Handles are reusable so benchmarks can measure steady state:
     [create] preallocates everything for [(algo, n)]; each execution is
@@ -35,19 +37,9 @@ val create : ?capacity:int -> algo:Renaming.Machine.t -> n:int -> unit -> t
     @raise Invalid_argument if [n < 1]. *)
 
 val reset : t -> seed:int -> unit
-(** Re-seed and clear the handle for a fresh execution; allocation-free
-    once the location space is warm.  Also disarms planned crashes. *)
-
-val arm_crash : t -> pid:int -> op:int -> after_win:bool -> unit
-(** Arm a planned fail-stop for [pid] at its [op]-th operation (1-based,
-    counted over its own steps), for crash-edge testing against
-    {!Chaos.Fault_plan} schedules.  With [after_win = false] the process
-    crashes instead of executing its [op]-th operation — expressible on
-    the effects substrate as {!Adversary.with_planned_crashes}, so
-    results stay comparable.  With [after_win = true] it executes
-    operations normally and dies immediately after its first TAS win at
-    or beyond [op]: the slot stays taken but no surviving process holds
-    the name (the §2 leak).  Call after {!reset}. *)
+(** Re-seed and clear the handle for a fresh execution: names, step
+    counts, crashes, the ready set and the location space.
+    Allocation-free once the location space is warm. *)
 
 val run : ?max_total_steps:int -> t -> unit
 (** Execute under the uniformly random oblivious schedule.
@@ -59,8 +51,10 @@ val run_sequential : ?shuffled:bool -> t -> unit
     order ([shuffled], default [true]) or pid order. *)
 
 val result : t -> Runner.result
-(** Extract the outcome of the last execution (allocates fresh arrays —
-    keep outside measured loops). *)
+(** Extract the outcome of the last execution, however it was driven
+    ({!run}, {!run_sequential} or the step API); [point_contention] is
+    the most processes active at once, [1] after {!run_sequential}.
+    Allocates fresh arrays — keep outside measured loops. *)
 
 val space : t -> Location_space.t
 val total_steps : t -> int

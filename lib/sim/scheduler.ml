@@ -198,7 +198,6 @@ let name_of t pid =
 
 let crashed t pid = match t.cells.(pid) with Crashed -> true | _ -> false
 let max_point_contention t = t.max_active
-let steps_of t pid = t.steps.(pid)
 let total_steps t = t.total_steps
 let names t = Array.init (Array.length t.cells) (fun pid -> name_of t pid)
 let step_counts t = Array.copy t.steps

@@ -53,9 +53,6 @@ val max_point_contention : t -> int
     arrivals this can be far below [n], which is what experiment T13
     reports. *)
 
-val steps_of : t -> int -> int
-(** Number of TAS operations executed by [pid]. *)
-
 val total_steps : t -> int
 val names : t -> int option array
 val step_counts : t -> int array

@@ -401,40 +401,32 @@ let test_hb_capacity_and_stats () =
   Alcotest.(check bool) "events counted" true (s.Analysis.Hb.events >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Hb_space / Hb_runner: real domains *)
+(* Hb / Hb_runner: real domains *)
 
 (* Two domains writing the same plain location with no synchronization
    between them: a race in every interleaving, so the checker must flag
-   it deterministically. *)
-let test_hb_space_racy_fixture () =
-  let sp =
-    Analysis.Hb_space.create ~mode:Analysis.Hb.Collect ~capacity:4 ()
+   it deterministically.  Each domain registers itself, as the
+   [racecheck --racy] demo does. *)
+let test_hb_racy_fixture () =
+  let hb = Analysis.Hb.create ~mode:Analysis.Hb.Collect () in
+  let _main = Analysis.Hb.register hb ~name:"main" in
+  let worker () =
+    let thread =
+      Analysis.Hb.register hb
+        ~name:(Printf.sprintf "domain-%d" (Domain.self () :> int))
+    in
+    Analysis.Hb.plain_write hb ~thread ~loc:"shared-counter"
   in
-  let _main = Analysis.Hb_space.register_thread ~name:"main" sp in
-  let worker () = Analysis.Hb_space.write_plain sp "shared-counter" in
   (* repro-lint: allow domain-spawn *)
   let d1 = Domain.spawn worker in
   (* repro-lint: allow domain-spawn *)
   let d2 = Domain.spawn worker in
   Domain.join d1;
   Domain.join d2;
-  match Analysis.Hb_space.races sp with
+  match Analysis.Hb.races hb with
   | [] -> Alcotest.fail "unsynchronized writes must race"
   | r :: _ ->
     Alcotest.(check string) "location" "shared-counter" r.Analysis.Hb.loc
-
-let test_hb_space_operations () =
-  let sp = Analysis.Hb_space.create ~capacity:3 () in
-  Alcotest.(check int) "capacity" 3 (Analysis.Hb_space.capacity sp);
-  Alcotest.(check bool) "first TAS wins" true (Analysis.Hb_space.tas sp 1);
-  Alcotest.(check bool) "second TAS loses" false (Analysis.Hb_space.tas sp 1);
-  Alcotest.(check bool) "taken" true (Analysis.Hb_space.is_taken sp 1);
-  Analysis.Hb_space.release sp 1;
-  Alcotest.(check bool) "released" false (Analysis.Hb_space.is_taken sp 1);
-  Analysis.Hb_space.write_plain sp "slot";
-  Analysis.Hb_space.read_plain sp "slot";
-  Alcotest.(check int) "single domain is race-free" 0
-    (List.length (Analysis.Hb_space.races sp))
 
 let certify_rebatching ~seed ~procs ~domains =
   let instance = Renaming.Rebatching.make ~t0:3 ~n:procs () in
@@ -535,9 +527,7 @@ let suite =
     ( "analysis.racecheck",
       [
         Alcotest.test_case "racy two-domain fixture flagged" `Quick
-          test_hb_space_racy_fixture;
-        Alcotest.test_case "instrumented space semantics" `Quick
-          test_hb_space_operations;
+          test_hb_racy_fixture;
         Alcotest.test_case "rebatching certified on 4 domains" `Quick
           test_certify_clean_run;
         Alcotest.test_case "adaptive certified on 4 domains" `Quick

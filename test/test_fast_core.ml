@@ -1,11 +1,12 @@
-(* Cross-substrate equivalence: the zero-allocation fast core and the
-   real-atomics sequential driver, both running the library's machines,
-   must produce results identical field for field to the independent
-   closure transcriptions of [Reference] under the effects scheduler,
-   whenever they execute the same schedule with the same seed.  This is
-   the contract that lets the headline experiments run on the fast
-   substrate while the adversarial and multicore work runs the same
-   machines through [Renaming.Machine.drive]. *)
+(* Cross-substrate equivalence: the zero-allocation fast core running
+   the library's machines must produce results identical field for field
+   to the independent closure transcriptions of [Reference] under the
+   effects scheduler, whenever they execute the same schedule with the
+   same seed, and the machines on real atomics ([Shm.Domain_runner], one
+   domain) must reproduce the fast core's sequential runs.  This is the
+   contract that lets the headline experiments run on the fast substrate
+   while the adversarial and multicore work runs the same machines
+   through [Renaming.Machine.drive]. *)
 
 let checkb = Alcotest.check Alcotest.bool
 
@@ -87,34 +88,53 @@ let case_print (seed, n, choice, t0, epsilon, shuffled) =
 
 let case_arb = QCheck.make ~print:case_print case_gen
 
+(* One domain of [Shm.Domain_runner] runs the pids in order over real
+   atomics, the unshuffled sequential schedule: the names and per-pid
+   step counts of the fast core's unshuffled run. *)
+let atomic_matches_fast ~seed ~n spec (fast : Sim.Runner.result) =
+  let atomic =
+    Shm.Domain_runner.run ~domains:1 ~seed ~procs:n
+      ~capacity:(Harness.Substrate.capacity spec)
+      ~algo:(Renaming.Machine.drive (Harness.Substrate.fast_algo spec))
+      ()
+  in
+  atomic.Shm.Domain_runner.names = fast.Sim.Runner.names
+  && atomic.Shm.Domain_runner.probes = fast.Sim.Runner.steps
+
 (* The sequential schedule is expressible on all three substrates. *)
 let qcheck_sequential_equivalence =
   QCheck.Test.make ~name:"sequential: fast = effects = atomic" ~count:220
     case_arb (fun (seed, n, choice, t0, epsilon, shuffled) ->
-      let run substrate =
-        let spec = spec_of_choice ~n ~t0 ~epsilon choice in
-        Harness.Substrate.run_sequential ~shuffled substrate spec ~seed ~n ()
+      let spec = spec_of_choice ~n ~t0 ~epsilon choice in
+      let fast shuffled =
+        Sim.Fast_core.run_sequential_once ~shuffled ~seed ~n
+          ~algo:(Harness.Substrate.fast_algo spec)
+          ()
       in
-      let fast = run Harness.Substrate.Fast in
+      let fast_run = fast shuffled in
       let effects =
         Sim.Runner.run_sequential ~shuffled ~seed ~n
           ~algo:(reference_of_choice ~n ~t0 ~epsilon choice)
           ()
       in
-      let atomic = run Harness.Substrate.Atomic in
-      if not (results_equal fast effects) then
-        QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
-      if not (results_equal fast atomic) then
-        QCheck.Test.fail_report (diff_report "fast vs atomic" fast atomic);
+      if not (results_equal fast_run effects) then
+        QCheck.Test.fail_report (diff_report "fast vs effects" fast_run effects);
+      let in_order = if shuffled then fast false else fast_run in
+      if not (atomic_matches_fast ~seed ~n spec in_order) then
+        QCheck.Test.fail_report "fast vs atomic: names or steps differ";
       true)
 
 (* The uniformly random concurrent schedule: fast vs effects (the atomic
-   driver is sequential-only). *)
+   driver cannot choose its interleaving). *)
 let qcheck_concurrent_equivalence =
   QCheck.Test.make ~name:"uniform concurrent: fast = effects" ~count:60
     case_arb (fun (seed, n, choice, t0, epsilon, _shuffled) ->
       let spec = spec_of_choice ~n ~t0 ~epsilon choice in
-      let fast = Harness.Substrate.run Harness.Substrate.Fast spec ~seed ~n () in
+      let fast =
+        Sim.Fast_core.run_once ~seed ~n
+          ~algo:(Harness.Substrate.fast_algo spec)
+          ()
+      in
       let effects =
         Sim.Runner.run ~seed ~n
           ~algo:(reference_of_choice ~n ~t0 ~epsilon choice)
@@ -125,76 +145,71 @@ let qcheck_concurrent_equivalence =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Crash edges: Chaos.Fault_plan schedules replayed on both substrates *)
+(* Any schedule, crashes included: an effects run's decisions, recorded
+   by [Sim.Trace.recorder], replayed through the step API *)
 
-let algo_name = function
-  | 0 -> "rebatching"
-  | 1 -> "adaptive"
-  | _ -> "fast"
+let schedules =
+  [|
+    Sim.Adversary.random;
+    Sim.Adversary.round_robin;
+    Sim.Adversary.layered;
+    Sim.Adversary.greedy_collision;
+    Sim.Adversary.with_crashes ~fraction:0.25 Sim.Adversary.random;
+    Sim.Adversary.with_crashes ~fraction:0.25 Sim.Adversary.greedy_collision;
+  |]
 
-(* Before-op crashes are expressible on both substrates
-   (Adversary.with_planned_crashes on effects, arm_crash on fast), so a
-   Fault_plan's armed schedule must produce identical results and the
-   same safety verdict on both. *)
+(* Run the reference under [adversary] on the effects scheduler, replay
+   its decisions on a fresh core with [start]/[step_pid]/[crash_pid],
+   and demand the same result, field for field, and the same safety
+   verdict. *)
+let replay_matches ~seed ~n ~choice adversary =
+  let adversary, trace = Sim.Trace.recorder adversary in
+  let effects =
+    Sim.Runner.run ~adversary ~seed ~n
+      ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
+      ()
+  in
+  let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
+  let core =
+    Sim.Fast_core.create ~algo:(Harness.Substrate.fast_algo spec) ~n ()
+  in
+  Sim.Fast_core.reset core ~seed;
+  Sim.Fast_core.start core;
+  List.iter
+    (function
+      | Sim.Trace.Stepped pid -> Sim.Fast_core.step_pid core ~pid
+      | Sim.Trace.Crashed_pid pid -> Sim.Fast_core.crash_pid core ~pid)
+    (Sim.Trace.decisions (trace ()));
+  if Sim.Fast_core.live_count core <> 0 then
+    QCheck.Test.fail_report "replay left pids live";
+  let fast = Sim.Fast_core.result core in
+  if not (results_equal fast effects) then
+    QCheck.Test.fail_report (diff_report "replay vs effects" fast effects);
+  if Sim.Runner.check_unique_names fast <> Sim.Runner.check_unique_names effects
+  then QCheck.Test.fail_report "uniqueness verdicts differ";
+  true
+
+let replay_print (seed, n, choice, schedule) =
+  Printf.sprintf "seed=%d n=%d algo=%d schedule=%s" seed n choice
+    schedules.(schedule).Sim.Adversary.name
+
 let qcheck_crash_equivalence =
   let gen =
     QCheck.Gen.(
       let* seed = int_range 1 100_000 in
       let* n = int_range 4 96 in
-      let* choice = int_range 0 2 in
-      let* frac_i = int_range 1 3 in
-      return (seed, n, choice, 0.25 *. float_of_int frac_i))
-  in
-  let print (seed, n, choice, frac) =
-    Printf.sprintf "seed=%d n=%d algo=%s crash_frac=%g" seed n
-      (algo_name choice) frac
+      let* choice = int_range 0 6 in
+      let* schedule = int_range 0 (Array.length schedules - 1) in
+      return (seed, n, choice, schedule))
   in
   QCheck.Test.make ~name:"planned before-op crashes: fast = effects" ~count:60
-    (QCheck.make ~print gen) (fun (seed, n, choice, crash_frac) ->
-      let plan =
-        Chaos.Fault_plan.make ~seed ~procs:n ~domains:1
-          ~algo:(algo_name choice) ~capacity:(8 * n) ~crash_frac ()
-      in
-      let crashes =
-        List.filter_map
-          (fun (c : Chaos.Fault_plan.crash) ->
-            match c.Chaos.Fault_plan.point with
-            | Chaos.Fault_plan.Before_op ->
-              Some (c.Chaos.Fault_plan.pid, c.Chaos.Fault_plan.op)
-            | Chaos.Fault_plan.After_win -> None)
-          plan.Chaos.Fault_plan.crashes
-      in
-      let choice = match choice with 0 -> 0 | 1 -> 1 | _ -> 2 in
-      let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
-      let effects =
-        Sim.Runner.run
-          ~adversary:
-            (Sim.Adversary.with_planned_crashes ~crashes Sim.Adversary.random)
-          ~seed ~n
-          ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
-          ()
-      in
-      let core =
-        Sim.Fast_core.create ~algo:(Harness.Substrate.fast_algo spec) ~n ()
-      in
-      Sim.Fast_core.reset core ~seed;
-      List.iter
-        (fun (pid, op) ->
-          Sim.Fast_core.arm_crash core ~pid ~op ~after_win:false)
-        crashes;
-      Sim.Fast_core.run core;
-      let fast = Sim.Fast_core.result core in
-      if not (results_equal fast effects) then
-        QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
-      if
-        Sim.Runner.check_unique_names fast
-        <> Sim.Runner.check_unique_names effects
-      then QCheck.Test.fail_report "uniqueness verdicts differ";
-      true)
+    (QCheck.make ~print:replay_print gen) (fun (seed, n, choice, schedule) ->
+      replay_matches ~seed ~n ~choice schedules.(schedule))
 
-(* After-win crashes (the §2 leak) exist only on the fast substrate; pin
-   their accounting: the crashed process holds no name, survivors stay
-   unique, and every fired crash is counted. *)
+(* After-win crashes (the §2 leak): a process whose pending TAS would
+   win executes it and dies before recording the name.  Pin their
+   accounting: the slot stays taken, the crashed process holds no name,
+   survivors stay unique, and every fired crash is counted. *)
 let test_after_win_leak () =
   let n = 64 in
   let spec =
@@ -203,15 +218,27 @@ let test_after_win_leak () =
   let core =
     Sim.Fast_core.create ~algo:(Harness.Substrate.fast_algo spec) ~n ()
   in
+  (* pid -> the first operation at or after which its next win is fatal *)
+  let armed = [ (1, 1); (7, 2); (13, 1); (30, 3); (55, 2) ] in
   List.iter
     (fun seed ->
       Sim.Fast_core.reset core ~seed;
-      (* arm a spread of early after-win crashes *)
-      let armed = [ (1, 1); (7, 2); (13, 1); (30, 3); (55, 2) ] in
-      List.iter
-        (fun (pid, op) -> Sim.Fast_core.arm_crash core ~pid ~op ~after_win:true)
-        armed;
-      Sim.Fast_core.run core;
+      Sim.Fast_core.start core;
+      let rng = Prng.Splitmix.of_int seed in
+      let space = Sim.Fast_core.space core in
+      let leaked = ref [] in
+      while Sim.Fast_core.live_count core > 0 do
+        let live = Sim.Fast_core.live_count core in
+        let pid = Sim.Fast_core.live_pid core (Prng.Splitmix.int rng live) in
+        let loc = Sim.Fast_core.pending_loc core ~pid in
+        match List.assoc_opt pid armed with
+        | Some op
+          when Sim.Fast_core.steps_of core ~pid + 1 >= op
+               && not (Sim.Location_space.is_taken space loc) ->
+          Sim.Fast_core.crash_pid_after_win core ~pid;
+          leaked := loc :: !leaked
+        | _ -> Sim.Fast_core.step_pid core ~pid
+      done;
       let r = Sim.Fast_core.result core in
       Array.iteri
         (fun pid crashed ->
@@ -221,15 +248,23 @@ let test_after_win_leak () =
               true
               (r.Sim.Runner.names.(pid) = None))
         r.Sim.Runner.crashed;
+      List.iter
+        (fun loc ->
+          checkb
+            (Printf.sprintf "seed %d: leaked slot %d stays taken" seed loc)
+            true
+            (Sim.Location_space.is_taken space loc))
+        !leaked;
       checkb
         (Printf.sprintf "seed %d: survivors unique" seed)
         true
         (Sim.Runner.check_unique_names r);
       let fired = r.Sim.Runner.crash_count in
       checkb
-        (Printf.sprintf "seed %d: fired crashes within armed" seed)
+        (Printf.sprintf "seed %d: every fired crash counted" seed)
         true
-        (fired >= 1 && fired <= List.length armed))
+        (fired = List.length !leaked && fired >= 1
+        && fired <= List.length armed))
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -256,7 +291,7 @@ let test_flat_stream_identity () =
 (* ------------------------------------------------------------------ *)
 (* The SoA layout at scale: the lanes rewrite and the streaming seq
    kernel must agree with the retained driver and the effects reference
-   up to n = 10^4, including armed crashes and step-granular edges. *)
+   up to n = 10^4, including replayed crashes and step-granular edges. *)
 
 let checki = Alcotest.check Alcotest.int
 
@@ -331,8 +366,9 @@ let qcheck_soa_large_n_equivalence =
     ~count:10 (QCheck.make ~print gen) (fun (seed, n, choice) ->
       let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
       let fast =
-        Harness.Substrate.run_sequential ~shuffled:false Harness.Substrate.Fast
-          spec ~seed ~n ()
+        Sim.Fast_core.run_sequential_once ~shuffled:false ~seed ~n
+          ~algo:(Harness.Substrate.fast_algo spec)
+          ()
       in
       let effects =
         Sim.Runner.run_sequential ~shuffled:false ~seed ~n
@@ -343,57 +379,22 @@ let qcheck_soa_large_n_equivalence =
         QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
       true)
 
-(* Armed before-op crashes at large n: the crash lanes (crash_op,
-   crashed bytes) under the concurrent scheduler, fast vs effects. *)
+(* Replayed crash schedules at large n: the crashed lane and the
+   ready-set swap-removal under the step API, against effects. *)
 let qcheck_soa_large_n_crashes =
   let gen =
     QCheck.Gen.(
       let* seed = int_range 1 100_000 in
       let* n = int_range 1_000 10_000 in
+      (* the paper's three: the scans take Theta(n^2) steps at this n *)
       let* choice = int_range 0 2 in
-      return (seed, n, choice))
-  in
-  let print (seed, n, choice) =
-    Printf.sprintf "seed=%d n=%d algo=%s" seed n (algo_name choice)
+      let* schedule = int_range 4 (Array.length schedules - 1) in
+      return (seed, n, choice, schedule))
   in
   QCheck.Test.make ~name:"large-n armed crashes: fast = effects (n <= 10^4)"
-    ~count:6 (QCheck.make ~print gen) (fun (seed, n, choice) ->
-      let plan =
-        Chaos.Fault_plan.make ~seed ~procs:n ~domains:1
-          ~algo:(algo_name choice) ~capacity:(8 * n) ~crash_frac:0.25 ()
-      in
-      let crashes =
-        List.filter_map
-          (fun (c : Chaos.Fault_plan.crash) ->
-            match c.Chaos.Fault_plan.point with
-            | Chaos.Fault_plan.Before_op ->
-              Some (c.Chaos.Fault_plan.pid, c.Chaos.Fault_plan.op)
-            | Chaos.Fault_plan.After_win -> None)
-          plan.Chaos.Fault_plan.crashes
-      in
-      let choice = match choice with 0 -> 0 | 1 -> 1 | _ -> 2 in
-      let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
-      let effects =
-        Sim.Runner.run
-          ~adversary:
-            (Sim.Adversary.with_planned_crashes ~crashes Sim.Adversary.random)
-          ~seed ~n
-          ~algo:(reference_of_choice ~n ~t0:3 ~epsilon:1.0 choice)
-          ()
-      in
-      let core =
-        Sim.Fast_core.create ~algo:(Harness.Substrate.fast_algo spec) ~n ()
-      in
-      Sim.Fast_core.reset core ~seed;
-      List.iter
-        (fun (pid, op) ->
-          Sim.Fast_core.arm_crash core ~pid ~op ~after_win:false)
-        crashes;
-      Sim.Fast_core.run core;
-      let fast = Sim.Fast_core.result core in
-      if not (results_equal fast effects) then
-        QCheck.Test.fail_report (diff_report "fast vs effects" fast effects);
-      true)
+    ~count:6 (QCheck.make ~print:replay_print gen)
+    (fun (seed, n, choice, schedule) ->
+      replay_matches ~seed ~n ~choice schedules.(schedule))
 
 (* Snapshot/restore mid-run on the lanes layout: branch the execution at
    an arbitrary prefix and both continuations must replay identically —
@@ -523,6 +524,34 @@ let test_seq_run_allocation_free () =
   if per_op > 0.01 then
     Alcotest.failf "seq_run allocates %.3f words/op (budget 0.01)" per_op
 
+(* The random loop allocates nothing, for every machine: a warm handle
+   (dense prefix preallocated, one run already behind it) metered over
+   [reset] + [run]. *)
+let test_run_allocation_free () =
+  let n = 2_000 in
+  for choice = 0 to 6 do
+    let spec = spec_of_choice ~n ~t0:3 ~epsilon:1.0 choice in
+    let algo = Harness.Substrate.fast_algo spec in
+    let core =
+      Sim.Fast_core.create ~capacity:(Harness.Substrate.capacity spec) ~algo
+        ~n ()
+    in
+    let go () =
+      Sim.Fast_core.reset core ~seed:5;
+      Sim.Fast_core.run core
+    in
+    go ();
+    let w0 = Gc.minor_words () in
+    go ();
+    let w1 = Gc.minor_words () in
+    let per_step =
+      (w1 -. w0) /. float_of_int (Sim.Fast_core.total_steps core)
+    in
+    if per_step > 0.01 then
+      Alcotest.failf "%s: run allocates %.3f words/step (budget 0.01)"
+        algo.Renaming.Machine.label per_step
+  done
+
 (* The sparse tail at scale: adaptive ReBatching (t0 = 3) at k = 131072
    overshoots the race ladder up to R_32, probing ~41k 32-cell blocks
    past the dense prefix at locations up to 1.29e10.  The pinned counts
@@ -583,6 +612,8 @@ let suite =
           test_restart_pid_edges;
         Alcotest.test_case "seq_run is allocation-free" `Quick
           test_seq_run_allocation_free;
+        Alcotest.test_case "run is allocation-free for every machine" `Quick
+          test_run_allocation_free;
         Alcotest.test_case "sparse tail at k=131072" `Quick
           test_seq_run_sparse_scale;
       ] );

@@ -793,32 +793,23 @@ let greedy_algos =
         fun env -> Renaming.Adaptive_rebatching.get_name_releasing env space );
   ]
 
-let greedy_wrappers crashes =
-  [
-    ("plain", Fun.id);
-    ("crash0.3", Sim.Adversary.with_crashes ~fraction:0.3);
-    ("planned", Sim.Adversary.with_planned_crashes ~crashes);
-  ]
+let greedy_wrappers =
+  [ ("plain", Fun.id); ("crash0.3", Sim.Adversary.with_crashes ~fraction:0.3) ]
 
 let qcheck_greedy_matches_reference =
   QCheck.Test.make ~name:"greedy == Hashtbl reference (trace and result)"
     ~count:90
     QCheck.(
       make
-        ~print:(fun (seed, n, a, w, crashes) ->
-          Printf.sprintf "seed=%d n=%d algo=%s wrapper=%s crashes=%s" seed n
+        ~print:(fun (seed, n, a, w) ->
+          Printf.sprintf "seed=%d n=%d algo=%s wrapper=%s" seed n
             (fst (List.nth greedy_algos a))
-            (fst (List.nth (greedy_wrappers []) w))
-            (Print.list (Print.pair Print.int Print.int) crashes))
+            (fst (List.nth greedy_wrappers w)))
         Gen.(
-          int_range 1 300 >>= fun n ->
-          map4
-            (fun seed a w crashes -> (seed, n, a, w, crashes))
-            (int_bound 100_000) (int_bound 2) (int_bound 2)
-            (list_size (int_range 0 8)
-               (pair (int_bound (n - 1)) (int_range 1 6)))))
-    (fun (seed, n, a, w, crashes) ->
-      let wrap = snd (List.nth (greedy_wrappers crashes) w) in
+          quad (int_bound 100_000) (int_range 1 300) (int_bound 2)
+            (int_bound 1)))
+    (fun (seed, n, a, w) ->
+      let wrap = snd (List.nth greedy_wrappers w) in
       let run strategy =
         let algo = snd (List.nth greedy_algos a) n in
         let adversary, trace =
